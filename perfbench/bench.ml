@@ -2,7 +2,7 @@
 
      bench.exe WORKLOAD --seed N --seconds S --trace 0|1
                [--nocplan PATH] [--scratch DIR]
-     bench.exe setup WORKLOAD --seed N      (set-up probe, prints "ready")
+     bench.exe setup WORKLOAD               (set-up probe, prints "ready")
      bench.exe figure1-series               (regenerates figure1.expected)
 
    WORKLOAD is paper-sweep, serve-mix or corpus-verify.  With --trace 0
@@ -20,18 +20,18 @@ let usage () =
      [--nocplan PATH] [--scratch DIR]";
   exit 2
 
-let setup_trials = 5
+let setup_trials = 12
 
-(* Start this executable in set-up mode [setup_trials] times, timing
-   each from spawn until it reports ready; the median. *)
-let measure_setup workload ~seed =
+(* Start this executable in set-up mode [n] times, timing each from
+   spawn until it reports ready. *)
+let setup_times workload n =
   let trial () =
     let r, w = Unix.pipe ~cloexec:true () in
     let t0 = Util.now () in
     let exe = Sys.executable_name in
     let pid =
       Unix.create_process exe
-        [| exe; "setup"; workload; "--seed"; string_of_int seed |]
+        [| exe; "setup"; workload |]
         Unix.stdin w Unix.stderr
     in
     Unix.close w;
@@ -43,7 +43,17 @@ let measure_setup workload ~seed =
     | (_, Unix.WEXITED 0), Some "ready" -> dt
     | _ -> failwith (workload ^ ": set-up probe failed")
   in
-  Util.median (List.init setup_trials (fun _ -> trial ()))
+  List.init n (fun _ -> trial ())
+
+(* Run [measure] between two halves of the set-up trials, so their
+   median does not hang on one spell of a shared host; the set-up time
+   goes first in the metrics. *)
+let with_setup workload measure =
+  let before = setup_times workload (setup_trials / 2) in
+  let correct, attempted, failed, metrics = measure () in
+  let after = setup_times workload (setup_trials - (setup_trials / 2)) in
+  let setup_s = Util.median (before @ after) in
+  (correct, attempted, failed, Util.metric "setup_s" "s" setup_s :: metrics)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -63,7 +73,7 @@ let () =
     | "figure1-series" :: _ -> Paper_sweep.print_series ()
     | "setup" :: workload :: _ ->
         (match workload with
-        | "paper-sweep" -> ignore (Paper_sweep.setup ~seed)
+        | "paper-sweep" -> ignore (Paper_sweep.setup ())
         | "corpus-verify" -> ignore (Corpus_verify.setup ())
         | _ -> usage ());
         print_endline "ready"
@@ -75,15 +85,14 @@ let () =
         let correct, attempted, failed, metrics =
           match (workload, trace) with
           | "paper-sweep", false ->
-              let setup_s = measure_setup workload ~seed in
-              let a, f, m = Paper_sweep.end_to_end ~seed ~seconds ~setup_s in
-              (true, a, f, m)
+              with_setup workload (fun () ->
+                  let a, f, m = Paper_sweep.end_to_end ~seed ~seconds in
+                  (true, a, f, m))
           | "paper-sweep", true ->
               let a, f, m = Paper_sweep.per_layer ~seed ~seconds in
               (true, a, f, m)
           | "corpus-verify", false ->
-              let setup_s = measure_setup workload ~seed in
-              Corpus_verify.end_to_end ~seed ~seconds ~setup_s
+              with_setup workload (fun () -> Corpus_verify.end_to_end ~seed ~seconds)
           | "corpus-verify", true -> Corpus_verify.per_layer ~seed ~seconds
           | "serve-mix", false -> Serve_mix.end_to_end ~nocplan ~seed ~seconds
           | "serve-mix", true -> Serve_mix.per_layer ~nocplan ~seed ~seconds ~scratch

@@ -12,7 +12,9 @@
    draw fresh parameters over the builtin systems, and a minority carry
    an inline [soc] description printed from a synthetic corpus item —
    a system the server has never seen, so it parses and misses the
-   table cache. *)
+   table cache.  Ops, request sources and the parameters that set a
+   fresh request's cost are dealt from shuffled decks, so every block
+   of requests has the same mix whatever the seed. *)
 
 module Json = Nocplan_serve.Json
 module Corpus = Nocplan_corpus.Corpus
@@ -81,38 +83,66 @@ type template = {
 }
 
 type t = {
-  seed : int;
   rng : Random.State.t;  (** request parameters *)
   arrivals : Random.State.t;  (** open-loop gaps *)
-  hot : template array;
+  hot : template list;
   mutable next : int;
   mutable inline_index : int;
   mutable bursting : bool;
+  decks : (string, int list) Hashtbl.t;  (** the cards left in each deck *)
 }
 
-let pick rng a = a.(Random.State.int rng (Array.length a))
-
-let weighted rng items weights =
-  let total = List.fold_left ( + ) 0 weights in
-  let r = Random.State.int rng total in
-  let rec go acc = function
-    | x :: xs, w :: ws -> if r < acc + w then x else go (acc + w) (xs, ws)
-    | _ -> assert false
+(* The draws that set a request's cost come from shuffled decks that
+   hold their shares exactly: the op (a deck of 50 cards for 50
+   requests), the request source (100 rolls), the hot template, the
+   backend, and per op the system, reuse, power limit, policy and
+   anneal iterations of a fresh request.  Every block of requests then
+   has the same mix, and the seed moves only the order and the
+   remaining parameters.  The arrival process deals from decks of its
+   own, shuffled by its own stream. *)
+let deal ?rng g name cards =
+  let rng = Option.value rng ~default:g.rng in
+  let cards =
+    match Hashtbl.find_opt g.decks name with
+    | Some (_ :: _ as left) -> left
+    | _ ->
+        List.map (fun c -> (Random.State.bits rng, c)) cards
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
   in
-  go 0 (items, weights)
+  Hashtbl.replace g.decks name (List.tl cards);
+  List.hd cards
 
-let template_of rng (name, procs, mesh) =
+let op_cards = List.concat (List.mapi (fun i w -> List.init (w / 2) (fun _ -> i)) op_weights)
+let indices n = List.init n Fun.id
+
+(* The builtin systems a request of [op] may name.  Fault-aware
+   replanning of the larger builtins takes 35-80 ms, ten times any
+   other op; with them every p99 hung on the two or three queueing
+   episodes a run's replans start.  Replans name the d695 systems only. *)
+let systems_for op =
+  if op = "replan" then
+    List.filter (fun (name, _, _) -> String.starts_with ~prefix:"d695" name) builtins
+  else builtins
+
+(* A fresh template for [op]. *)
+let template g op =
+  let card field n = deal g (op ^ "." ^ field) (indices n) in
+  let systems = systems_for op in
+  let name, procs, mesh = List.nth systems (card "system" (List.length systems)) in
+  let reuse = card ("reuse." ^ name) (procs + 1) in
+  let power = powers.(card "power" (Array.length powers)) in
+  let policy = if card "policy" 4 = 0 then "lookahead" else "greedy" in
+  let iterations = anneal_iterations.(card "iterations" (Array.length anneal_iterations)) in
   {
     t_system = name;
     t_mesh = mesh;
-    t_reuse = Random.State.int rng (procs + 1);
-    t_power = pick rng powers;
-    t_policy = (if Random.State.int rng 4 = 0 then "lookahead" else "greedy");
-    t_seed = Random.State.int rng 1000;
-    t_iterations = pick rng anneal_iterations;
+    t_reuse = reuse;
+    t_power = power;
+    t_policy = policy;
+    t_seed = Random.State.int g.rng 1000;
+    t_iterations = iterations;
   }
-
-let template rng = template_of rng (pick rng (Array.of_list builtins))
 
 let create ~seed =
   let rng = Random.State.make [| seed; 0x5e7e |] in
@@ -121,29 +151,33 @@ let create ~seed =
      every seed, so its cost — which sets the saturation capacity —
      does not depend on the seed. *)
   let hot =
-    Array.of_list
-      (List.map
-         (fun (name, procs, mesh) ->
-           {
-             t_system = name;
-             t_mesh = mesh;
-             t_reuse = procs;
-             t_power = Some 50.0;
-             t_policy = "greedy";
-             t_seed = procs;
-             t_iterations = 20;
-           })
-         builtins)
+    List.map
+      (fun (name, procs, mesh) ->
+        {
+          t_system = name;
+          t_mesh = mesh;
+          t_reuse = procs;
+          t_power = Some 50.0;
+          t_policy = "greedy";
+          t_seed = procs;
+          t_iterations = 20;
+        })
+      builtins
   in
   {
-    seed;
     rng;
     arrivals = Random.State.make [| seed; 0xa77 |];
     hot;
     next = 0;
     inline_index = 0;
     bursting = false;
+    decks = Hashtbl.create 32;
   }
+
+(* The corpus the inline descriptions come from, the same for every
+   seed: a run's inline systems are its first items, in order, so their
+   cost does not move with the seed. *)
+let inline_corpus = 0x1a11eL
 
 let builtin_spec name =
   { system = name; soc_text = None; width = None; height = None; leons = 0; plasmas = 0 }
@@ -216,7 +250,7 @@ let next g =
   let rng = g.rng in
   let id = Printf.sprintf "r%d" g.next in
   g.next <- g.next + 1;
-  let op = weighted rng ops op_weights in
+  let op = List.nth ops (deal g "op" op_cards) in
   let base = blank ~id op in
   let r =
     if op = "metrics" then base
@@ -224,7 +258,7 @@ let next g =
       (* Inline descriptions only on plan/validate: the ops whose cost
          a parse and a table miss dominate. *)
       let source =
-        let roll = Random.State.int rng 100 in
+        let roll = deal g "source" (indices 100) in
         if roll < 50 then Hot
         else if roll < 76 && (op = "plan" || op = "validate") then Inline
         else Unique
@@ -235,7 +269,7 @@ let next g =
             (* No "race": it spawns a domain per backend, more than a
                2-core host runs beside the server and its client, and
                the contention would set the tail. *)
-            weighted rng [ None; Some "binpack" ] [ 88; 12 ]
+            if deal g "backend" (indices 25) < 3 then Some "binpack" else None
         | _ -> None
       in
       let with_template k (t : template) ~router =
@@ -260,16 +294,21 @@ let next g =
       | Hot ->
           (* Hot requests keep their template's parameters whole, so
              repeats are byte-identical apart from the id. *)
-          let t = pick rng g.hot in
+          let hot =
+            List.filter
+              (fun t -> List.exists (fun (name, _, _) -> name = t.t_system) (systems_for op))
+              g.hot
+          in
+          let t = List.nth hot (deal g (op ^ ".hot") (indices (List.length hot))) in
           let w, h = t.t_mesh in
           with_template Hot t ~router:(t.t_seed mod w, t.t_seed mod h)
       | Unique | Observe ->
-          let t = template rng in
+          let t = template g op in
           let w, h = t.t_mesh in
           let router = (Random.State.int rng w, Random.State.int rng h) in
           { (with_template Unique t ~router) with backend = backend () }
       | Inline ->
-          let item = Corpus.item ~seed:(Int64.of_int g.seed) ~index:g.inline_index in
+          let item = Corpus.item ~seed:inline_corpus ~index:g.inline_index in
           g.inline_index <- g.inline_index + 1;
           let procs = item.Corpus.leons + item.Corpus.plasmas in
           {
@@ -297,10 +336,18 @@ let next g =
 (* Open-loop arrivals: a two-state modulated Poisson process.  Calm
    stretches average [1 / calm_exit] requests, bursts [1 / burst_exit]
    requests at [burst_factor] times the calm rate; the calm rate is
-   chosen so the long-run mean is [rate] requests per second. *)
+   chosen so the long-run mean is [rate] requests per second.  Its
+   uniform draws are stratified: every block of [strata] draws holds
+   one from each [1 / strata] slice of the unit interval, in a shuffled
+   order, so that no seed's arrivals are much clumpier than another's. *)
 let calm_exit = 0.05
 let burst_exit = 0.15
-let burst_factor = 1.5
+let burst_factor = 2.0
+let strata = 100
+
+let uniform g name =
+  (float_of_int (deal ~rng:g.arrivals g name (indices strata)) +. Random.State.float g.arrivals 1.0)
+  /. float_of_int strata
 
 let next_gap g ~rate =
   let n_calm = 1.0 /. calm_exit and n_burst = 1.0 /. burst_exit in
@@ -308,9 +355,8 @@ let next_gap g ~rate =
     rate *. (n_calm +. (n_burst /. burst_factor)) /. (n_calm +. n_burst)
   in
   let r = if g.bursting then calm_rate *. burst_factor else calm_rate in
-  let u = Random.State.float g.arrivals 1.0 in
-  let gap = -.Float.log (1.0 -. u) /. r in
-  let switch = Random.State.float g.arrivals 1.0 in
+  let gap = -.Float.log (1.0 -. uniform g "arrival.gap") /. r in
+  let switch = uniform g "arrival.switch" in
   if g.bursting then (if switch < burst_exit then g.bursting <- false)
   else if switch < calm_exit then g.bursting <- true;
   gap

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Build and run one perfbench workload from a nocplan source checkout.
 
-    python3 perfbench/run.py --workload paper-sweep --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload paper-sweep --seed 1 --seconds 38 --trace 0
 
 Run it from the repository root.  It builds the benchmark program (bench.exe) and
 the nocplan CLI from source into .bench_build/ (dune, release profile,
 no shared cache), runs it, and checks its result line against
 BENCHMARK.json: every end-to-end metric with --trace 0, every per-layer
-metric with --trace 1 (a layer the workload never calls reads 0).  The
+metric with --trace 1 (a layer the workload does not measure reads -1).  The
 last stdout line is the JSON result.  --workload all runs every
 workload in turn.
 
@@ -30,6 +30,7 @@ NOCPLAN = os.path.join(BUILD_DIR, "default", "bin", "nocplan.exe")
 REQUIRED = ["BENCHMARK.json", "dune-project", "lib", "bin/nocplan.ml",
             "test/testplan.json", "perfbench/dune-project"]
 RUN_TIMEOUT_S = 170
+UNMEASURED = -1.0
 
 
 def fail(msg):
@@ -73,12 +74,19 @@ def run(workload, seed, seconds, trace, spec):
     if not trace and any(n not in got for n in names):
         fail(f"{workload}: end-to-end metrics not measured: "
              f"{[n for n in names if n not in got]}")
+    # The result line must carry every per-layer metric, but a workload
+    # measures only its own layers (LAYERS.md): the others read
+    # UNMEASURED, a value no measurement takes, and are named on stdout.
+    unmeasured = [n for n in names if n not in got]
     result["metrics"] = {
-        m["name"]: got.get(m["name"], {"value": 0.0, "unit": m["unit"]})
+        m["name"]: got.get(m["name"], {"value": UNMEASURED, "unit": m["unit"]})
         for m in wanted
     }
     for line in lines[:-1]:
         print(line)
+    if unmeasured:
+        print(f"{workload}: not measured on this workload, reported as "
+              f"{UNMEASURED}: {' '.join(unmeasured)}")
     print(json.dumps(result), flush=True)
     return done.returncode == 0 and result["correct"]
 
@@ -87,7 +95,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--seconds", type=int, default=38)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     missing = [p for p in REQUIRED if not os.path.exists(p)]

@@ -3,8 +3,10 @@
    A real [nocplan serve --tcp] process with its default workers,
    driven from this process (no client thread lives in the server)
    over [connections] TCP connections by one select loop, with the
-   seeded {!Gen} request stream.  Connect cost and a short warm-up
-   stay outside the timed windows.
+   seeded {!Gen} request stream.  A run plays [segments] pieces of the
+   stream [replays] times each, every play on a fresh server; connect
+   cost and a short warm-up stay outside each play's timed windows,
+   which are:
 
    - Open-loop phase: bursty arrivals at a fixed mean [rate]; each
      request is timed from its scheduled send to its full response
@@ -25,17 +27,31 @@ module Sysbuild = Nocplan_serve.Sysbuild
 module Protocol = Nocplan_serve.Protocol
 open Perfbench
 
-(* Mean offered rate of the open-loop phase, about half the capacity
-   of the default single-worker server on a 2-core host. *)
-let rate = 60.0
+(* Mean offered rate of the open-loop phase: about a sixth of the
+   measured capacity (243-404 ok responses/s over twenty runs, one
+   worker domain, 2-core Xeon).  At 100/s the median request already queued
+   behind anneals and replans (p50 8-15 ms), so the median no longer
+   showed the front end. *)
+let rate = 50.0
 
-(* Latency limit for goodput. *)
-let limit_ms = 100.0
+(* Latency limit for goodput: just under the open-loop p99 (41-51 ms
+   over twenty runs, same host), so the 1-5% of requests that queue or
+   stall past it show as lost goodput. *)
+let limit_ms = 40.0
 
 let connections = 2
 let depth = 8
 let warmup = 40
-let setup_trials = 21
+let setup_trials = 30
+
+(* An end-to-end run cuts [segments] consecutive pieces from the
+   request stream and plays each [replays] times, every play on a fresh
+   server; of each play the open loop takes [open_share] of its time,
+   then [sat_count] requests saturate it. *)
+let segments = 5
+let replays = 2
+let open_share = 0.7
+let sat_count = 200
 
 (* ------------------------------------------------------------------ *)
 (* Server process                                                      *)
@@ -87,6 +103,9 @@ type client = {
   chunk : Bytes.t;
 }
 
+(* Connect, retrying every 0.1 ms (for up to 20 s) while the server
+   is not listening yet, so that the wait adds little to the set-up
+   time it is part of. *)
 let connect port =
   let rec go tries =
     let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -96,10 +115,10 @@ let connect port =
         fd
     | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
         Unix.close fd;
-        Unix.sleepf 0.001;
+        Unix.sleepf 0.0001;
         go (tries - 1)
   in
-  go 20_000
+  go 200_000
 
 let client fds =
   {
@@ -211,43 +230,64 @@ let start ~nocplan ?trace () =
   close_client c;
   (server, setup_s)
 
-(* Open loop: send on the generator's schedule whatever the server
-   does, round-robin over the connections. *)
-let open_loop c gen ~seconds =
+(* The traffic of one server lifetime, cut from the stream before the
+   server starts so that it can be played again exactly: the warm-up
+   requests, the open-loop requests with their scheduled send times (s
+   from the phase's start) and the closed-loop requests. *)
+type segment = {
+  warm_reqs : Gen.request list;
+  arrivals : (float * Gen.request) list;
+  closed : Gen.request list;
+}
+
+let segment gen ~open_s ~count =
+  let warm_reqs = List.init warmup (fun _ -> Gen.next gen) in
+  let rec arrive t acc =
+    let t = t +. Gen.next_gap gen ~rate in
+    if t >= open_s then List.rev acc else arrive t ((t, Gen.next gen) :: acc)
+  in
+  let arrivals = arrive 0.0 [] in
+  let closed = List.init count (fun _ -> Gen.next gen) in
+  { warm_reqs; arrivals; closed }
+
+(* Open loop: send on the segment's schedule whatever the server does,
+   round-robin over the connections. *)
+let open_loop c arrivals =
   let t0 = Util.now () in
-  let t_end = t0 +. seconds in
-  let due = ref (t0 +. Gen.next_gap gen ~rate) in
-  let sent = ref [] and k = ref 0 in
-  while !due < t_end do
-    let now = Util.now () in
-    if now >= !due then begin
-      sent := send c (!k mod connections) (Gen.next gen) ~due:!due :: !sent;
-      incr k;
-      due := !due +. Gen.next_gap gen ~rate
-    end
-    else ignore (poll c ~timeout:(!due -. now))
-  done;
+  let rec go k acc = function
+    | [] -> List.rev acc
+    | (offset, r) :: rest as pending ->
+        let due = t0 +. offset in
+        let now = Util.now () in
+        if now >= due then go (k + 1) (send c (k mod connections) r ~due :: acc) rest
+        else begin
+          ignore (poll c ~timeout:(due -. now));
+          go k acc pending
+        end
+  in
+  let sent = go 0 [] arrivals in
   drain c ~limit:30.0;
-  (List.rev !sent, seconds)
+  sent
 
 (* Closed loop: every connection keeps [depth] requests in flight
-   until [stop] says otherwise; returns the requests sent and the
-   window's start. *)
-let closed_loop c gen ~stop =
-  let t0 = Util.now () in
-  let sent = ref [] and k = ref 0 in
+   until [reqs] are all sent. *)
+let closed_loop c reqs =
+  let left = ref reqs and sent = ref [] in
   let send_on i =
-    sent := send c i (Gen.next gen) ~due:(Util.now ()) :: !sent;
-    incr k
+    match !left with
+    | [] -> ()
+    | r :: rest ->
+        left := rest;
+        sent := send c i r ~due:(Util.now ()) :: !sent
   in
   for i = 0 to connections - 1 do
     for _ = 1 to depth do send_on i done
   done;
-  while not (stop !k) do
-    List.iter (fun (i, _) -> if not (stop !k) then send_on i) (poll c ~timeout:0.05)
+  while !left <> [] do
+    List.iter (fun (i, _) -> send_on i) (poll c ~timeout:0.05)
   done;
   drain c ~limit:30.0;
-  (List.rev !sent, t0)
+  List.rev !sent
 
 (* ------------------------------------------------------------------ *)
 (* Oracle                                                               *)
@@ -371,68 +411,19 @@ let print_mix (reqs : Gen.request list) =
     [ Gen.Hot; Gen.Unique; Gen.Inline ];
   List.iter (fun op -> line op (share reqs (fun r -> r.Gen.op = op))) Gen.ops
 
-(* Spawn the server [setup_trials] times, timing each until it answers;
-   keep the last one running for the measurement. *)
-let setup ~nocplan =
-  let rec go k times =
-    let server, dt = start ~nocplan () in
-    if k = 1 then (server, Util.median (dt :: times))
-    else begin
+(* Spawn the server [n] times, timing each until it answers, and stop
+   it again. *)
+let setup_times ~nocplan n =
+  List.init n (fun _ ->
+      let server, dt = start ~nocplan () in
       if not (stop server) then failwith "serve-mix: server did not exit 0";
-      go (k - 1) (dt :: times)
-    end
-  in
-  go setup_trials []
+      dt)
 
 let connect_all server =
   let fds, dt =
     Util.time (fun () -> Array.init connections (fun _ -> connect server.port))
   in
   (client fds, dt)
-
-let warm c gen =
-  for _ = 1 to warmup do
-    ignore (roundtrip c (Gen.next gen))
-  done
-
-let end_to_end ~nocplan ~seed ~seconds =
-  let server, setup_s = setup ~nocplan in
-  let c, _connect = connect_all server in
-  let gen = Gen.create ~seed in
-  warm c gen;
-  let opened, open_s = open_loop c gen ~seconds:(0.8 *. seconds) in
-  let sat_s = 0.2 *. seconds in
-  let t_end = Util.now () +. sat_s in
-  let saturated, _ = closed_loop c gen ~stop:(fun _ -> Util.now () >= t_end) in
-  let rss = Util.peak_rss_mb (string_of_int server.pid) in
-  close_client c;
-  let exited = stop server in
-  let o = oracle () in
-  let all = List.rev c.log in
-  let failed = List.filter (fun s -> not (correct o s)) all in
-  report_failures failed;
-  let ok_in xs = List.filter (fun s -> not (List.memq s failed)) xs in
-  let open_ok = ok_in opened in
-  let lat = List.map latency_ms opened in
-  let good = List.filter (fun s -> latency_ms s <= limit_ms) open_ok in
-  let capacity =
-    List.length (List.filter (fun s -> s.back <= t_end) (ok_in saturated))
-  in
-  Printf.printf
-    "serve-mix: open loop %d requests at %.0f/s over %.2f s (%d latency samples); saturation %d requests over %.2f s\n"
-    (List.length opened) rate open_s (List.length lat) (List.length saturated) sat_s;
-  print_mix (List.map (fun s -> s.req) all);
-  let metrics =
-    [
-      Util.metric "setup_s" "s" setup_s;
-      Util.metric "peak_rss_mb" "MB" rss;
-      Util.metric "throughput_per_s" "1/s" (float_of_int capacity /. sat_s);
-      Util.metric "p50_ms" "ms" (Util.quantile 0.5 lat);
-      Util.metric "p99_ms" "ms" (Util.quantile 0.99 lat);
-      Util.metric "goodput_per_s" "1/s" (float_of_int (List.length good) /. open_s);
-    ]
-  in
-  (exited, List.length all, List.length failed, metrics)
 
 (* ------------------------------------------------------------------ *)
 (* Traced run                                                           *)
@@ -567,31 +558,114 @@ let mean_call_ms f xs =
   let (), dt = Util.time (fun () -> List.iter (fun x -> ignore (f x)) xs) in
   if xs = [] then 0.0 else dt *. 1e3 /. float_of_int (List.length xs)
 
-(* One server lifetime of the traced run: warm-up, a short open-loop
-   phase, then [count] requests closed loop; returns the requests, the
-   open-loop ones, the closed-loop wall time and the service metrics. *)
-let session ~nocplan ?trace ~seed ~open_s ~count () =
+(* One server lifetime playing [seg]: warm-up, open loop, closed loop. *)
+type session = {
+  log : sent list;  (** every request sent, in order *)
+  opened : sent list;  (** the open-loop requests, in the segment's order *)
+  saturated : sent list;  (** the closed-loop requests *)
+  sat_wall : float;  (** closed-loop wall time, s *)
+  service : Util.metric list;  (** the server's own counters *)
+  connect_s : float;
+  rss : float;  (** server peak RSS, MiB *)
+  exited : bool;  (** the server exited 0 on SIGTERM *)
+}
+
+let session ~nocplan ?trace seg =
   let server, _ = start ~nocplan ?trace () in
   let c, connect_s = connect_all server in
-  let gen = Gen.create ~seed in
-  warm c gen;
-  let opened, _ = open_loop c gen ~seconds:open_s in
-  let t0 = Util.now () in
-  let _ = closed_loop c gen ~stop:(fun k -> k >= count) in
-  let wall = Util.now () -. t0 in
+  List.iter (fun r -> ignore (roundtrip c r)) seg.warm_reqs;
+  let opened = open_loop c seg.arrivals in
+  let saturated, sat_wall = Util.time (fun () -> closed_loop c seg.closed) in
   let service = service_metrics c in
+  let rss = Util.peak_rss_mb (string_of_int server.pid) in
   close_client c;
   let exited = stop server in
-  (List.rev c.log, opened, wall, service, connect_s, exited)
+  { log = List.rev c.log; opened; saturated; sat_wall; service; connect_s; rss; exited }
 
-let per_layer ~nocplan ~seed ~seconds ~scratch =
-  let count = int_of_float (rate *. 0.25 *. seconds) in
-  let open_s = 0.25 *. seconds in
-  let all_u, opened, wall_u, service, connect_s, exited_u =
-    session ~nocplan ~seed ~open_s ~count ()
+(* The host slows a whole play by up to half again in some spells (see
+   {!Util.undisturbed}), so every segment is played [replays] times, the
+   plays of one segment far apart in time, and the figures are taken at
+   the host's undisturbed speed.  One server worker answers in about
+   arrival order, so a faster host answers nearly every request of the
+   same schedule sooner: a request's undisturbed latency is its least
+   over the plays.  The open-loop quantiles are over these latencies of every
+   segment's requests together; goodput is the offered [rate] times the
+   share of them within [limit_ms] and answered ok in every play.  A
+   segment's capacity is its best play's; throughput is their median. *)
+let end_to_end ~nocplan ~seed ~seconds =
+  let plays = segments * replays in
+  let open_s = open_share *. seconds /. float_of_int plays in
+  let gen = Gen.create ~seed in
+  let segs = List.init segments (fun _ -> segment gen ~open_s ~count:sat_count) in
+  (* The plays take turns over the segments; the set-up trials are
+     spread over the run, a few before each play, so their median does
+     not hang on one spell. *)
+  let rounds =
+    List.init replays (fun _ ->
+        List.map
+          (fun seg ->
+            let times = setup_times ~nocplan (setup_trials / plays) in
+            (session ~nocplan seg, times))
+          segs)
   in
+  let setup_s = Util.median (List.concat_map (List.concat_map snd) rounds) in
+  let runs = List.concat_map (List.map fst) rounds in
+  let o = oracle () in
+  let all = List.concat_map (fun r -> r.log) runs in
+  let failed = List.filter (fun s -> not (correct o s)) all in
+  report_failures failed;
+  let ok s = not (List.memq s failed) in
+  let capacity r = float_of_int (List.length (List.filter ok r.saturated)) /. r.sat_wall in
+  let played k = List.map (fun round -> fst (List.nth round k)) rounds in
+  (* Per segment, each open-loop request's least latency over the
+     plays, and whether every play answered it ok. *)
+  let undisturbed k =
+    match List.map (fun r -> List.map (fun s -> (latency_ms s, ok s)) r.opened) (played k) with
+    | [] -> []
+    | first :: rest ->
+        List.fold_left
+          (List.map2 (fun (l, g) (l', g') -> (Float.min l l', g && g')))
+          first rest
+  in
+  let opened = List.concat (List.init segments undisturbed) in
+  let lat = List.map fst opened in
+  let good = List.filter (fun (l, g) -> g && l <= limit_ms) opened in
+  let good_share = Util.ratio (List.length good) (List.length opened) in
+  let best k = List.fold_left (fun m r -> Float.max m (capacity r)) 0.0 (played k) in
+  let show f l = String.concat " " (List.map (fun r -> Printf.sprintf "%.1f" (f r)) l) in
+  let as_run = List.concat_map (fun r -> List.map latency_ms r.opened) runs in
+  Printf.printf
+    "serve-mix: %d segments played %d times each: open loop at %.0f/s for %.2f s, then saturation by %d requests\n"
+    segments replays rate open_s sat_count;
+  Printf.printf "serve-mix: capacity per play %s /s; open-loop p50 per play %s ms\n"
+    (show capacity runs)
+    (show (fun r -> Util.quantile 0.5 (List.map latency_ms r.opened)) runs);
+  Printf.printf
+    "serve-mix: %d open-loop latency samples; p50 %.3f ms, p99 %.3f ms as run; %.4f ok within the %.0f ms goodput limit\n"
+    (List.length lat) (Util.quantile 0.5 as_run) (Util.quantile 0.99 as_run) good_share limit_ms;
+  print_mix (List.map (fun s -> s.req) all);
+  let metrics =
+    [
+      Util.metric "setup_s" "s" setup_s;
+      Util.metric "peak_rss_mb" "MB" (Util.median (List.map (fun r -> r.rss) runs));
+      Util.metric "throughput_per_s" "1/s" (Util.median (List.init segments best));
+      Util.metric "p50_ms" "ms" (Util.quantile 0.5 lat);
+      Util.metric "p99_ms" "ms" (Util.quantile 0.99 lat);
+      Util.metric "goodput_per_s" "1/s" (rate *. good_share);
+    ]
+  in
+  (List.for_all (fun r -> r.exited) runs, List.length all, List.length failed, metrics)
+
+(* The traced run plays one segment twice, untraced and then traced. *)
+let per_layer ~nocplan ~seed ~seconds ~scratch =
+  let seg =
+    segment (Gen.create ~seed) ~open_s:(0.25 *. seconds)
+      ~count:(int_of_float (rate *. 0.25 *. seconds))
+  in
+  let u = session ~nocplan seg in
   let trace = Filename.concat scratch "serve-trace.json" in
-  let all_t, _, wall_t, _, _, exited_t = session ~nocplan ~trace ~seed ~open_s ~count () in
+  let t = session ~nocplan ~trace seg in
+  let all_u = u.log and opened = u.opened and all_t = t.log in
   let ledger, waits, commits = fold_trace trace in
   let o = oracle () in
   let all = all_u @ all_t in
@@ -615,7 +689,7 @@ let per_layer ~nocplan ~seed ~seconds ~scratch =
   print_mix reqs;
   let metrics =
     [
-      Util.metric "client.connect_ms" "ms" (connect_s *. 1e3 /. float_of_int connections);
+      Util.metric "client.connect_ms" "ms" (u.connect_s *. 1e3 /. float_of_int connections);
       Util.metric "client.lag_p99_ms" "ms"
         (Util.quantile 0.99 (List.map (fun s -> (s.at -. s.due) *. 1e3) opened));
       Util.metric "transport.overhead_p50_ms" "ms" (Util.quantile 0.5 transport);
@@ -631,11 +705,11 @@ let per_layer ~nocplan ~seed ~seconds ~scratch =
       Util.metric "scheduler.commits_per_run" "count" (Util.ratio commits runs);
       Util.metric "serve.open_loop_samples" "count" (float_of_int (List.length opened));
     ]
-    @ service @ anneal_replay reqs
+    @ u.service @ anneal_replay reqs
     @ [
         Util.metric "unattributed_share" "ratio"
           (if client_ms > 0.0 then Float.max 0.0 (1.0 -. (covered /. client_ms)) else 0.0);
-        Util.metric "trace.overhead_pct" "%" (100.0 *. ((wall_t /. wall_u) -. 1.0));
+        Util.metric "trace.overhead_pct" "%" (100.0 *. ((t.sat_wall /. u.sat_wall) -. 1.0));
       ]
   in
-  (exited_u && exited_t, List.length all, failed, metrics)
+  (u.exited && t.exited, List.length all, failed, metrics)

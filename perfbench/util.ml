@@ -32,6 +32,26 @@ let mean = function
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
+(* The benchmark shares a few cores of a host whose other tenants slow
+   it in spells of seconds, by up to half again (same code, same
+   inputs: 145 ms rounds in one spell, 215 ms in the next); a run's
+   mean depends on how many spells it caught.  An operation that repeats
+   the same work several times in a run is therefore timed at the host's
+   undisturbed speed: the [undisturbed_q] quantile of its samples, about
+   its fastest, which a spell only moves when it covers the whole run. *)
+let undisturbed_q = 0.02
+
+(* [samples] pairs each operation's kind (work that repeats exactly)
+   with its time; the undisturbed time of every kind, in no set order. *)
+let undisturbed samples =
+  let by_kind = Hashtbl.create 64 in
+  List.iter
+    (fun (kind, t) ->
+      Hashtbl.replace by_kind kind
+        (t :: Option.value (Hashtbl.find_opt by_kind kind) ~default:[]))
+    samples;
+  Hashtbl.fold (fun _ ts acc -> quantile undisturbed_q ts :: acc) by_kind []
+
 (* Peak resident set of a process, from the [VmHWM] line of
    /proc/<pid>/status, in MiB; 0 when the file is unreadable. *)
 let peak_rss_mb pid =

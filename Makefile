@@ -50,26 +50,31 @@ coverage:
 	  echo "coverage: bisect_ppx not installed, skipping (opam install bisect_ppx)"; \
 	fi
 
-# Live-socket smoke: boot the real server, replay the committed
-# request script through test/serve_replay.py and check the response
-# shape (14 responses — including the batch-compatible plan/validate
-# tail with distinct seeds and a warm-opt-out anneal — with the two
-# bad requests refused).  Skipped with a
+# Live-socket smoke: boot the real server on a Unix socket and a TCP
+# port on a free loopback port, replay the committed request script
+# through test/serve_replay.py over each, and check the response shape
+# (14 responses — including the batch-compatible plan/validate tail
+# with distinct seeds and a warm-opt-out anneal — with the two bad
+# requests refused).  A pass/fail smoke, no timing.  Skipped with a
 # notice when python3 is missing.
 serve-smoke: build
 	@if command -v python3 >/dev/null 2>&1; then \
 	  sock=$$(mktemp -u /tmp/nocplan-smoke.XXXXXX.sock); \
-	  dune exec bin/nocplan.exe -- serve --socket $$sock & pid=$$!; \
-	  for i in $$(seq 1 50); do [ -S $$sock ] && break; sleep 0.1; done; \
-	  out=$$(python3 test/serve_replay.py $$sock test/serve_smoke.jsonl); \
+	  port=$$(python3 -c 'import socket; s = socket.socket(); s.bind(("127.0.0.1", 0)); print(s.getsockname()[1])'); \
+	  dune exec bin/nocplan.exe -- serve --socket $$sock --tcp 127.0.0.1:$$port & pid=$$!; \
+	  status=0; \
+	  for target in $$sock 127.0.0.1:$$port; do \
+	    out=$$(python3 test/serve_replay.py $$target test/serve_smoke.jsonl); \
+	    lines=$$(printf '%s\n' "$$out" | grep -c '"id"'); \
+	    oks=$$(printf '%s\n' "$$out" | grep -c '"ok": true'); \
+	    if [ "$$lines" -eq 14 ] && [ "$$oks" -eq 12 ]; then \
+	      echo "serve-smoke ($$target): 14 responses, 12 ok, 2 refused — pass"; \
+	    else \
+	      echo "serve-smoke ($$target): FAIL ($$lines responses, $$oks ok)"; status=1; \
+	    fi; \
+	  done; \
 	  kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	  lines=$$(printf '%s\n' "$$out" | grep -c '"id"'); \
-	  oks=$$(printf '%s\n' "$$out" | grep -c '"ok": true'); \
-	  if [ "$$lines" -eq 14 ] && [ "$$oks" -eq 12 ]; then \
-	    echo "serve-smoke: 14 responses, 12 ok, 2 refused — pass"; \
-	  else \
-	    echo "serve-smoke: FAIL ($$lines responses, $$oks ok)"; exit 1; \
-	  fi; \
+	  exit $$status; \
 	else \
 	  echo "serve-smoke: python3 not installed, skipping"; \
 	fi

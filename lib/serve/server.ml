@@ -9,7 +9,6 @@ let serve_stdio service =
     Mutex.lock out_mutex;
     List.iter print_string chunks;
     print_newline ();
-    flush stdout;
     Mutex.unlock out_mutex
   in
   (try
@@ -35,45 +34,71 @@ type listener = {
 let handle_connection service ~read_only fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
+  (* [out_mutex] guards the channel, [closed] and [outstanding]: the
+     count of this connection's lines still awaiting their one
+     response.  [drained] is signalled when it falls to zero. *)
   let out_mutex = Mutex.create () in
-  let closed = Atomic.make false in
+  let drained = Condition.create () in
+  let closed = ref false in
+  let outstanding = ref 0 in
   let respond chunks =
     Mutex.lock out_mutex;
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock out_mutex)
+      ~finally:(fun () ->
+        decr outstanding;
+        if !outstanding = 0 then Condition.signal drained;
+        Mutex.unlock out_mutex)
       (fun () ->
-        if not (Atomic.get closed) then begin
+        if not !closed then begin
           try
             List.iter (output_string oc) chunks;
             output_char oc '\n';
             flush oc
           with Sys_error _ | Unix.Unix_error _ ->
             (* Client went away; drop this and subsequent responses. *)
-            Atomic.set closed true
+            closed := true
         end)
   in
   (try
      while true do
        let line = input_line ic in
-       if String.trim line <> "" then
+       if String.trim line <> "" then begin
+         Mutex.lock out_mutex;
+         incr outstanding;
+         Mutex.unlock out_mutex;
          Service.handle_line ~read_only service line respond
+       end
      done
    with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
-  (* Give in-flight jobs their chance to respond before the channel
-     dies; the respond closure swallows write failures either way. *)
-  Service.drain service;
-  Atomic.set closed true;
+  (* Give this connection's in-flight jobs their chance to respond
+     before the channel dies — but only this connection's: other
+     clients' work must not hold the socket and thread open.  The
+     respond closure swallows write failures either way. *)
+  Mutex.lock out_mutex;
+  while !outstanding > 0 do
+    Condition.wait drained out_mutex
+  done;
+  closed := true;
+  Mutex.unlock out_mutex;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let accept_loop service ~read_only ~fd:listen_fd ~stopping () =
   let rec loop () =
     match Unix.accept listen_fd with
-    | fd, _ ->
+    | fd, peer ->
         if Atomic.get stopping then (
           (try Unix.close fd with Unix.Unix_error _ -> ());
           loop ())
         else begin
           Log.debug (fun m -> m "accepted connection");
+          (* Responses are one buffered write each; with Nagle on, one
+             written while its predecessor is unacknowledged waits for
+             the client's delayed ACK (about 40 ms on Linux). *)
+          (match peer with
+          | Unix.ADDR_INET _ -> (
+              try Unix.setsockopt fd Unix.TCP_NODELAY true
+              with Unix.Unix_error _ -> ())
+          | Unix.ADDR_UNIX _ -> ());
           ignore (Thread.create (handle_connection service ~read_only) fd);
           loop ()
         end

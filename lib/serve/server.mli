@@ -26,14 +26,22 @@ val listen : ?read_only:bool -> Service.t -> path:string -> listener
     socket file there is removed first), accepting connections on a
     background thread.  Each connection is handled by its own thread
     speaking the same line protocol; a client disconnecting mid-burst
-    only loses its own responses.
+    only loses its own responses.  When a client shuts down its write
+    side, the server answers every line that client sent, then closes
+    the connection: it waits for that connection's outstanding
+    responses only, so other clients' long jobs never hold a finished
+    client's socket and thread open.
     @raise Unix.Unix_error if the socket cannot be bound. *)
 
 val listen_tcp :
   ?read_only:bool -> Service.t -> host:string -> port:int -> listener
 (** Bind and listen on [host:port] ([host] a dotted/IPv6 address
     literal; [port = 0] lets the kernel pick — read it back with
-    {!port}).  Same per-connection handling as {!listen}.
+    {!port}).  Same per-connection handling as {!listen}, and every
+    accepted connection gets [TCP_NODELAY]: each response is one
+    buffered write, and with Nagle's algorithm on, a response written
+    while the previous one is unacknowledged would wait for the
+    client's delayed ACK (about 40 ms on Linux).
     @raise Invalid_argument if [host] is not an address literal.
     @raise Unix.Unix_error if the socket cannot be bound. *)
 

@@ -1002,6 +1002,100 @@ let test_tcp_and_read_only_listener () =
   Alcotest.(check bool) "refusal counted as rejected" true
     (field "rejected" (field "result" metrics) = Json.Int 1)
 
+let test_tcp_responses_not_held_by_nagle () =
+  (* Two requests in one write get two response writes.  With Nagle
+     on, the second waits for the client's delayed ACK of the first
+     (about 40 ms on Linux), so 20 such bursts would take most of a
+     second; with TCP_NODELAY they take a few milliseconds. *)
+  let service = Serve.Service.create ~workers:1 () in
+  let listener = Serve.Server.listen_tcp service ~host:"127.0.0.1" ~port:0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop listener;
+      Serve.Server.wait listener;
+      Serve.Service.shutdown service)
+  @@ fun () ->
+  with_tcp_client (Option.get (Serve.Server.port listener)) (fun ic oc ->
+      let line = "{\"op\": \"metrics\"}\n" in
+      let started = Unix.gettimeofday () in
+      for _ = 1 to 20 do
+        (* One buffered flush: both lines leave in a single write. *)
+        output_string oc (line ^ line);
+        flush oc;
+        for _ = 1 to 2 do
+          Alcotest.(check bool) "metrics served" true
+            (field "ok" (parse_response (input_line ic)) = Json.Bool true)
+        done
+      done;
+      let elapsed_ms = (Unix.gettimeofday () -. started) *. 1e3 in
+      if elapsed_ms >= 400.0 then
+        Alcotest.failf "20 two-request bursts took %.0f ms (limit 400)"
+          elapsed_ms)
+
+let test_connection_close_waits_only_for_own_work () =
+  (* A client that has its answers must get EOF at once, not when
+     some other connection's long job finishes. *)
+  let service = Serve.Service.create ~workers:2 ~queue_capacity:32 () in
+  let path = socket_path () in
+  let listener = Serve.Server.listen service ~path in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop listener;
+      Serve.Server.wait listener;
+      Serve.Service.shutdown service)
+  @@ fun () ->
+  let connect () =
+    let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+    Unix.connect fd (ADDR_UNIX path);
+    fd
+  in
+  let b = connect () in
+  Fun.protect ~finally:(fun () -> Unix.close b) @@ fun () ->
+  let b_oc = Unix.out_channel_of_descr b in
+  (* About a second of annealing on one worker. *)
+  output_string b_oc
+    "{\"id\": \"b\", \"op\": \"anneal\", \"system\": \"p93791_leon\", \
+     \"iterations\": 5000}\n";
+  flush b_oc;
+  (* Its table lookup proves the anneal is admitted and running. *)
+  while (Serve.Service.stats service).Serve.Stats.cache_misses = 0 do
+    Thread.delay 0.005
+  done;
+  (* With a single worker the plan would queue behind the anneal;
+     an inline op still shows whose work the close waits for. *)
+  let a_line =
+    if Serve.Service.worker_count service >= 2 then
+      "{\"id\": \"a\", \"op\": \"plan\", \"system\": \"d695_leon\", \
+       \"reuse\": 1}\n"
+    else "{\"id\": \"a\", \"op\": \"metrics\"}\n"
+  in
+  let a = connect () in
+  let a_replies =
+    Fun.protect ~finally:(fun () -> Unix.close a) @@ fun () ->
+    let a_ic = Unix.in_channel_of_descr a in
+    let a_oc = Unix.out_channel_of_descr a in
+    output_string a_oc a_line;
+    flush a_oc;
+    Unix.shutdown a SHUTDOWN_SEND;
+    let rec read_to_eof acc =
+      match input_line a_ic with
+      | l -> read_to_eof (l :: acc)
+      | exception End_of_file -> List.rev acc
+    in
+    read_to_eof []
+  in
+  (match a_replies with
+  | [ reply ] ->
+      Alcotest.(check bool) "A answered" true
+        (field "ok" (parse_response reply) = Json.Bool true)
+  | _ -> Alcotest.failf "A got %d replies" (List.length a_replies));
+  let b_ready, _, _ = Unix.select [ b ] [] [] 0.0 in
+  Alcotest.(check bool) "A's EOF arrives before B's anneal answers" true
+    (b_ready = []);
+  let b_reply = input_line (Unix.in_channel_of_descr b) in
+  Alcotest.(check bool) "B answered" true
+    (field "ok" (parse_response b_reply) = Json.Bool true)
+
 let suite =
   [
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
@@ -1062,4 +1156,8 @@ let suite =
       test_warm_start_lru_monotone;
     Alcotest.test_case "tcp and read-only listeners" `Quick
       test_tcp_and_read_only_listener;
+    Alcotest.test_case "tcp: responses not held by nagle" `Quick
+      test_tcp_responses_not_held_by_nagle;
+    Alcotest.test_case "socket: close waits only for own work" `Quick
+      test_connection_close_waits_only_for_own_work;
   ]

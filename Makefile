@@ -55,8 +55,8 @@ coverage:
 # through test/serve_replay.py over each, and check the response shape
 # (14 responses — including the batch-compatible plan/validate tail
 # with distinct seeds and a warm-opt-out anneal — with the two bad
-# requests refused).  A pass/fail smoke, no timing.  Skipped with a
-# notice when python3 is missing.
+# requests refused and no "internal" error kind).  A pass/fail smoke,
+# no timing.  Skipped with a notice when python3 is missing.
 serve-smoke: build
 	@if command -v python3 >/dev/null 2>&1; then \
 	  sock=$$(mktemp -u /tmp/nocplan-smoke.XXXXXX.sock); \
@@ -67,10 +67,11 @@ serve-smoke: build
 	    out=$$(python3 test/serve_replay.py $$target test/serve_smoke.jsonl); \
 	    lines=$$(printf '%s\n' "$$out" | grep -c '"id"'); \
 	    oks=$$(printf '%s\n' "$$out" | grep -c '"ok": true'); \
-	    if [ "$$lines" -eq 14 ] && [ "$$oks" -eq 12 ]; then \
+	    internal=$$(printf '%s\n' "$$out" | grep -c '"kind": "internal"'); \
+	    if [ "$$lines" -eq 14 ] && [ "$$oks" -eq 12 ] && [ "$$internal" -eq 0 ]; then \
 	      echo "serve-smoke ($$target): 14 responses, 12 ok, 2 refused — pass"; \
 	    else \
-	      echo "serve-smoke ($$target): FAIL ($$lines responses, $$oks ok)"; status=1; \
+	      echo "serve-smoke ($$target): FAIL ($$lines responses, $$oks ok, $$internal internal errors)"; status=1; \
 	    fi; \
 	  done; \
 	  kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \

@@ -911,8 +911,8 @@ let faults_cmd =
                     List.concat_map
                       (fun (s : Fault.Injector.step) ->
                         match
-                          Fault.Recover.validate ~application ~reuse
-                            ~at:s.Fault.Injector.at
+                          Fault.Recover.validate ~application ~power_limit
+                            ~reuse ~at:s.Fault.Injector.at
                             ~faults:s.Fault.Injector.faults system
                             s.Fault.Injector.outcome
                         with
@@ -925,31 +925,51 @@ let faults_cmd =
         with
         | exception Core.Scheduler.Unschedulable msg -> plan_fail msg
         | (sweep, violations), _ ->
-            if selftest then begin
-              let params = Fault.Selftest.params () in
-              let config =
-                Core.Scheduler.config ~policy ~application ~power_limit ~reuse
-                  ()
-              in
-              let baseline = Core.Scheduler.run system config in
-              let interleaved =
-                Fault.Selftest.schedule ~policy:Fault.Selftest.Interleaved
-                  params system config
-              in
-              let eager =
-                Fault.Selftest.schedule ~policy:Fault.Selftest.Eager params
-                  system config
-              in
-              Fmt.pr
-                "self-test (router %d, link %d, %d lanes, horizon %d): \
-                 trusted %d, interleaved %d, eager %d@."
-                params.Fault.Selftest.router_test
-                params.Fault.Selftest.link_test params.Fault.Selftest.lanes
-                (Fault.Selftest.horizon params topology)
-                baseline.Core.Schedule.makespan
-                interleaved.Core.Schedule.makespan
-                eager.Core.Schedule.makespan
-            end;
+            let selftest_violations =
+              if not selftest then []
+              else begin
+                let params = Fault.Selftest.params () in
+                let config =
+                  Core.Scheduler.config ~policy ~application ~power_limit ~reuse
+                    ()
+                in
+                let baseline = Core.Scheduler.run system config in
+                let interleaved =
+                  Fault.Selftest.schedule ~policy:Fault.Selftest.Interleaved
+                    params system config
+                in
+                let eager =
+                  Fault.Selftest.schedule ~policy:Fault.Selftest.Eager params
+                    system config
+                in
+                Fmt.pr
+                  "self-test (router %d, link %d, %d lanes, horizon %d): \
+                   trusted %d, interleaved %d, eager %d@."
+                  params.Fault.Selftest.router_test
+                  params.Fault.Selftest.link_test params.Fault.Selftest.lanes
+                  (Fault.Selftest.horizon params topology)
+                  baseline.Core.Schedule.makespan
+                  interleaved.Core.Schedule.makespan
+                  eager.Core.Schedule.makespan;
+                (* Each gated schedule against the gates it was planned
+                   under. *)
+                List.concat_map
+                  (fun (policy, s) ->
+                    match
+                      Core.Schedule.validate system ~application ~power_limit
+                        ~reuse
+                        ~link_ready:
+                          (Fault.Selftest.ready_times ~policy params topology)
+                        s
+                    with
+                    | Ok () -> []
+                    | Error vs -> vs)
+                  [
+                    (Fault.Selftest.Interleaved, interleaved);
+                    (Fault.Selftest.Eager, eager);
+                  ]
+              end
+            in
             if csv then begin
               Fmt.pr "rate,faults,replans,abandoned,availability,makespan@.";
               List.iter
@@ -977,11 +997,18 @@ let faults_cmd =
             in
             if violations <> [] then
               Fmt.pr "@[<v>invariant violations:@,%a@]@."
-                (Fmt.list ~sep:Fmt.cut Fault.Recover.pp_violation)
+                (Fmt.list ~sep:Fmt.cut Core.Schedule.pp_violation)
                 violations;
+            if selftest_violations <> [] then
+              Fmt.pr "@[<v>self-test gated schedule violations:@,%a@]@."
+                (Fmt.list ~sep:Fmt.cut Core.Schedule.pp_violation)
+                selftest_violations;
             if not monotone then
               Fmt.pr "availability curve is not monotone in fault rate@.";
-            if gate && (violations <> [] || not monotone) then begin
+            if
+              gate
+              && (violations <> [] || selftest_violations <> [] || not monotone)
+            then begin
               Fmt.epr "nocplan: faults gate failed@.";
               1
             end
@@ -1008,8 +1035,8 @@ let faults_cmd =
   in
   let gate_arg =
     Arg.(value & flag & info [ "gate" ]
-           ~doc:"Exit non-zero if any replanned schedule violates the \
-                 independent fault invariants or the availability curve is \
+           ~doc:"Exit non-zero if any replanned or self-test gated \
+                 schedule fails the validator or the availability curve is \
                  not monotone in the fault rate (CI smoke gate).")
   in
   let term =

@@ -60,16 +60,9 @@ type attempt = {
 
 type outcome = { winner : string; schedule : Schedule.t; attempts : attempt list }
 
-(* The independent validator checks full-coverage, from-scratch
-   schedules; a partial replan legitimately leaves modules untested
-   and uses pretested processors it never scheduled. *)
-let independently_checkable (config : Scheduler.config) =
-  config.modules = None && config.pretested = [] && config.start_time = 0
-
 let race ?(clock = Sys.time) ?(backends = builtins) ?access system
     (config : Scheduler.config) =
   if backends = [] then invalid_arg "Backend.race: no backends";
-  let checkable = independently_checkable config in
   let attempt b =
     let t0 = clock () in
     let outcome =
@@ -83,10 +76,12 @@ let race ?(clock = Sys.time) ?(backends = builtins) ?access system
       match outcome with
       | Error _ -> false
       | Ok s ->
-          (not checkable)
-          || Schedule.validate ?access system ~application:config.application
-               ~power_limit:config.power_limit ~reuse:config.reuse s
-             = Ok ()
+          Schedule.validate ?access ~start_time:config.start_time
+            ?modules:config.modules ~pretested:config.pretested
+            ~link_ready:config.link_ready system
+            ~application:config.application ~power_limit:config.power_limit
+            ~reuse:config.reuse s
+          = Ok ()
     in
     { backend = b.name; outcome; valid; latency_s }
   in

@@ -74,7 +74,8 @@ type attempt = {
           are caught; anything else propagates) *)
   valid : bool;
       (** [outcome] is [Ok] and passed the independent
-          {!Schedule.validate} (always [false] for [Error]) *)
+          {!Schedule.validate} against the configuration's frontier
+          (always [false] for [Error]) *)
   latency_s : float;  (** wall-clock seconds this backend spent *)
 }
 
@@ -92,12 +93,11 @@ val race :
   Scheduler.config ->
   outcome
 (** Run every backend on its own domain, keep the valid schedule with
-    the smallest makespan (ties: earliest backend in the list).
-    Schedules are re-checked with {!Schedule.validate} when the
-    configuration plans the full module set from time zero; for
-    partial replans (a [modules] subset, [pretested] processors or a
-    nonzero [start_time]) the independent validator's coverage rules
-    do not apply and a returned schedule counts as valid.
+    the smallest makespan (ties: earliest backend in the list).  Every
+    returned schedule is re-checked with {!Schedule.validate} against
+    the configuration's own frontier — its [start_time], [modules],
+    [pretested] processors and [link_ready] gates — so a partial
+    replan is checked like a full plan.
 
     [clock] times each attempt ([Sys.time] by default — callers with
     access to [Unix.gettimeofday] should pass it; this library does

@@ -18,6 +18,18 @@ type sweep = {
   points : point list;  (** reuse = 0 .. processor count, in order *)
 }
 
+val run_point :
+  ?access:Test_access.table ->
+  System.t ->
+  policy:Scheduler.policy ->
+  application:Nocplan_proc.Processor.application ->
+  power_limit:float option ->
+  reuse:int ->
+  point * Schedule.t
+(** One sweep point: schedule with {!Scheduler.run}, re-check the
+    schedule with {!Schedule.validate} and record its peak power.
+    [access] as in {!Scheduler.run}.  Raises as {!Scheduler.run}. *)
+
 val reuse_sweep :
   ?policy:Scheduler.policy ->
   ?application:Nocplan_proc.Processor.application ->

@@ -259,93 +259,21 @@ let schedule system config =
 (* ------------------------------------------------------------------ *)
 (* Validation                                                         *)
 
-type violation =
-  | Patterns_not_covered of { module_id : int; applied : int; required : int }
-  | Sessions_overlap of int
-  | Resource_overlap of Resource.endpoint
-  | Link_overlap of Link.t
-  | Power_exceeded of { time : int; total : float; limit : float }
-  | Invalid_session of session
-
 let validate system ~application ~power_limit ~reuse plan =
-  ignore reuse;
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
-  (* coverage *)
-  List.iter
-    (fun id ->
-      let m = Soc.find system.System.soc id in
-      let applied =
-        List.fold_left
-          (fun acc s -> if s.module_id = id then acc + s.patterns else acc)
-          0 plan.sessions
-      in
-      if applied <> m.Module_def.patterns then
-        add
-          (Patterns_not_covered
-             { module_id = id; applied; required = m.Module_def.patterns }))
-    (System.module_ids system);
-  (* pairwise checks *)
-  let overlapping a b = a.start < b.finish && b.start < a.finish in
-  let rec pairs = function
-    | [] -> ()
-    | s :: rest ->
-        List.iter
-          (fun s' ->
-            if overlapping s s' then begin
-              if s.module_id = s'.module_id then
-                add (Sessions_overlap s.module_id);
-              List.iter
-                (fun (ea, eb) ->
-                  if Resource.equal ea eb then add (Resource_overlap ea))
-                [
-                  (s.source, s'.source);
-                  (s.source, s'.sink);
-                  (s.sink, s'.source);
-                  (s.sink, s'.sink);
-                ];
-              let links' = Link.Set.of_list s'.links in
-              List.iter
-                (fun l -> if Link.Set.mem l links' then add (Link_overlap l))
-                s.links
-            end)
-          rest;
-        pairs rest
-  in
-  pairs plan.sessions;
-  (* power *)
-  (match power_limit with
-  | None -> ()
-  | Some limit ->
-      let at time =
-        List.fold_left
-          (fun acc s ->
-            if s.start <= time && time < s.finish then acc +. s.power else acc)
-          0.0 plan.sessions
-      in
-      List.iter
-        (fun s ->
-          let total = at s.start in
-          if total > limit +. 1e-9 then
-            add (Power_exceeded { time = s.start; total; limit }))
-        plan.sessions);
-  (* per-session cost agreement and pair validity *)
-  List.iter
-    (fun s ->
-      match
-        Test_access.cost ~patterns:s.patterns system ~application
-          ~module_id:s.module_id ~source:s.source ~sink:s.sink
-      with
-      | c ->
-          if
-            s.finish - s.start <> c.Test_access.duration
-            || not
-                 (Test_access.feasible system ~application
-                    ~module_id:s.module_id ~source:s.source ~sink:s.sink)
-          then add (Invalid_session s)
-      | exception Invalid_argument _ -> add (Invalid_session s))
-    plan.sessions;
-  match List.rev !violations with [] -> Ok () | vs -> Error vs
+  Schedule.validate_sessions system ~application ~power_limit ~reuse
+    (List.map
+       (fun s ->
+         ( {
+             Schedule.module_id = s.module_id;
+             source = s.source;
+             sink = s.sink;
+             start = s.start;
+             finish = s.finish;
+             power = s.power;
+             links = s.links;
+           },
+           s.patterns ))
+       plan.sessions)
 
 let pp_session ppf s =
   Fmt.pf ppf "@[<h>[%d,%d) module %d (%d patterns): %a -> %a@]" s.start
@@ -355,14 +283,3 @@ let pp_plan ppf plan =
   Fmt.pf ppf "@[<v>preemptive plan (makespan %d):@,%a@]" plan.makespan
     (Fmt.list ~sep:Fmt.cut pp_session)
     plan.sessions
-
-let pp_violation ppf = function
-  | Patterns_not_covered { module_id; applied; required } ->
-      Fmt.pf ppf "module %d: %d of %d patterns applied" module_id applied
-        required
-  | Sessions_overlap id -> Fmt.pf ppf "sessions of module %d overlap" id
-  | Resource_overlap e -> Fmt.pf ppf "endpoint %a double-booked" Resource.pp e
-  | Link_overlap l -> Fmt.pf ppf "link %a double-booked" Link.pp l
-  | Power_exceeded { time; total; limit } ->
-      Fmt.pf ppf "power %.1f over limit %.1f at t=%d" total limit time
-  | Invalid_session s -> Fmt.pf ppf "invalid session: %a" pp_session s

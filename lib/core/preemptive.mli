@@ -56,24 +56,17 @@ val schedule : System.t -> config -> plan
     greedy engine.
     @raise Scheduler.Unschedulable when no progress is possible. *)
 
-type violation =
-  | Patterns_not_covered of { module_id : int; applied : int; required : int }
-  | Sessions_overlap of int  (** two sessions of this core overlap *)
-  | Resource_overlap of Resource.endpoint
-  | Link_overlap of Nocplan_noc.Link.t
-  | Power_exceeded of { time : int; total : float; limit : float }
-  | Invalid_session of session
-
 val validate :
   System.t ->
   application:Nocplan_proc.Processor.application ->
   power_limit:float option ->
   reuse:int ->
   plan ->
-  (unit, violation list) result
-(** Independent re-check: full pattern coverage per module, in-order
-    non-overlapping sessions per core, endpoint/link exclusivity,
-    power, pair validity and per-session cost agreement. *)
+  (unit, Schedule.violation list) result
+(** {!Schedule.validate_sessions} of the sessions, each carrying its
+    pattern count: every module's sessions apply its whole pattern set
+    and never overlap, a processor is ready once its last session
+    ends, and each session's duration, power and links match
+    {!Test_access.cost} for its pattern count. *)
 
 val pp_plan : plan Fmt.t
-val pp_violation : violation Fmt.t

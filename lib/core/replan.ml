@@ -1,4 +1,3 @@
-module Link = Nocplan_noc.Link
 module Processor = Nocplan_proc.Processor
 
 type result = {
@@ -42,105 +41,10 @@ let after_fault ?(policy = Scheduler.Greedy)
   in
   { kept; voided; replanned; makespan }
 
-type violation =
-  | Coverage of int
-  | Replanned_too_early of Schedule.entry
-  | Replanned_entry_invalid of Schedule.entry
-  | Resource_conflict of Resource.endpoint
-  | Link_conflict of Link.t
-  | Processor_not_ready of { user : Schedule.entry; processor_id : int }
-
-let validate system ~application ~reuse ~at ~failed r =
-  ignore reuse;
-  let degraded = System.with_failed_links system failed in
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
-  let combined = r.kept @ r.replanned in
-  (* exact-once coverage over kept + replanned *)
-  List.iter
-    (fun id ->
-      let count =
-        List.length
-          (List.filter
-             (fun (e : Schedule.entry) -> e.Schedule.module_id = id)
-             combined)
-      in
-      if count <> 1 then add (Coverage id))
-    (System.module_ids system);
-  (* replanned entries: timing, feasibility, cost *)
-  List.iter
-    (fun (e : Schedule.entry) ->
-      if e.Schedule.start < at then add (Replanned_too_early e);
-      let feasible =
-        match
-          Test_access.cost degraded ~application
-            ~module_id:e.Schedule.module_id ~source:e.Schedule.source
-            ~sink:e.Schedule.sink
-        with
-        | c ->
-            Test_access.feasible degraded ~application
-              ~module_id:e.Schedule.module_id ~source:e.Schedule.source
-              ~sink:e.Schedule.sink
-            && e.Schedule.finish - e.Schedule.start = c.Test_access.duration
-        | exception Invalid_argument _ -> false
-      in
-      if not feasible then add (Replanned_entry_invalid e))
-    r.replanned;
-  (* exclusivity among replanned entries (kept entries all end by [at],
-     so they cannot clash with them) *)
-  let overlapping (a : Schedule.entry) (b : Schedule.entry) =
-    a.Schedule.start < b.Schedule.finish && b.Schedule.start < a.Schedule.finish
-  in
-  let rec pairs = function
-    | [] -> ()
-    | (e : Schedule.entry) :: rest ->
-        List.iter
-          (fun (e' : Schedule.entry) ->
-            if overlapping e e' then begin
-              List.iter
-                (fun (a, b) ->
-                  if Resource.equal a b then add (Resource_conflict a))
-                [
-                  (e.Schedule.source, e'.Schedule.source);
-                  (e.Schedule.source, e'.Schedule.sink);
-                  (e.Schedule.sink, e'.Schedule.source);
-                  (e.Schedule.sink, e'.Schedule.sink);
-                ];
-              let links' = Link.Set.of_list e'.Schedule.links in
-              List.iter
-                (fun l -> if Link.Set.mem l links' then add (Link_conflict l))
-                e.Schedule.links
-            end)
-          rest;
-        pairs rest
-  in
-  pairs r.replanned;
-  (* processor precedence across the whole session: an endpoint used by
-     a replanned entry must belong to a processor tested in [kept] or
-     tested earlier among the replanned entries *)
-  let tested_by id =
-    match
-      List.find_opt
-        (fun (e : Schedule.entry) -> e.Schedule.module_id = id)
-        combined
-    with
-    | Some e -> Some e.Schedule.finish
-    | None -> None
-  in
-  List.iter
-    (fun (e : Schedule.entry) ->
-      let check = function
-        | Resource.Processor id -> (
-            match tested_by id with
-            | Some finish when finish <= e.Schedule.start -> ()
-            | Some _ | None ->
-                add (Processor_not_ready { user = e; processor_id = id }))
-        | Resource.External_in _ | Resource.External_out _ -> ()
-      in
-      check e.Schedule.source;
-      check e.Schedule.sink)
-    r.replanned;
-  match List.rev !violations with [] -> Ok () | vs -> Error vs
+let validate system ~application ~power_limit ~reuse ~at ~failed r =
+  Schedule.validate_replan
+    (System.with_failed_links system failed)
+    ~application ~power_limit ~reuse ~at ~kept:r.kept r.replanned
 
 let pp_result ppf r =
   Fmt.pf ppf
@@ -152,17 +56,3 @@ let pp_result ppf r =
            e.Schedule.finish e.Schedule.module_id Resource.pp
            e.Schedule.source Resource.pp e.Schedule.sink))
     r.replanned
-
-let pp_violation ppf = function
-  | Coverage id -> Fmt.pf ppf "module %d not covered exactly once" id
-  | Replanned_too_early e ->
-      Fmt.pf ppf "replanned entry starts before the event: module %d at %d"
-        e.Schedule.module_id e.Schedule.start
-  | Replanned_entry_invalid e ->
-      Fmt.pf ppf "replanned entry infeasible on the degraded NoC: module %d"
-        e.Schedule.module_id
-  | Resource_conflict r -> Fmt.pf ppf "endpoint %a double-booked" Resource.pp r
-  | Link_conflict l -> Fmt.pf ppf "link %a double-booked" Link.pp l
-  | Processor_not_ready { user; processor_id } ->
-      Fmt.pf ppf "processor %d used before its test completed (module %d)"
-        processor_id user.Schedule.module_id

@@ -52,25 +52,19 @@ val after_fault :
     some remaining core.
     @raise Invalid_argument if [at < 0]. *)
 
-type violation =
-  | Coverage of int  (** module not tested exactly once over kept+new *)
-  | Replanned_too_early of Schedule.entry
-  | Replanned_entry_invalid of Schedule.entry
-      (** fails feasibility (route/memory/pair) on the degraded system
-          or disagrees with the cost model *)
-  | Resource_conflict of Resource.endpoint
-  | Link_conflict of Nocplan_noc.Link.t
-  | Processor_not_ready of { user : Schedule.entry; processor_id : int }
-
 val validate :
   System.t ->
   application:Nocplan_proc.Processor.application ->
+  power_limit:float option ->
   reuse:int ->
   at:int ->
   failed:Nocplan_noc.Link.t list ->
   result ->
-  (unit, violation list) Stdlib.result
-(** Independent re-check of a re-planning result. *)
+  (unit, Schedule.violation list) Stdlib.result
+(** {!Schedule.validate_replan} on the degraded system: [replanned]
+    against the frontier it was planned under — nothing before [at],
+    exactly the modules [kept] did not test, [kept]'s processors
+    already tested — and [kept] itself finished by [at], each module
+    once. *)
 
 val pp_result : result Fmt.t
-val pp_violation : violation Fmt.t

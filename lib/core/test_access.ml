@@ -527,6 +527,7 @@ let table_for t ~system ~application =
   t.table_system == system && t.table_application = application
 
 let table_application t = t.table_application
+let table_routed t = Option.is_some t.table_route
 
 let endpoint_id t endpoint =
   match Hashtbl.find_opt t.endpoint_ids endpoint with

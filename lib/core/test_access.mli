@@ -166,6 +166,11 @@ val table_for :
 
 val table_application : table -> Nocplan_proc.Processor.application
 
+val table_routed : table -> bool
+(** Whether the table was built with a custom [route]: its costs and
+    channels are then the only model of the plan's paths, which the
+    direct computations (XY routes) cannot stand in for. *)
+
 val table_feasible :
   table ->
   module_id:int ->

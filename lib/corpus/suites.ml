@@ -166,7 +166,7 @@ let preemptive_validity_check (item : Corpus.item) =
       | Error violations ->
           Fail
             ("preemptive validator: "
-            ^ truncate_list Core.Preemptive.pp_violation violations))
+            ^ truncate_list Core.Schedule.pp_violation violations))
 
 (* -- export_roundtrip ----------------------------------------------- *)
 

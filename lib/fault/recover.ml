@@ -1,4 +1,3 @@
-module Link = Nocplan_noc.Link
 module Processor = Nocplan_proc.Processor
 module Trace = Nocplan_obs.Trace
 module System = Nocplan_core.System
@@ -103,7 +102,11 @@ let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
   let newly_abandoned =
     List.filter (fun id -> not (Hashtbl.mem schedulable id)) remaining
   in
-  let abandoned = List.sort_uniq Int.compare (abandoned @ newly_abandoned) in
+  let abandoned =
+    List.sort_uniq Int.compare
+      (List.filter (fun id -> not (List.mem id done_ids)) abandoned
+      @ newly_abandoned)
+  in
   let replanned =
     if schedulable_ids = [] then []
     else
@@ -126,118 +129,19 @@ let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
     availability = availability_of system ~abandoned;
   }
 
-type violation =
-  | Coverage of int
-  | Abandoned_but_tested of int
-  | Too_early of Schedule.entry
-  | Entry_invalid of Schedule.entry
-  | Faulty_link_used of { entry : Schedule.entry; link : Link.t }
-  | Endpoint_conflict of Resource.endpoint
-  | Link_conflict of Link.t
-  | Processor_not_ready of { user : Schedule.entry; processor_id : int }
-
-let validate ?(application = Processor.Bist) ~reuse ~at ~faults system o =
-  ignore reuse;
+let validate ?(application = Processor.Bist) ~power_limit ~reuse ~at ~faults
+    system o =
   let topology = system.System.topology in
-  let detour = Detour.table topology faults in
-  let blocked_list = Detour.blocked_links topology faults in
-  let blocked = Link.Set.of_list blocked_list in
-  let degraded = System.with_failed_links system blocked_list in
-  let access =
-    Test_access.table ~application ~route:(Detour.route_fn detour) degraded
+  let degraded =
+    System.with_failed_links system (Detour.blocked_links topology faults)
   in
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
-  let combined = o.kept @ o.replanned in
-  (* every module is either abandoned and untested, or tested exactly
-     once across kept + replanned *)
-  List.iter
-    (fun id ->
-      let count =
-        List.length
-          (List.filter
-             (fun (e : Schedule.entry) -> e.Schedule.module_id = id)
-             combined)
-      in
-      if List.mem id o.abandoned then begin
-        if count > 0 then add (Abandoned_but_tested id)
-      end
-      else if count <> 1 then add (Coverage id))
-    (System.module_ids system);
-  (* replanned entries: timing, feasibility under the detour-priced
-     table, and — the point of the subsystem — healthy links only *)
-  List.iter
-    (fun (e : Schedule.entry) ->
-      if e.Schedule.start < at then add (Too_early e);
-      let feasible =
-        match
-          Test_access.table_cost access ~module_id:e.Schedule.module_id
-            ~source:e.Schedule.source ~sink:e.Schedule.sink
-        with
-        | c ->
-            Test_access.table_feasible access ~module_id:e.Schedule.module_id
-              ~source:e.Schedule.source ~sink:e.Schedule.sink
-            && e.Schedule.finish - e.Schedule.start = c.Test_access.duration
-        | exception Invalid_argument _ -> false
-      in
-      if not feasible then add (Entry_invalid e);
-      List.iter
-        (fun l ->
-          if Link.Set.mem l blocked then add (Faulty_link_used { entry = e; link = l }))
-        e.Schedule.links)
-    o.replanned;
-  (* exclusivity among replanned entries (kept entries all end by [at]) *)
-  let overlapping (a : Schedule.entry) (b : Schedule.entry) =
-    a.Schedule.start < b.Schedule.finish && b.Schedule.start < a.Schedule.finish
-  in
-  let rec pairs = function
-    | [] -> ()
-    | (e : Schedule.entry) :: rest ->
-        List.iter
-          (fun (e' : Schedule.entry) ->
-            if overlapping e e' then begin
-              List.iter
-                (fun (a, b) ->
-                  if Resource.equal a b then add (Endpoint_conflict a))
-                [
-                  (e.Schedule.source, e'.Schedule.source);
-                  (e.Schedule.source, e'.Schedule.sink);
-                  (e.Schedule.sink, e'.Schedule.source);
-                  (e.Schedule.sink, e'.Schedule.sink);
-                ];
-              let links' = Link.Set.of_list e'.Schedule.links in
-              List.iter
-                (fun l -> if Link.Set.mem l links' then add (Link_conflict l))
-                e.Schedule.links
-            end)
-          rest;
-        pairs rest
-  in
-  pairs o.replanned;
-  (* processor precedence across the whole session *)
-  let tested_by id =
-    match
-      List.find_opt
-        (fun (e : Schedule.entry) -> e.Schedule.module_id = id)
-        combined
-    with
-    | Some e -> Some e.Schedule.finish
-    | None -> None
-  in
-  List.iter
-    (fun (e : Schedule.entry) ->
-      let check = function
-        | Resource.Processor id -> (
-            match tested_by id with
-            | Some finish when finish <= e.Schedule.start -> ()
-            | Some _ | None ->
-                add (Processor_not_ready { user = e; processor_id = id }))
-        | Resource.External_in _ | Resource.External_out _ -> ()
-      in
-      check e.Schedule.source;
-      check e.Schedule.sink)
-    o.replanned;
-  match List.rev !violations with [] -> Ok () | vs -> Error vs
+  Schedule.validate_replan degraded
+    ~access:
+      (Test_access.table ~application
+         ~route:(Detour.route_fn (Detour.table topology faults))
+         degraded)
+    ~abandoned:o.abandoned ~application ~power_limit ~reuse ~at ~kept:o.kept
+    o.replanned
 
 let pp_outcome ppf o =
   Fmt.pf ppf
@@ -252,22 +156,3 @@ let pp_outcome ppf o =
            e.Schedule.finish e.Schedule.module_id Resource.pp
            e.Schedule.source Resource.pp e.Schedule.sink))
     o.replanned
-
-let pp_violation ppf = function
-  | Coverage id -> Fmt.pf ppf "module %d not covered exactly once" id
-  | Abandoned_but_tested id ->
-      Fmt.pf ppf "module %d both abandoned and scheduled" id
-  | Too_early e ->
-      Fmt.pf ppf "replanned entry starts before the event: module %d at %d"
-        e.Schedule.module_id e.Schedule.start
-  | Entry_invalid e ->
-      Fmt.pf ppf "replanned entry infeasible on the degraded NoC: module %d"
-        e.Schedule.module_id
-  | Faulty_link_used { entry; link } ->
-      Fmt.pf ppf "module %d routed over faulty link %a" entry.Schedule.module_id
-        Link.pp link
-  | Endpoint_conflict r -> Fmt.pf ppf "endpoint %a double-booked" Resource.pp r
-  | Link_conflict l -> Fmt.pf ppf "link %a double-booked" Link.pp l
-  | Processor_not_ready { user; processor_id } ->
-      Fmt.pf ppf "processor %d used before its test completed (module %d)"
-        processor_id user.Schedule.module_id

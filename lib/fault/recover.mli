@@ -42,7 +42,8 @@ val after :
     source/sink processor is itself untestable — is abandoned rather
     than scheduled.  [abandoned] carries the ids already given up in
     earlier events of the same campaign; they stay abandoned and are
-    excluded from coverage.
+    excluded from coverage, unless [schedule] finished them by [at]
+    (a kept test is never also abandoned).
 
     Emits a ["fault.replan"] trace span (the detour table build inside
     adds its own ["fault.detour"] span).
@@ -55,40 +56,24 @@ val after :
 
 val availability_of : Nocplan_core.System.t -> abandoned:int list -> float
 
-type violation =
-  | Coverage of int
-      (** non-abandoned module not tested exactly once across
-          kept + replanned *)
-  | Abandoned_but_tested of int
-  | Too_early of Nocplan_core.Schedule.entry
-  | Entry_invalid of Nocplan_core.Schedule.entry
-      (** infeasible or mispriced under the detour-routed table *)
-  | Faulty_link_used of {
-      entry : Nocplan_core.Schedule.entry;
-      link : Nocplan_noc.Link.t;
-    }  (** a replanned test touches a blocked channel *)
-  | Endpoint_conflict of Nocplan_core.Resource.endpoint
-  | Link_conflict of Nocplan_noc.Link.t
-  | Processor_not_ready of {
-      user : Nocplan_core.Schedule.entry;
-      processor_id : int;
-    }
-
 val validate :
   ?application:Nocplan_proc.Processor.application ->
+  power_limit:float option ->
   reuse:int ->
   at:int ->
   faults:Detour.fault_set ->
   Nocplan_core.System.t ->
   outcome ->
-  (unit, violation list) result
-(** Re-derive the detour table and degraded system from scratch and
-    check the outcome against them: abandoned modules untested, the
-    rest covered exactly once; replanned entries start at or after
-    [at], are feasible and correctly priced under detour routing, and
-    touch no blocked channel; no endpoint or channel double-booking
-    among replanned entries; processor endpoints only used after their
-    own test.  Shares no state with {!after}. *)
+  (unit, Nocplan_core.Schedule.violation list) result
+(** {!Nocplan_core.Schedule.validate_replan} on the degraded system,
+    priced along the {!Detour} routes of [faults] (the validator
+    re-derives its own detour table): [replanned] against the frontier
+    it was planned under — nothing before [at], exactly the modules
+    neither [kept] nor [abandoned], [kept]'s processors already tested
+    — and [kept] itself finished by [at], each module once and none
+    abandoned.  An abandoned module that is still tested is therefore
+    a {!Nocplan_core.Schedule.Module_outside_plan}, and a test touching
+    a blocked channel fails the route and links checks.  Shares no
+    state with {!after}. *)
 
 val pp_outcome : outcome Fmt.t
-val pp_violation : violation Fmt.t

@@ -185,28 +185,6 @@ let prometheus_text t =
            response)." Prom.Summary ~name:"nocplan_request_latency_ms" latency;
     ]
 
-(* One sweep point, mirroring Planner.run_point: schedule, re-validate
-   independently, record the peak power. *)
-let point ~access system ~policy ~application ~power_limit ~reuse =
-  let config =
-    Core.Scheduler.config ~policy ~application ~power_limit ~reuse ()
-  in
-  let sched = Core.Scheduler.run ~access system config in
-  let validated =
-    match
-      Core.Schedule.validate ~access system ~application ~power_limit ~reuse
-        sched
-    with
-    | Ok () -> true
-    | Error _ -> false
-  in
-  {
-    Core.Planner.reuse;
-    makespan = sched.Core.Schedule.makespan;
-    peak_power = Core.Metrics.peak_power sched.Core.Schedule.entries;
-    validated;
-  }
-
 (* The per-instance key covers exactly what cross-request solver state
    (warm-start traces, shared evaluation caches) depends on: the
    physical system (via the table-cache key — a cache hit hands back
@@ -561,8 +539,8 @@ let execute t (req : Protocol.request) ~check =
                   check ();
                   let valid =
                     match
-                      Fault.Recover.validate ~application ~reuse ~at ~faults
-                        system outcome
+                      Fault.Recover.validate ~application ~power_limit ~reuse
+                        ~at ~faults system outcome
                     with
                     | Ok () -> true
                     | Error _ -> false
@@ -600,8 +578,9 @@ let execute t (req : Protocol.request) ~check =
               let points =
                 List.init (max_reuse + 1) (fun reuse ->
                     check ();
-                    point ~access system ~policy ~application ~power_limit
-                      ~reuse)
+                    fst
+                      (Core.Planner.run_point ~access system ~policy
+                         ~application ~power_limit ~reuse))
               in
               let sweep =
                 {

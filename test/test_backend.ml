@@ -152,6 +152,35 @@ let test_race_single_backend () =
     "race over one backend is that backend" solo.Schedule.makespan
     outcome.Backend.schedule.Schedule.makespan
 
+(* A partial replan is checked against its own frontier like a full
+   plan: a backend that plans nothing for the one module left cannot
+   win with makespan 0. *)
+let test_race_checks_partial_configs () =
+  let system = Util.small_system () in
+  let config =
+    Scheduler.config ~start_time:1_000 ~modules:[ 2 ]
+      ~reuse:(List.length system.System.processors) ()
+  in
+  let bogus =
+    {
+      Backend.name = "bogus";
+      capabilities = { Backend.honors_order = false; honors_policy = false };
+      solve = (fun ?access:_ _ _ -> Schedule.of_entries []);
+    }
+  in
+  let outcome =
+    Backend.race ~backends:[ Backend.greedy; bogus ] system config
+  in
+  Alcotest.(check string) "winner" "greedy" outcome.Backend.winner;
+  let valid name =
+    (List.find
+       (fun (a : Backend.attempt) -> a.Backend.backend = name)
+       outcome.Backend.attempts)
+      .Backend.valid
+  in
+  Alcotest.(check bool) "greedy valid" true (valid "greedy");
+  Alcotest.(check bool) "bogus invalid" false (valid "bogus")
+
 (* --- registry ------------------------------------------------------ *)
 
 let test_registry () =
@@ -189,5 +218,7 @@ let suite =
     Alcotest.test_case "binpack d695_leon" `Quick test_binpack_d695;
     Alcotest.test_case "race outcome shape" `Quick test_race_outcome_shape;
     Alcotest.test_case "race single backend" `Quick test_race_single_backend;
+    Alcotest.test_case "race checks partial configs" `Quick
+      test_race_checks_partial_configs;
     Alcotest.test_case "registry" `Quick test_registry;
   ]

@@ -61,11 +61,11 @@ let test_rate_zero_bit_identical () =
   Alcotest.(check int) "no replans" 0 r.Injector.replans
 
 let assert_recover_valid sys ~reuse ~at ~faults outcome =
-  match Recover.validate ~reuse ~at ~faults sys outcome with
+  match Recover.validate ~power_limit:None ~reuse ~at ~faults sys outcome with
   | Ok () -> ()
   | Error vs ->
       Alcotest.failf "invalid recovery: %a"
-        (Fmt.list ~sep:Fmt.comma Recover.pp_violation)
+        (Fmt.list ~sep:Fmt.comma Schedule.pp_violation)
         vs
 
 (* The surviving schedule covers exactly the non-abandoned modules and
@@ -181,14 +181,14 @@ let test_validator_rejects_doctored_outcome () =
   | e :: rest ->
       (* Dropping one entry: a coverage hole. *)
       (match
-         Recover.validate ~reuse:1 ~at ~faults sys
+         Recover.validate ~power_limit:None ~reuse:1 ~at ~faults sys
            { o with Recover.replanned = rest }
        with
       | Ok () -> Alcotest.fail "missing module not caught"
       | Error vs ->
-          Alcotest.(check bool) "Coverage reported" true
+          Alcotest.(check bool) "Module_not_tested reported" true
             (List.exists
-               (function Recover.Coverage _ -> true | _ -> false)
+               (function Schedule.Module_not_tested _ -> true | _ -> false)
                vs));
       (* Shifting one before the event: a timing violation. *)
       let early =
@@ -199,25 +199,25 @@ let test_validator_rejects_doctored_outcome () =
         }
       in
       (match
-         Recover.validate ~reuse:1 ~at ~faults sys
+         Recover.validate ~power_limit:None ~reuse:1 ~at ~faults sys
            { o with Recover.replanned = early :: rest }
        with
       | Ok () -> Alcotest.fail "early entry not caught"
       | Error vs ->
-          Alcotest.(check bool) "Too_early reported" true
+          Alcotest.(check bool) "Before_start_time reported" true
             (List.exists
-               (function Recover.Too_early _ -> true | _ -> false)
+               (function Schedule.Before_start_time _ -> true | _ -> false)
                vs));
       (* Claiming an abandoned module while still testing it. *)
       (match
-         Recover.validate ~reuse:1 ~at ~faults sys
+         Recover.validate ~power_limit:None ~reuse:1 ~at ~faults sys
            { o with Recover.abandoned = [ e.Schedule.module_id ] }
        with
       | Ok () -> Alcotest.fail "abandoned-but-tested not caught"
       | Error vs ->
-          Alcotest.(check bool) "Abandoned_but_tested reported" true
+          Alcotest.(check bool) "Module_outside_plan reported" true
             (List.exists
-               (function Recover.Abandoned_but_tested _ -> true | _ -> false)
+               (function Schedule.Module_outside_plan _ -> true | _ -> false)
                vs))
 
 let suite =

@@ -35,6 +35,7 @@ let () =
       ("power monitor", Test_power_monitor.suite);
       ("priority", Test_priority.suite);
       ("schedule", Test_schedule.suite);
+      ("validator mutations", Test_validate.suite);
       ("scheduler", Test_scheduler.suite);
       ("scheduler golden equivalence", Test_golden.suite);
       ("schedule replay", Test_schedule_sim.suite);

@@ -17,7 +17,7 @@ let assert_valid ?application ?power_limit ~reuse sys plan =
   | Ok () -> ()
   | Error vs ->
       Alcotest.failf "invalid plan: %a"
-        (Fmt.list ~sep:Fmt.comma Preemptive.pp_violation)
+        (Fmt.list ~sep:Fmt.comma Schedule.pp_violation)
         vs
 
 let test_one_session_equals_greedy () =
@@ -104,7 +104,7 @@ let test_validator_catches_missing_patterns () =
       Alcotest.(check bool) "Patterns_not_covered reported" true
         (List.exists
            (function
-             | Preemptive.Patterns_not_covered _ -> true | _ -> false)
+             | Schedule.Patterns_not_covered _ -> true | _ -> false)
            vs)
 
 let test_validator_catches_overlap () =
@@ -126,9 +126,9 @@ let test_validator_catches_overlap () =
   match validate ~reuse:0 sys squashed with
   | Ok () -> Alcotest.fail "overlaps not caught"
   | Error vs ->
-      Alcotest.(check bool) "Resource_overlap reported" true
+      Alcotest.(check bool) "Endpoint_overlap reported" true
         (List.exists
-           (function Preemptive.Resource_overlap _ -> true | _ -> false)
+           (function Schedule.Endpoint_overlap _ -> true | _ -> false)
            vs)
 
 let test_power_limited_plan () =

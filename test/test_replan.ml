@@ -19,12 +19,12 @@ let fixture () =
 
 let assert_valid sys ~reuse ~at ~failed r =
   match
-    Replan.validate sys ~application:Proc.Processor.Bist ~reuse ~at ~failed r
+    Replan.validate sys ~application:Proc.Processor.Bist ~power_limit:None ~reuse ~at ~failed r
   with
   | Ok () -> ()
   | Error vs ->
       Alcotest.failf "invalid replan: %a"
-        (Fmt.list ~sep:Fmt.comma Replan.pp_violation)
+        (Fmt.list ~sep:Fmt.comma Schedule.pp_violation)
         vs
 
 let test_no_fault_midway () =
@@ -168,29 +168,50 @@ let test_validator_rejects_doctored_result () =
   | e :: rest ->
       let doctored = { r with Replan.replanned = rest } in
       (match
-         Replan.validate sys ~application:Proc.Processor.Bist ~reuse:1 ~at
+         Replan.validate sys ~application:Proc.Processor.Bist ~power_limit:None ~reuse:1 ~at
            ~failed:[] doctored
        with
       | Ok () -> Alcotest.fail "missing module not caught"
       | Error vs ->
-          Alcotest.(check bool) "Coverage reported" true
+          Alcotest.(check bool) "Module_not_tested reported" true
             (List.exists
-               (function Replan.Coverage _ -> true | _ -> false)
+               (function Schedule.Module_not_tested _ -> true | _ -> false)
                vs));
       (* Shift an entry before the event: timing violation. *)
       let early = { e with Schedule.start = 0; Schedule.finish = e.Schedule.finish - e.Schedule.start } in
       let doctored2 = { r with Replan.replanned = early :: rest } in
       (match
-         Replan.validate sys ~application:Proc.Processor.Bist ~reuse:1 ~at
+         Replan.validate sys ~application:Proc.Processor.Bist ~power_limit:None ~reuse:1 ~at
            ~failed:[] doctored2
        with
       | Ok () -> Alcotest.fail "early entry not caught"
       | Error vs ->
-          Alcotest.(check bool) "Replanned_too_early reported" true
+          Alcotest.(check bool) "Before_start_time reported" true
             (List.exists
-               (function Replan.Replanned_too_early _ -> true | _ -> false)
+               (function Schedule.Before_start_time _ -> true | _ -> false)
                vs))
-  | [] -> Alcotest.fail "expected replanned entries")
+  | [] -> Alcotest.fail "expected replanned entries");
+  (* Keep one finished test twice: the kept list is checked too. *)
+  let at =
+    List.fold_left
+      (fun acc (e : Schedule.entry) -> min acc e.Schedule.finish)
+      max_int sched.Schedule.entries
+  in
+  let r = Replan.after_fault ~reuse:1 ~at ~failed:[] sys sched in
+  match r.Replan.kept with
+  | k :: _ -> (
+      match
+        Replan.validate sys ~application:Proc.Processor.Bist ~power_limit:None
+          ~reuse:1 ~at ~failed:[]
+          { r with Replan.kept = k :: r.Replan.kept }
+      with
+      | Ok () -> Alcotest.fail "module kept twice not caught"
+      | Error vs ->
+          Alcotest.(check bool) "Module_tested_twice reported" true
+            (List.exists
+               (function Schedule.Module_tested_twice _ -> true | _ -> false)
+               vs))
+  | [] -> Alcotest.fail "expected kept entries"
 
 let prop_replan_valid_at_random_times =
   qcheck ~count:20 "replanning validates at any event time"
@@ -200,7 +221,7 @@ let prop_replan_valid_at_random_times =
       let at = sched.Schedule.makespan * pct / 100 in
       let r = Replan.after_fault ~reuse:1 ~at ~failed:[] sys sched in
       Result.is_ok
-        (Replan.validate sys ~application:Proc.Processor.Bist ~reuse:1 ~at
+        (Replan.validate sys ~application:Proc.Processor.Bist ~power_limit:None ~reuse:1 ~at
            ~failed:[] r))
 
 let suite =

@@ -70,6 +70,26 @@ let test_horizon_and_policies () =
       Alcotest.(check bool) "interleaved <= eager" true (t <= horizon))
     (Selftest.ready_times p topology)
 
+(* The validator's verdict on a gated schedule, checked against the
+   gates it was planned under. *)
+let gated_violations ?policy p sys (config : Scheduler.config) s =
+  match
+    Schedule.validate sys ~application:config.Scheduler.application
+      ~power_limit:config.Scheduler.power_limit ~reuse:config.Scheduler.reuse
+      ~link_ready:(Selftest.ready_times ?policy p sys.Core.System.topology)
+      s
+  with
+  | Ok () -> []
+  | Error vs -> vs
+
+let assert_gated_valid ?policy p sys config s =
+  match gated_violations ?policy p sys config s with
+  | [] -> ()
+  | vs ->
+      Alcotest.failf "gated schedule fails the validator: %a"
+        (Fmt.list ~sep:Fmt.comma Schedule.pp_violation)
+        vs
+
 let test_gated_schedule_respects_ready_times () =
   let sys = small_system () in
   let p = Selftest.params ~router_test:200 ~link_test:50 ~lanes:2 () in
@@ -79,6 +99,8 @@ let test_gated_schedule_respects_ready_times () =
   let eager = Selftest.schedule ~policy:Selftest.Eager p sys config in
   assert_schedule_invariants sys interleaved;
   assert_schedule_invariants sys eager;
+  assert_gated_valid p sys config interleaved;
+  assert_gated_valid ~policy:Selftest.Eager p sys config eager;
   (* Gates only delay: makespans are ordered baseline <= interleaved
      <= eager (eager opens every gate at the common horizon, the
      latest of all interleaved gate times). *)
@@ -119,6 +141,7 @@ let test_empty_gates_are_identity () =
   let config = Scheduler.config ~reuse:1 () in
   let baseline = Scheduler.run sys config in
   let gated = Selftest.schedule p sys config in
+  assert_gated_valid p sys config gated;
   Alcotest.(check int) "same makespan" baseline.Schedule.makespan
     gated.Schedule.makespan;
   Alcotest.(check int) "same entry count"
@@ -131,8 +154,10 @@ let prop_gated_schedules_valid =
     (fun router_test ->
       let sys = small_system () in
       let p = Selftest.params ~router_test ~link_test:(router_test / 4) () in
-      let s = Selftest.schedule p sys (Scheduler.config ~reuse:1 ()) in
-      schedule_invariant_errors sys s = [])
+      let config = Scheduler.config ~reuse:1 () in
+      let s = Selftest.schedule p sys config in
+      schedule_invariant_errors sys s = []
+      && gated_violations p sys config s = [])
 
 let suite =
   [

@@ -1063,31 +1063,29 @@ let repeat_traffic ~requests ~clients =
 (* Distinct compatible traffic: many clients asking *different*
    questions about the same SoC — the shape coalescing cannot touch
    (every request carries a unique [seed], so no two coalesce keys are
-   ever equal; the solver ignores seeds for plan/validate) but batching
-   and the shared evaluation-cache registry are built for.  The
-   workload cycles plan and validate over four reuse budgets of
-   p93791_leon under the lookahead policy — the most expensive builtin
-   solves — so the runtime is dominated by scheduler work the shared
-   caches can actually elide.
-   Run twice on the same worker pool — with batching + shared caches
-   on, then with both off (the PR-6 request path) — the ratio is what
-   this layer buys. *)
+   ever equal; the solver ignores seeds for plan/validate) but the
+   shared evaluation-cache registry is built for.  The workload cycles
+   plan and validate over four reuse budgets of p93791_leon under the
+   lookahead policy — the most expensive builtin solves — so the
+   runtime is dominated by scheduler work the shared caches can
+   actually elide.
+   Run twice on the same worker pool — shared-cache registry at 16,
+   then at 0, nothing else different — the ratio is what this layer
+   buys. *)
 
-type batch_result = {
-  bt_requests : int;
-  bt_clients : int;
-  bt_workers : int;
-  bt_batched_seconds : float;
-  bt_unbatched_seconds : float;
-  bt_batched : int;  (* requests served through shared batch passes *)
-  bt_batches : int;
-  bt_shared_hits : int;  (* solves resuming a resident shared cache *)
-  bt_failures : int;
+type shared_result = {
+  sh_requests : int;
+  sh_clients : int;
+  sh_workers : int;
+  sh_shared_seconds : float;
+  sh_unshared_seconds : float;
+  sh_shared_hits : int;  (* solves resuming a resident shared cache *)
+  sh_failures : int;
 }
 
-let batch_speedup_floor = 2.0
+let shared_speedup_floor = 2.0
 
-let batch_traffic ~requests ~clients =
+let shared_traffic ~requests ~clients =
   section
     (Printf.sprintf
        "serve: distinct compatible traffic (%d requests, %d clients)"
@@ -1107,10 +1105,9 @@ let batch_traffic ~requests ~clients =
     at 0
   in
   let workers = max 1 (Domain.recommended_domain_count () - 1) in
-  let run ~batching =
+  let run ~shared_capacity =
     let service =
-      Serve.Service.create ~workers ~batching
-        ~shared_capacity:(if batching then 16 else 0)
+      Serve.Service.create ~workers ~shared_capacity
         ~queue_capacity:(max 64 requests) ()
     in
     let failures = Atomic.make 0 in
@@ -1134,28 +1131,22 @@ let batch_traffic ~requests ~clients =
     Serve.Service.shutdown service;
     (seconds, stats, Atomic.get failures)
   in
-  let batched_seconds, bstats, bfail = run ~batching:true in
-  let unbatched_seconds, _ustats, ufail = run ~batching:false in
-  Fmt.pr
-    "batched: %.3f s (%.0f req/s), %d requests in %d batch passes, %d shared \
-     cache hits@."
-    batched_seconds
-    (float_of_int requests /. batched_seconds)
-    bstats.Serve.Stats.batched bstats.Serve.Stats.batches
-    bstats.Serve.Stats.shared_cache_hits;
-  Fmt.pr "unbatched: %.3f s (%.0f req/s); speedup %.1fx@." unbatched_seconds
-    (float_of_int requests /. unbatched_seconds)
-    (unbatched_seconds /. batched_seconds);
+  let shared_seconds, sstats, sfail = run ~shared_capacity:16 in
+  let unshared_seconds, _ustats, ufail = run ~shared_capacity:0 in
+  Fmt.pr "shared: %.3f s (%.0f req/s), %d shared cache hits@." shared_seconds
+    (float_of_int requests /. shared_seconds)
+    sstats.Serve.Stats.shared_cache_hits;
+  Fmt.pr "unshared: %.3f s (%.0f req/s); speedup %.1fx@." unshared_seconds
+    (float_of_int requests /. unshared_seconds)
+    (unshared_seconds /. shared_seconds);
   {
-    bt_requests = requests;
-    bt_clients = clients;
-    bt_workers = workers;
-    bt_batched_seconds = batched_seconds;
-    bt_unbatched_seconds = unbatched_seconds;
-    bt_batched = bstats.Serve.Stats.batched;
-    bt_batches = bstats.Serve.Stats.batches;
-    bt_shared_hits = bstats.Serve.Stats.shared_cache_hits;
-    bt_failures = bfail + ufail;
+    sh_requests = requests;
+    sh_clients = clients;
+    sh_workers = workers;
+    sh_shared_seconds = shared_seconds;
+    sh_unshared_seconds = unshared_seconds;
+    sh_shared_hits = sstats.Serve.Stats.shared_cache_hits;
+    sh_failures = sfail + ufail;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1386,7 +1377,7 @@ let json_points buf points =
     points;
   Buffer.add_char buf ']'
 
-let write_json path ~smoke ~figure1_seconds ~panels ~load ~repeat ~batch ~tcp
+let write_json path ~smoke ~figure1_seconds ~panels ~load ~repeat ~shared ~tcp
     ~fault_rows ~detour ~corpus =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "{\n  \"schema\": \"nocplan-bench/1\",\n";
@@ -1444,18 +1435,17 @@ let write_json path ~smoke ~figure1_seconds ~panels ~load ~repeat ~batch ~tcp
     (repeat.rt_uncoalesced_seconds /. repeat.rt_coalesced_seconds)
     repeat.rt_coalesced repeat.rt_warm_hits repeat.rt_failures;
   Printf.bprintf buf
-    "    \"batch\": {\"requests\": %d, \"clients\": %d, \"workers\": %d, \
-     \"batched_seconds\": %.4f, \"batched_req_per_s\": %.1f, \
-     \"unbatched_seconds\": %.4f, \"unbatched_req_per_s\": %.1f, \
-     \"speedup\": %.2f, \"batched\": %d, \"batches\": %d, \
-     \"shared_cache_hits\": %d, \"failures\": %d},\n"
-    batch.bt_requests batch.bt_clients batch.bt_workers
-    batch.bt_batched_seconds
-    (float_of_int batch.bt_requests /. batch.bt_batched_seconds)
-    batch.bt_unbatched_seconds
-    (float_of_int batch.bt_requests /. batch.bt_unbatched_seconds)
-    (batch.bt_unbatched_seconds /. batch.bt_batched_seconds)
-    batch.bt_batched batch.bt_batches batch.bt_shared_hits batch.bt_failures;
+    "    \"shared\": {\"requests\": %d, \"clients\": %d, \"workers\": %d, \
+     \"shared_seconds\": %.4f, \"shared_req_per_s\": %.1f, \
+     \"unshared_seconds\": %.4f, \"unshared_req_per_s\": %.1f, \
+     \"speedup\": %.2f, \"shared_cache_hits\": %d, \"failures\": %d},\n"
+    shared.sh_requests shared.sh_clients shared.sh_workers
+    shared.sh_shared_seconds
+    (float_of_int shared.sh_requests /. shared.sh_shared_seconds)
+    shared.sh_unshared_seconds
+    (float_of_int shared.sh_requests /. shared.sh_unshared_seconds)
+    (shared.sh_unshared_seconds /. shared.sh_shared_seconds)
+    shared.sh_shared_hits shared.sh_failures;
   Printf.bprintf buf
     "    \"tcp\": {\"requests\": %d, \"clients\": %d, \"seconds\": %.4f, \
      \"requests_per_second\": %.1f, \"failures\": %d,\n      \
@@ -1562,7 +1552,7 @@ let write_json path ~smoke ~figure1_seconds ~panels ~load ~repeat ~batch ~tcp
    annealed makespans are deterministic, so they must be equal or
    better, with no tolerance.  NOCPLAN_BENCH_GATE=off skips the gate
    (for machines unrelated to the one that recorded the baseline). *)
-let run_gate ~baseline_path ~figure1_seconds ~repeat ~batch ~tcp ~corpus =
+let run_gate ~baseline_path ~figure1_seconds ~repeat ~shared ~tcp ~corpus =
   match Sys.getenv_opt "NOCPLAN_BENCH_GATE" with
   | Some "off" ->
       Fmt.pr "@.gate: skipped (NOCPLAN_BENCH_GATE=off)@.";
@@ -1732,26 +1722,26 @@ let run_gate ~baseline_path ~figure1_seconds ~repeat ~batch ~tcp ~corpus =
               "serve repeat throughput" repeat_req_per_s repeat_req_per_s_floor;
           if repeat.rt_failures > 0 then
             fail "serve repeat: %d failed responses" repeat.rt_failures;
-          (* Batch floors, likewise absolute: distinct compatible
-             traffic must hold >= 2x its unbatched twin on the same
-             worker pool, with the shared evaluation-cache registry
-             actually carrying state across requests. *)
-          let batch_speedup =
-            batch.bt_unbatched_seconds /. batch.bt_batched_seconds
+          (* Shared-cache floors, likewise absolute: distinct
+             compatible traffic must hold >= 2x its unshared twin on
+             the same worker pool, with the shared evaluation-cache
+             registry actually carrying state across requests. *)
+          let shared_speedup =
+            shared.sh_unshared_seconds /. shared.sh_shared_seconds
           in
-          if batch_speedup < batch_speedup_floor then
-            fail "serve batch: batched only %.1fx unbatched (floor %.0fx)"
-              batch_speedup batch_speedup_floor
+          if shared_speedup < shared_speedup_floor then
+            fail "serve shared: only %.1fx unshared (floor %.0fx)"
+              shared_speedup shared_speedup_floor
           else
-            Fmt.pr "gate: %-24s %.1fx unbatched (floor %.0fx) ok@."
-              "serve batch speedup" batch_speedup batch_speedup_floor;
-          if batch.bt_shared_hits = 0 then
-            fail "serve batch: shared evaluation cache never hit"
+            Fmt.pr "gate: %-24s %.1fx unshared (floor %.0fx) ok@."
+              "serve shared speedup" shared_speedup shared_speedup_floor;
+          if shared.sh_shared_hits = 0 then
+            fail "serve shared: shared evaluation cache never hit"
           else
-            Fmt.pr "gate: %-24s %d shared cache hits ok@." "serve batch"
-              batch.bt_shared_hits;
-          if batch.bt_failures > 0 then
-            fail "serve batch: %d failed responses" batch.bt_failures;
+            Fmt.pr "gate: %-24s %d shared cache hits ok@." "serve shared"
+              shared.sh_shared_hits;
+          if shared.sh_failures > 0 then
+            fail "serve shared: %d failed responses" shared.sh_failures;
           if tcp.tcp_failures > 0 then
             fail "serve tcp: %d failed responses under %d-connection stress"
               tcp.tcp_failures tcp.tcp_clients
@@ -1893,9 +1883,9 @@ let () =
     timed "serve:repeat"
       (fun () -> repeat_traffic ~requests:repeat_requests ~clients:32)
   in
-  let batch =
-    timed "serve:batch" (fun () ->
-        batch_traffic
+  let shared =
+    timed "serve:shared" (fun () ->
+        shared_traffic
           ~requests:(if !smoke then 168 else 336)
           ~clients:28)
   in
@@ -1913,11 +1903,11 @@ let () =
     timed "corpus:sweep" (fun () -> corpus_testplan_sweep ~smoke:!smoke)
   in
   write_json !json_path ~smoke:!smoke ~figure1_seconds ~panels ~load ~repeat
-    ~batch ~tcp ~fault_rows ~detour ~corpus;
+    ~shared ~tcp ~fault_rows ~detour ~corpus;
   match !gate_path with
   | None -> ()
   | Some baseline_path ->
       if not
-           (run_gate ~baseline_path ~figure1_seconds ~repeat ~batch ~tcp
+           (run_gate ~baseline_path ~figure1_seconds ~repeat ~shared ~tcp
               ~corpus)
       then exit 1

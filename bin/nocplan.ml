@@ -1057,8 +1057,8 @@ let faults_cmd =
 (* serve                                                              *)
 
 let serve_cmd =
-  let run socket tcp tcp_ro workers queue cache warm no_coalesce no_batch
-      batch_limit shared verbosity trace trace_ring =
+  let run socket tcp tcp_ro workers queue cache warm no_coalesce shared
+      verbosity trace trace_ring =
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level
       (Some
@@ -1089,8 +1089,7 @@ let serve_cmd =
     let make_service () =
       Serve.Service.create ?workers ~queue_capacity:queue
         ~cache_capacity:cache ~warm_capacity:warm
-        ~coalescing:(not no_coalesce) ~batching:(not no_batch) ~batch_limit
-        ~shared_capacity:shared ()
+        ~coalescing:(not no_coalesce) ~shared_capacity:shared ()
     in
     (match (socket, tcp, tcp_ro) with
     | None, None, None ->
@@ -1152,6 +1151,18 @@ let serve_cmd =
     let print ppf (host, port) = Fmt.pf ppf "%s:%d" host port in
     Arg.conv (parse, print)
   in
+  (* Capacities are range-checked here, so a bad value is a usage
+     error naming its flag rather than an exception from
+     [Service.create]. *)
+  let int_at_least lo =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= lo -> Ok n
+      | Some _ -> Error (`Msg (Printf.sprintf "%s is below the minimum %d" s lo))
+      | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
+    in
+    Arg.conv (parse, Fmt.int)
+  in
   let socket_arg =
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
            ~doc:"Listen on a Unix-domain socket at $(docv) instead of \
@@ -1171,21 +1182,21 @@ let serve_cmd =
                    pipeline.")
   in
   let workers_arg =
-    Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N"
+    Arg.(value & opt (some (int_at_least 1)) None & info [ "workers" ] ~docv:"N"
            ~doc:"Worker domains (default: recommended domain count - 1, \
                  at least 1; clamped to the recommended count).")
   in
   let queue_arg =
-    Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 0) 64 & info [ "queue" ] ~docv:"N"
            ~doc:"Job queue capacity; a full queue rejects requests with an \
                  overload error.")
   in
   let cache_arg =
-    Arg.(value & opt int 8 & info [ "cache" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 1) 8 & info [ "cache" ] ~docv:"N"
            ~doc:"Access-table cache capacity (systems retained).")
   in
   let warm_arg =
-    Arg.(value & opt int 32 & info [ "warm" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 0) 32 & info [ "warm" ] ~docv:"N"
            ~doc:"Warm-start cache capacity: best annealing traces retained \
                  across requests, keyed by system and configuration (0 \
                  disables).")
@@ -1195,18 +1206,8 @@ let serve_cmd =
            ~doc:"Give every request its own solve instead of attaching \
                  identical concurrent requests to one in-flight job.")
   in
-  let no_batch_arg =
-    Arg.(value & flag & info [ "no-batch" ]
-           ~doc:"Run every job alone instead of draining distinct but \
-                 compatible queued requests (same system and configuration \
-                 modulo order) onto one worker pass.")
-  in
-  let batch_limit_arg =
-    Arg.(value & opt int 16 & info [ "batch-limit" ] ~docv:"N"
-           ~doc:"Maximum requests grouped onto one batch pass (>= 2).")
-  in
   let shared_arg =
-    Arg.(value & opt int 8 & info [ "shared" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 0) 8 & info [ "shared" ] ~docv:"N"
            ~doc:"Shared evaluation-cache registry capacity: per-(system, \
                  configuration) prefix-trace caches reused across requests \
                  (0 disables).")
@@ -1222,9 +1223,8 @@ let serve_cmd =
   in
   let term =
     Term.(const run $ socket_arg $ tcp_arg $ tcp_ro_arg $ workers_arg
-          $ queue_arg $ cache_arg $ warm_arg $ no_coalesce_arg $ no_batch_arg
-          $ batch_limit_arg $ shared_arg $ verbose_arg $ trace_arg
-          $ trace_ring_arg)
+          $ queue_arg $ cache_arg $ warm_arg $ no_coalesce_arg $ shared_arg
+          $ verbose_arg $ trace_arg $ trace_ring_arg)
   in
   Cmd.v
     (cmd_info "serve"

@@ -43,26 +43,6 @@ let pop t =
       in
       wait ())
 
-let drain_matching ?(limit = max_int) t pred =
-  locked t (fun () ->
-      if limit <= 0 || Queue.is_empty t.items then []
-      else begin
-        let kept = Queue.create () in
-        let taken = ref [] in
-        let n = ref 0 in
-        Queue.iter
-          (fun x ->
-            if !n < limit && pred x then begin
-              incr n;
-              taken := x :: !taken
-            end
-            else Queue.push x kept)
-          t.items;
-        Queue.clear t.items;
-        Queue.transfer kept t.items;
-        List.rev !taken
-      end)
-
 let close t =
   locked t (fun () ->
       t.closed <- true;

@@ -17,17 +17,10 @@ val push : 'a t -> 'a -> bool
     enqueued. *)
 
 val pop : 'a t -> 'a option
-(** Block until an item is available and dequeue it.  After {!close},
+(** Block until an item is available and dequeue the oldest one
+    (FIFO).  After {!close},
     remaining items are still drained in order; [None] means closed
     and empty — the consumer should exit. *)
-
-val drain_matching : ?limit:int -> 'a t -> ('a -> bool) -> 'a list
-(** Atomically remove and return (in queue order) up to [limit]
-    (default unlimited) queued items satisfying the predicate; the
-    relative order of the remaining items is preserved.  The batching
-    layer uses this to pull every queued request compatible with the
-    one a worker just popped onto the same pass.  Items already
-    dequeued or still being admitted are unaffected. *)
 
 val close : 'a t -> unit
 (** Reject all subsequent pushes and wake blocked consumers once the

@@ -368,8 +368,8 @@ let coalesce_key req =
    closing brace.  A [Json.Raw] result — how multi-megabyte sweep and
    plan payloads arrive here — is spliced through untouched instead of
    being copied into a second envelope-sized buffer. *)
-let ok_response ~id ~op ~cache ?(coalesced = false) ?backend ?batch_size
-    ~elapsed_ms result =
+let ok_response ~id ~op ~cache ?(coalesced = false) ?backend ~elapsed_ms
+    result =
   let head_fields =
     [
       ("v", Json.Int version);
@@ -385,10 +385,6 @@ let ok_response ~id ~op ~cache ?(coalesced = false) ?backend ?batch_size
       | Some name -> [ ("backend", Json.String name) ]
       | None -> [])
     @ (if coalesced then [ ("coalesced", Json.Bool true) ] else [])
-    @ (match batch_size with
-      | Some n when n >= 2 ->
-          [ ("batched", Json.Bool true); ("batch_size", Json.Int n) ]
-      | Some _ | None -> [])
     @ [ ("elapsed_ms", Json.Float (Float.round (elapsed_ms *. 1000.) /. 1000.)) ]
   in
   let head = Json.to_string (Json.Obj head_fields) in

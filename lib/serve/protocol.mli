@@ -44,18 +44,16 @@
       "elapsed_ms": 12.5, "result": { ... } }
     v}
 
-    A response served from a shared batch pass additionally carries
-    ["batched": true, "batch_size": n] (the number of requests the
-    pass grouped); a coalesced follower carries ["coalesced": true].
-    These markers describe scheduling, not the verdict — the [result]
-    payload is byte-identical to sequential, unbatched service.
+    A coalesced follower additionally carries ["coalesced": true].
+    The marker describes scheduling, not the verdict — the [result]
+    payload is byte-identical to sequential service.
 
     {b Backends.}  [plan] and [validate] accept a ["backend"] field
     naming a planning backend ([greedy] — the default, [binpack] — the
     rectangle bin-packing formulation, or [race] — every registered
     backend runs concurrently on its own domain and the best valid
     plan wins, never worse than greedy alone).  Every plan/validate
-    response — batched ones included — names the solver that produced
+    response — coalesced ones included — names the solver that produced
     its plan in ["backend"]; per-backend solve counts, win counts and
     total latency appear in the [metrics] snapshot ([backend_solves],
     [backend_wins], [backend_latency_ms]) and as
@@ -182,7 +180,6 @@ val ok_response :
   cache:[ `Hit | `Miss | `None ] ->
   ?coalesced:bool ->
   ?backend:string ->
-  ?batch_size:int ->
   elapsed_ms:float ->
   Json.t ->
   string list
@@ -190,10 +187,9 @@ val ok_response :
     whose concatenation is the line.  A [Json.Raw] result is passed
     through as its own chunk, so a multi-megabyte payload is never
     copied into an envelope-sized buffer; transports write the chunks
-    back-to-back.  [batch_size >= 2] marks the response as served from
-    a shared batch pass of that size; [backend] names the solver whose
-    plan the response carries (set for every plan/validate response,
-    batched and coalesced ones included). *)
+    back-to-back.  [backend] names the solver whose plan the response
+    carries (set for every plan/validate response, coalesced ones
+    included). *)
 
 val error_response : id:Json.t -> error_kind -> string -> string
 val op_label : op -> string

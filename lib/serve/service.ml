@@ -19,7 +19,6 @@ type job = {
   enqueued_at : float;
   deadline : float option;  (* absolute, Unix.gettimeofday clock *)
   coalesce_key : string option;  (* None: this job never coalesces *)
-  batch_key : string option;  (* None: this job never batches *)
 }
 
 type t = {
@@ -28,7 +27,6 @@ type t = {
   warm : Warm_start.t;
   inflight : job Inflight.t;
   coalescing : bool;
-  batch_limit : int;  (* max jobs per batch pass; 1 disables batching *)
   shared : Core.Eval_cache.Shared.registry option;
   stats : Stats.t;
   created_at : float;
@@ -153,9 +151,6 @@ let prometheus_text t =
       Prom.metric ~help:"Anneal searches started cold." Prom.Counter
         ~name:"nocplan_warm_misses_total"
         [ Prom.sample (float_of_int s.Stats.warm_misses) ];
-      Prom.metric ~help:"Requests served through shared batch passes."
-        Prom.Counter ~name:"nocplan_batched_total"
-        [ Prom.sample (float_of_int s.Stats.batched) ];
       Prom.metric
         ~help:"Solves that resumed a resident shared evaluation cache."
         Prom.Counter ~name:"nocplan_shared_cache_hits_total"
@@ -286,8 +281,7 @@ let backend_schedule t ~key ~access system config ~reuse backend =
 (* [execute] answers [Ok (result, cache, backend)]: the payload, the
    access-table cache verdict, and — for plan/validate — the name of
    the planning backend that produced the plan, threaded all the way
-   into the response envelope (batched and coalesced deliveries
-   included). *)
+   into the response envelope (coalesced deliveries included). *)
 let execute t (req : Protocol.request) ~check =
   match req.op with
   | Protocol.Metrics -> Ok (Stats.snapshot_json (snapshot t), `None, None)
@@ -609,7 +603,7 @@ let finish_pending t =
    its [elapsed_ms], its [coalesced] marker), record its outcome and
    answer it.  Called once for the job that ran the solve and once per
    request that coalesced onto it. *)
-let deliver t ~coalesced ?batch_size job verdict =
+let deliver t ~coalesced job verdict =
   let req = job.req in
   let outcome, response =
     match verdict with
@@ -617,7 +611,7 @@ let deliver t ~coalesced ?batch_size job verdict =
         let elapsed_ms = (Unix.gettimeofday () -. job.enqueued_at) *. 1e3 in
         ( Stats.Served,
           Protocol.ok_response ~id:req.id ~op:req.op ~cache ~coalesced
-            ?backend ?batch_size ~elapsed_ms result )
+            ?backend ~elapsed_ms result )
     | `Bad (kind, msg) ->
         let outcome =
           match kind with
@@ -645,7 +639,7 @@ let deliver t ~coalesced ?batch_size job verdict =
          m "dropping response (client gone?): %s" (Printexc.to_string exn)));
   finish_pending t
 
-let run_job t ~worker ?batch_size job =
+let run_job t ~worker job =
   let req = job.req in
   let started_at = Unix.gettimeofday () in
   let check () =
@@ -696,43 +690,15 @@ let run_job t ~worker ?batch_size job =
     | None -> []
     | Some key -> Inflight.release t.inflight ~key
   in
-  deliver t ~coalesced:false ?batch_size job verdict;
+  deliver t ~coalesced:false job verdict;
   List.iter (fun waiter -> deliver t ~coalesced:true waiter verdict) waiters
 
-(* After popping a job, pull every queued request compatible with it
-   (same {!Batch.key}) onto this worker's pass and run them back to
-   back, each answered under its own envelope.  Consecutive execution
-   on one worker keeps the instance's shared state — access table,
-   shared evaluation cache, warm-start entries — checked out once per
-   pass in the common case instead of bouncing between workers. *)
 let worker_loop t worker () =
   let rec loop () =
     match Job_queue.pop t.queue with
     | None -> ()
     | Some job ->
-        (match job.batch_key with
-        | Some key when t.batch_limit > 1 -> (
-            let followers =
-              Job_queue.drain_matching ~limit:(t.batch_limit - 1) t.queue
-                (fun j ->
-                  match j.batch_key with
-                  | Some k -> String.equal k key
-                  | None -> false)
-            in
-            match followers with
-            | [] -> run_job t ~worker job
-            | _ :: _ ->
-                let group = job :: followers in
-                let size = List.length group in
-                Stats.record_batch t.stats ~size;
-                Trace.span "serve.batch"
-                  ~attrs:
-                    [ ("size", Trace.Int size); ("worker", Trace.Int worker) ]
-                  (fun () ->
-                    List.iter
-                      (fun j -> run_job t ~worker ~batch_size:size j)
-                      group))
-        | _ -> run_job t ~worker job);
+        run_job t ~worker job;
         loop ()
   in
   loop ()
@@ -741,13 +707,9 @@ let worker_loop t worker () =
 (* Admission                                                          *)
 
 let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8)
-    ?(warm_capacity = 32) ?(coalescing = true) ?(batching = true)
-    ?(batch_limit = 16) ?(shared_capacity = 8) () =
-  if batch_limit < 2 then
-    invalid_arg "Service.create: batch_limit must be >= 2";
+    ?(warm_capacity = 32) ?(coalescing = true) ?(shared_capacity = 8) () =
   if shared_capacity < 0 then
     invalid_arg "Service.create: shared_capacity must be >= 0";
-  let batch_limit = if batching then batch_limit else 1 in
   let recommended = Domain.recommended_domain_count () in
   let workers =
     match workers with
@@ -765,7 +727,6 @@ let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8)
       warm = Warm_start.create ~capacity:warm_capacity;
       inflight = Inflight.create ();
       coalescing;
-      batch_limit;
       shared =
         (if shared_capacity = 0 then None
          else Some (Core.Eval_cache.Shared.registry ~capacity:shared_capacity ()));
@@ -835,10 +796,7 @@ let handle_line ?(read_only = false) t line respond =
           let coalesce_key =
             if t.coalescing then Protocol.coalesce_key req else None
           in
-          let batch_key = if t.batch_limit > 1 then Batch.key req else None in
-          let job =
-            { req; respond; enqueued_at = now; deadline; coalesce_key; batch_key }
-          in
+          let job = { req; respond; enqueued_at = now; deadline; coalesce_key } in
           Mutex.lock t.pending_mutex;
           t.pending <- t.pending + 1;
           Mutex.unlock t.pending_mutex;

@@ -30,14 +30,6 @@
     its [warm_start] field.  A request with ["warm": false] skips the
     lookup and searches cold (its result is still remembered).
 
-    {b Batching.}  Where coalescing needs identical simultaneous
-    requests, batching amortizes {e distinct but compatible} ones
-    (same system and configuration modulo order — {!Batch.key}): a
-    worker that pops a batchable job drains every compatible queued
-    request onto the same pass and runs them back to back, each
-    executed and answered individually ([batched]/[batch_size]
-    response markers; payloads byte-identical to sequential service).
-
     {b Shared evaluation caches.}  One {!Nocplan_core.Eval_cache} per
     (system, configuration) instance lives in a mutex-guarded,
     LRU-bounded registry ({!Nocplan_core.Eval_cache.Shared}).  A solve
@@ -63,8 +55,6 @@ val create :
   ?cache_capacity:int ->
   ?warm_capacity:int ->
   ?coalescing:bool ->
-  ?batching:bool ->
-  ?batch_limit:int ->
   ?shared_capacity:int ->
   unit ->
   t
@@ -76,13 +66,12 @@ val create :
     hook); [cache_capacity] defaults to 8; [warm_capacity] defaults to
     32 (0 disables cross-request warm starts); [coalescing] defaults
     to [true] (false gives every request its own solve — the
-    uncoalesced baseline the bench compares against); [batching]
-    defaults to [true] ([false] runs every job alone) with at most
-    [batch_limit] (default 16) requests per batch pass;
+    uncoalesced baseline the bench compares against);
     [shared_capacity] (default 8) bounds the shared evaluation-cache
-    registry (0 disables it: every solve builds private state).
-    @raise Invalid_argument on a negative capacity, [workers < 1],
-    [batch_limit < 2] or [shared_capacity < 0]. *)
+    registry (0 disables it: every solve builds private state).  Each
+    worker runs its jobs one at a time, in queue order.
+    @raise Invalid_argument on a negative capacity, [cache_capacity < 1]
+    or [workers < 1]. *)
 
 val handle_line : ?read_only:bool -> t -> string -> (string list -> unit) -> unit
 (** Process one request line.  [respond] is called exactly once with

@@ -12,8 +12,6 @@ type t = {
   backend_solves : (string, int) Hashtbl.t;  (* backend -> solve attempts *)
   backend_wins : (string, int) Hashtbl.t;  (* backend -> plans returned *)
   backend_latency : (string, float) Hashtbl.t;  (* backend -> total ms *)
-  mutable batched : int;  (* requests served through shared batch passes *)
-  mutable batches : int;  (* batch passes of size >= 2 *)
   mutable fault_events : int;  (* fault targets handled by replan ops *)
   mutable fault_replans : int;  (* replan ops that reached recovery *)
   mutable fault_abandoned : int;  (* modules given up across them *)
@@ -35,8 +33,6 @@ let create () =
     backend_solves = Hashtbl.create 7;
     backend_wins = Hashtbl.create 7;
     backend_latency = Hashtbl.create 7;
-    batched = 0;
-    batches = 0;
     fault_events = 0;
     fault_replans = 0;
     fault_abandoned = 0;
@@ -93,11 +89,6 @@ let record_backend t ~backend ~latency_ms =
 let record_backend_win t ~backend =
   locked t (fun () -> bump t.backend_wins backend 1)
 
-let record_batch t ~size =
-  locked t (fun () ->
-      t.batches <- t.batches + 1;
-      t.batched <- t.batched + size)
-
 let record_fault t ~events ~abandoned =
   locked t (fun () ->
       t.fault_events <- t.fault_events + events;
@@ -121,8 +112,6 @@ type snapshot = {
   backend_solves : (string * int) list;
   backend_wins : (string * int) list;
   backend_latency_ms : (string * float) list;
-  batched : int;
-  batches : int;
   fault_events : int;
   fault_replans : int;
   fault_abandoned : int;
@@ -179,8 +168,6 @@ let snapshot t ~cache_hits ~cache_misses ~warm_hits ~warm_misses
         backend_solves = sorted_bindings t.backend_solves;
         backend_wins = sorted_bindings t.backend_wins;
         backend_latency_ms = sorted_bindings t.backend_latency;
-        batched = t.batched;
-        batches = t.batches;
         fault_events = t.fault_events;
         fault_replans = t.fault_replans;
         fault_abandoned = t.fault_abandoned;
@@ -215,8 +202,6 @@ let snapshot_json s =
              (fun (b, ms) ->
                (b, Json.Float (Float.round (ms *. 1000.) /. 1000.)))
              s.backend_latency_ms) );
-      ("batched", Json.Int s.batched);
-      ("batches", Json.Int s.batches);
       ("fault_events", Json.Int s.fault_events);
       ("fault_replans", Json.Int s.fault_replans);
       ("fault_abandoned", Json.Int s.fault_abandoned);

@@ -32,10 +32,6 @@ val record_coalesced : t -> op:string -> unit
 (** Count one request (by op label) that attached to another
     request's in-flight solve instead of getting its own. *)
 
-val record_batch : t -> size:int -> unit
-(** Count one shared batch pass grouping [size >= 2] compatible
-    requests; all [size] members count as batched. *)
-
 val record_backend : t -> backend:string -> latency_ms:float -> unit
 (** Count one planning-backend solve attempt (by backend name) and add
     its wall-clock latency to that backend's running total.  A [race]
@@ -72,8 +68,6 @@ type snapshot = {
       (** per-backend plans returned to clients (race: winners only) *)
   backend_latency_ms : (string * float) list;
       (** per-backend total solve wall-clock, milliseconds *)
-  batched : int;  (** requests served through shared batch passes *)
-  batches : int;  (** batch passes of size >= 2 *)
   fault_events : int;  (** fault targets handled by [replan] requests *)
   fault_replans : int;  (** [replan] requests that reached recovery *)
   fault_abandoned : int;  (** modules abandoned across them *)

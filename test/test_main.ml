@@ -60,7 +60,7 @@ let () =
       ("gantt and report", Test_gantt_report.suite);
       ("planning service", Test_serve.suite);
       ("planning service fuzz", Test_serve_fuzz.suite);
-      ("planning service batching", Test_serve_batch.suite);
+      ("planning service concurrency", Test_serve_concurrent.suite);
       ("planning backends", Test_backend.suite);
       ("planning service backends", Test_serve_backend.suite);
       ("corpus and testplan", Test_corpus.suite);

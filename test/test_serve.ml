@@ -275,6 +275,24 @@ let test_service_overload () =
     (field "rejected" result = Json.Int 1);
   Serve.Service.shutdown service
 
+(* The library bounds behind the serve capacity flags: each
+   out-of-range value is refused before any worker starts. *)
+let test_service_rejects_bad_capacities () =
+  List.iter
+    (fun (name, create) ->
+      match create () with
+      | service ->
+          Serve.Service.shutdown service;
+          Alcotest.failf "%s accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("cache_capacity 0", fun () -> Serve.Service.create ~cache_capacity:0 ());
+      ("workers 0", fun () -> Serve.Service.create ~workers:0 ());
+      ("queue_capacity -1", fun () -> Serve.Service.create ~queue_capacity:(-1) ());
+      ("warm_capacity -1", fun () -> Serve.Service.create ~warm_capacity:(-1) ());
+      ("shared_capacity -1", fun () -> Serve.Service.create ~shared_capacity:(-1) ());
+    ]
+
 let test_service_unschedulable_kind () =
   let service = Serve.Service.create ~workers:1 () in
   let resp =
@@ -615,73 +633,6 @@ let test_socket_coalesced_identical_requests () =
           Alcotest.(check bool) "one table build" true
             (field "cache_misses" result = Json.Int 1)))
 
-(* --- batching -------------------------------------------------------- *)
-
-let test_batch_key_semantics () =
-  let key line = Serve.Batch.key (parse_req line) in
-  let base = {|{"id": 1, "op": "plan", "system": "d695_leon", "reuse": 2}|} in
-  (* Search parameters stay out of the compatibility key: distinct
-     questions about the same (system, configuration) pair share one
-     batch pass. *)
-  List.iter
-    (fun variant ->
-      Alcotest.(check bool) ("compatible: " ^ variant) true
-        (key base <> None && key base = key variant))
-    [
-      {|{"id": 2, "op": "plan", "system": "d695_leon", "reuse": 2}|};
-      {|{"op": "validate", "system": "d695_leon", "reuse": 2}|};
-      {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "seed": 9}|};
-      {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "iterations": 60, "chains": 2}|};
-      {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "warm": false}|};
-      {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "placement_moves": 0.3}|};
-    ];
-  (* Everything that picks a different (system, configuration) key
-     must land in a different group. *)
-  List.iter
-    (fun variant ->
-      Alcotest.(check bool) ("incompatible: " ^ variant) false
-        (key base = key variant))
-    [
-      {|{"op": "plan", "system": "d695_leon", "reuse": 3}|};
-      {|{"op": "plan", "system": "p22810_leon", "reuse": 2}|};
-      {|{"op": "plan", "system": "d695_leon", "reuse": 2, "policy": "lookahead"}|};
-      {|{"op": "plan", "system": "d695_leon", "reuse": 2, "power_pct": 50}|};
-      {|{"op": "plan", "system": "d695_leon", "reuse": 2, "application": "decompress"}|};
-      {|{"op": "plan", "system": "d695", "leons": 2, "reuse": 2}|};
-    ];
-  (* Deadline requests must not be reordered behind a batch, and the
-     stateful / observability ops never batch. *)
-  List.iter
-    (fun line ->
-      Alcotest.(check bool) ("exempt: " ^ line) true (key line = None))
-    [
-      {|{"op": "plan", "system": "d695_leon", "reuse": 2, "deadline_ms": 50}|};
-      {|{"op": "sweep", "system": "d695_leon", "max_reuse": 2}|};
-      {|{"op": "replan", "system": "d695_leon", "at": 100, "failed_links": ["1,0>2,0"]}|};
-      {|{"op": "preempt", "system": "d695_leon", "max_sessions": 2}|};
-      {|{"op": "metrics"}|};
-    ];
-  Alcotest.(check bool) "compatible helper agrees" true
-    (Serve.Batch.compatible (parse_req base)
-       (parse_req {|{"op": "validate", "system": "d695_leon", "reuse": 2}|}));
-  Alcotest.(check bool) "exempt never compatible with itself" false
-    (let m = parse_req {|{"op": "metrics"}|} in
-     Serve.Batch.compatible m m)
-
-let test_job_queue_drain_matching () =
-  let q = Serve.Job_queue.create ~capacity:8 in
-  List.iter (fun i -> ignore (Serve.Job_queue.push q i)) [ 1; 2; 3; 4; 5; 6 ];
-  Alcotest.(check (list int)) "takes matches in order, bounded" [ 2; 4 ]
-    (Serve.Job_queue.drain_matching ~limit:2 q (fun i -> i mod 2 = 0));
-  Alcotest.(check (list int)) "no match, no change" []
-    (Serve.Job_queue.drain_matching q (fun i -> i > 100));
-  (* The survivors keep their relative order. *)
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Serve.Job_queue.pop q);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Serve.Job_queue.pop q);
-  Alcotest.(check (list int)) "drain the rest" [ 5; 6 ]
-    (Serve.Job_queue.drain_matching q (fun _ -> true));
-  Alcotest.(check int) "empty" 0 (Serve.Job_queue.depth q)
-
 (* --- shared evaluation-cache registry -------------------------------- *)
 
 let test_shared_registry_checkout_checkin () =
@@ -789,12 +740,35 @@ let test_annealing_adopts_matching_cache () =
   Alcotest.(check int) "mismatched cache left empty" 0
     (List.length (Core.Eval_cache.traces mismatched))
 
-let test_socket_batched_compatible_requests () =
+(* Distinct compatible plans (seeds differ, so none coalesce) resume
+   one shared evaluation cache: every repeat of the configuration is a
+   cache hit, and the answers stay byte-identical. *)
+let test_service_compatible_requests_share_eval_cache () =
+  let service = Serve.Service.create ~workers:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
+  let plans =
+    List.init 4 (fun i ->
+        parse_response
+          (Serve.Service.request service
+             (Printf.sprintf
+                "{\"op\": \"plan\", \"system\": \"d695_leon\", \"reuse\": 2, \
+                 \"seed\": %d}"
+                i)))
+  in
+  let expected = result_string (List.hd plans) in
+  List.iter
+    (fun r ->
+      Alcotest.(check string) "plans byte-identical" expected (result_string r))
+    plans;
+  Alcotest.(check int) "repeats hit the shared cache" 3
+    (Serve.Service.stats service).Serve.Stats.shared_cache_hits
+
+let test_socket_queued_requests_run_in_order () =
   (* One slow anneal occupies the single worker while four compatible
      plans (distinct seeds, so coalescing cannot merge them) pile up
-     behind it: the next pop drains them as one batch.  Every response
-     stays byte-identical to the sequential answer, and the envelope
-     carries the batch markers. *)
+     behind it.  Each runs alone, in arrival order: the responses come
+     back in request order with plain envelopes, byte-identical, and
+     the repeats still hit the shared evaluation cache. *)
   with_server (fun path ->
       with_client path (fun ic oc ->
           output_string oc
@@ -809,40 +783,34 @@ let test_socket_batched_compatible_requests () =
           done;
           flush oc;
           let responses = List.init 5 (fun _ -> parse_response (input_line ic)) in
+          Alcotest.(check (list int)) "answered in arrival order" [ 0; 1; 2; 3; 4 ]
+            (List.map
+               (fun r ->
+                 match field "id" r with
+                 | Json.Int i -> i
+                 | _ -> Alcotest.fail "id not an int")
+               responses);
           List.iter
             (fun r ->
-              Alcotest.(check bool) "ok" true (field "ok" r = Json.Bool true))
+              Alcotest.(check bool) "ok" true (field "ok" r = Json.Bool true);
+              Alcotest.(check bool) "no batch marker" true
+                (Json.member "batched" r = None))
             responses;
-          let plans =
-            List.filter (fun r -> field "op" r = Json.String "plan") responses
-          in
-          Alcotest.(check int) "four plans answered" 4 (List.length plans);
+          let plans = List.tl responses in
           let expected = result_string (List.hd plans) in
           List.iter
             (fun r ->
               Alcotest.(check string) "plans byte-identical" expected
                 (result_string r))
             plans;
-          let batched =
-            List.filter (fun r -> Json.member "batched" r = Some (Json.Bool true))
-              plans
-          in
-          Alcotest.(check int) "all four share one batch pass" 4
-            (List.length batched);
-          List.iter
-            (fun r ->
-              Alcotest.(check bool) "batch size marker" true
-                (field "batch_size" r = Json.Int 4))
-            batched;
           let metrics = roundtrip ic oc "{\"op\": \"metrics\"}" in
           let result = field "result" metrics in
-          Alcotest.(check bool) "batched counter" true
-            (field "batched" result = Json.Int 4);
-          Alcotest.(check bool) "batches counter" true
-            (field "batches" result = Json.Int 1);
-          (match field "shared_cache_hits" result with
+          Alcotest.(check bool) "no batch counters" true
+            (Json.member "batched" result = None
+            && Json.member "batches" result = None);
+          match field "shared_cache_hits" result with
           | Json.Int n -> Alcotest.(check bool) "shared cache carried" true (n >= 3)
-          | _ -> Alcotest.fail "shared_cache_hits not an int")))
+          | _ -> Alcotest.fail "shared_cache_hits not an int"))
 
 let test_service_warm_false_disables_warm_start () =
   let service = Serve.Service.create ~workers:1 () in
@@ -1120,6 +1088,8 @@ let suite =
       test_service_preempt_and_replan;
     Alcotest.test_case "service overload backpressure" `Quick
       test_service_overload;
+    Alcotest.test_case "service rejects bad capacities" `Quick
+      test_service_rejects_bad_capacities;
     Alcotest.test_case "service reports unschedulable" `Quick
       test_service_unschedulable_kind;
     Alcotest.test_case "service anneal matches direct" `Quick
@@ -1133,9 +1103,6 @@ let suite =
     Alcotest.test_case "coalesce key semantics" `Quick
       test_coalesce_key_semantics;
     Alcotest.test_case "inflight registry" `Quick test_inflight_registry;
-    Alcotest.test_case "batch key semantics" `Quick test_batch_key_semantics;
-    Alcotest.test_case "job queue drain matching" `Quick
-      test_job_queue_drain_matching;
     Alcotest.test_case "shared registry checkout and checkin" `Quick
       test_shared_registry_checkout_checkin;
     Alcotest.test_case "shared registry concurrent checkout merges" `Quick
@@ -1144,8 +1111,10 @@ let suite =
       test_shared_registry_eviction;
     Alcotest.test_case "annealing adopts matching eval cache" `Quick
       test_annealing_adopts_matching_cache;
-    Alcotest.test_case "socket: compatible requests batch to one pass" `Quick
-      test_socket_batched_compatible_requests;
+    Alcotest.test_case "service: compatible requests share the eval cache"
+      `Quick test_service_compatible_requests_share_eval_cache;
+    Alcotest.test_case "socket: queued requests run alone in order" `Quick
+      test_socket_queued_requests_run_in_order;
     Alcotest.test_case "warm:false disables the warm start" `Quick
       test_service_warm_false_disables_warm_start;
     Alcotest.test_case "socket: identical requests coalesce to one solve"

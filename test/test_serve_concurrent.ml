@@ -1,16 +1,16 @@
-(* Property: batching is invisible in the payload.  A burst of
-   generated requests served by a batching service (shared evaluation
-   caches on, concurrent submitters, so grouping actually engages)
-   must produce, request for request, byte-identical verdicts to a
-   sequential one-worker service with batching and sharing disabled —
-   the PR-6 request path.  Only the envelope's scheduling markers
-   (elapsed_ms, cache, batched/batch_size) may differ.
+(* Property: concurrency is invisible in the payload.  A burst of
+   generated requests served concurrently (two workers, shared
+   evaluation caches and coalescing on, one submitter thread per
+   request) must produce, request for request, byte-identical verdicts
+   to a sequential one-worker service with shared caches disabled.
+   Only the envelope's scheduling markers (elapsed_ms, cache,
+   coalesced) may differ.
 
    Anneal requests carry [warm: false]: the warm-start LRU is the one
    deliberately order-sensitive piece of the service, and a concurrent
    burst has no defined arrival order to replay.  Everything else —
    plan, validate, anneal trajectories, unschedulable verdicts — must
-   not care who shared a batch pass with whom. *)
+   not care which worker ran what, or which cache it resumed. *)
 
 module Serve = Nocplan_serve
 module Itc02 = Nocplan_itc02
@@ -36,8 +36,8 @@ let shape_gen =
   let* power_pct = oneofl [ None; Some 100 ] in
   return { op; reuse; policy; seed; iterations; power_pct }
 
-(* One generated SoC shared by the whole burst (batching groups on the
-   system), served inline so the batch never depends on builtins. *)
+(* One generated SoC shared by the whole burst (so the shared caches
+   engage), served inline so the burst never depends on builtins. *)
 let burst_gen =
   let* soc = Generators.soc_gen in
   let* shapes = list_size (int_range 4 8) shape_gen in
@@ -84,17 +84,17 @@ let id_of line =
 let prop (soc_text, shapes) =
   let lines = List.mapi (request_line ~soc_text) shapes in
   let n = List.length lines in
-  (* Sequential reference: one worker, no batching, no shared caches. *)
+  (* Sequential reference: one worker, no shared caches. *)
   let sequential =
     let service =
-      Serve.Service.create ~workers:1 ~batching:false ~shared_capacity:0 ()
+      Serve.Service.create ~workers:1 ~shared_capacity:0 ()
     in
     Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
     List.map (fun line -> Serve.Service.request service line) lines
   in
-  (* Batched burst: every request submitted at once from its own
-     thread, so the queue is deep enough for drain_matching to group. *)
-  let batched =
+  (* Concurrent burst: every request submitted at once from its own
+     thread, so both workers and the shared caches are contended. *)
+  let concurrent =
     let service = Serve.Service.create ~workers:2 ~queue_capacity:(2 * n) () in
     Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
     let responses = Array.make n "" in
@@ -105,18 +105,18 @@ let prop (soc_text, shapes) =
   in
   List.iteri
     (fun i (seq : string) ->
-      let batch = List.nth batched i in
-      if id_of batch <> i then
-        QCheck2.Test.fail_reportf "response %d echoes id %d" i (id_of batch);
-      if verdict seq <> verdict batch then
+      let conc = List.nth concurrent i in
+      if id_of conc <> i then
+        QCheck2.Test.fail_reportf "response %d echoes id %d" i (id_of conc);
+      if verdict seq <> verdict conc then
         QCheck2.Test.fail_reportf
-          "request %d diverged@.sequential: %s@.batched:    %s"
-          i (verdict seq) (verdict batch))
+          "request %d diverged@.sequential: %s@.concurrent: %s"
+          i (verdict seq) (verdict conc))
     sequential;
   true
 
 let suite =
   [
-    Util.qcheck ~count:8 "batched responses match sequential service"
+    Util.qcheck ~count:8 "concurrent responses match sequential service"
       burst_gen prop;
   ]

@@ -11,7 +11,13 @@
 #   2. Every markdown file the README links to must exist.
 #   3. OBSERVABILITY.md must be reachable from README.md (the span
 #      taxonomy is documentation-as-contract for the golden tests).
-#   4. If odoc is installed, `dune build @doc` must succeed; when it
+#   4. The observability contract and the code must agree both ways:
+#      every literal name passed to Trace.span / Trace.instant /
+#      Trace.begin_span under lib/, and every "nocplan_*" metric name
+#      literal under lib/, has a row in an OBSERVABILITY.md table; and
+#      every name in the first column of the span-taxonomy and metric
+#      tables is a string literal somewhere under lib/.
+#   5. If odoc is installed, `dune build @doc` must succeed; when it
 #      is not installed the check is skipped with a notice (the CI
 #      image does not ship odoc).
 #
@@ -95,7 +101,35 @@ grep -q 'OBSERVABILITY\.md' README.md \
 grep -q 'OBSERVABILITY\.md' DESIGN.md \
   || err "DESIGN.md does not reference OBSERVABILITY.md"
 
-# -- 4. odoc (optional) ------------------------------------------------------
+# -- 4. Observability contract: emitted names <-> OBSERVABILITY.md ----------
+
+emitted=$( (grep -rhoE 'Trace\.(span|instant|begin_span) "[a-z_.]+"' lib \
+              --include='*.ml' | sed 's/.* "//; s/"$//'
+            grep -rhoE '"nocplan_[a-z_]+"' lib --include='*.ml' | tr -d '"') \
+          | sort -u)
+[ -n "$emitted" ] || err "could not extract trace/metric names from lib/"
+
+# Table rows of OBSERVABILITY.md, and the backquoted names in the first
+# column of the span-taxonomy ("| name |") and metric ("| metric |")
+# tables.
+table_rows=$(grep -E '^\|' OBSERVABILITY.md || true)
+documented=$(awk '
+    /^\| (name|metric) \|/ { t = 1; next }
+    t && !/^\|/ { t = 0 }
+    t && !/^\|---/ { split($0, c, "|"); print c[2] }' OBSERVABILITY.md \
+  | grep -oE '`[a-z_.]+`' | tr -d '`' | sort -u || true)
+[ -n "$documented" ] || err "could not extract names from OBSERVABILITY.md tables"
+
+for name in $emitted; do
+  printf '%s\n' "$table_rows" | grep -qF -e "\`$name\`" \
+    || err "OBSERVABILITY.md has no row for emitted name $name"
+done
+for name in $documented; do
+  grep -rqF -e "\"$name\"" lib --include='*.ml' \
+    || err "OBSERVABILITY.md documents $name, which nothing under lib/ emits"
+done
+
+# -- 5. odoc (optional) ------------------------------------------------------
 
 if command -v odoc >/dev/null 2>&1; then
   echo "doc-lint: odoc found, building @doc" >&2

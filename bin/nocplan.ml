@@ -1057,7 +1057,7 @@ let faults_cmd =
 (* serve                                                              *)
 
 let serve_cmd =
-  let run socket tcp tcp_ro workers queue cache warm no_coalesce shared
+  let run socket tcp tcp_ro workers queue cache no_coalesce shared
       verbosity trace trace_ring =
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level
@@ -1088,8 +1088,8 @@ let serve_cmd =
     in
     let make_service () =
       Serve.Service.create ?workers ~queue_capacity:queue
-        ~cache_capacity:cache ~warm_capacity:warm
-        ~coalescing:(not no_coalesce) ~shared_capacity:shared ()
+        ~cache_capacity:cache ~coalescing:(not no_coalesce)
+        ~shared_capacity:shared ()
     in
     (match (socket, tcp, tcp_ro) with
     | None, None, None ->
@@ -1195,12 +1195,6 @@ let serve_cmd =
     Arg.(value & opt (int_at_least 1) 8 & info [ "cache" ] ~docv:"N"
            ~doc:"Access-table cache capacity (systems retained).")
   in
-  let warm_arg =
-    Arg.(value & opt (int_at_least 0) 32 & info [ "warm" ] ~docv:"N"
-           ~doc:"Warm-start cache capacity: best annealing traces retained \
-                 across requests, keyed by system and configuration (0 \
-                 disables).")
-  in
   let no_coalesce_arg =
     Arg.(value & flag & info [ "no-coalesce" ]
            ~doc:"Give every request its own solve instead of attaching \
@@ -1209,8 +1203,9 @@ let serve_cmd =
   let shared_arg =
     Arg.(value & opt (int_at_least 0) 8 & info [ "shared" ] ~docv:"N"
            ~doc:"Shared evaluation-cache registry capacity: per-(system, \
-                 configuration) prefix-trace caches reused across requests \
-                 (0 disables).")
+                 configuration) prefix-trace caches reused across requests, \
+                 each keeping its best annealing trace as the next anneal's \
+                 warm start (0 disables both).")
   in
   let verbose_arg =
     Arg.(value & flag_all & info [ "v"; "verbose" ]
@@ -1223,7 +1218,7 @@ let serve_cmd =
   in
   let term =
     Term.(const run $ socket_arg $ tcp_arg $ tcp_ro_arg $ workers_arg
-          $ queue_arg $ cache_arg $ warm_arg $ no_coalesce_arg $ shared_arg
+          $ queue_arg $ cache_arg $ no_coalesce_arg $ shared_arg
           $ verbose_arg $ trace_arg $ trace_ring_arg)
   in
   Cmd.v

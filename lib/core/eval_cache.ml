@@ -18,6 +18,7 @@ type t = {
   workspace : Scheduler.workspace;
   capacity : int;
   mutable traces : Scheduler.trace list;  (* most recently used first *)
+  mutable best : Scheduler.trace option;  (* lowest makespan offered *)
   mutable evaluations : int;
   mutable full_runs : int;
   mutable resumed : int;
@@ -39,6 +40,7 @@ let create ?(capacity = 4) ?access system cfg =
     workspace = Scheduler.workspace ();
     capacity;
     traces = [];
+    best = None;
     evaluations = 0;
     full_runs = 0;
     resumed = 0;
@@ -48,6 +50,7 @@ let create ?(capacity = 4) ?access system cfg =
 let access t = t.access
 let traces t = t.traces
 let system t = t.system
+let best t = t.best
 
 let matches t ~system cfg =
   t.system == system && t.cfg = { cfg with Scheduler.order = None }
@@ -92,8 +95,17 @@ let rebase t trace =
        placement and must not be resumed under the new one. *)
     t.system <- system;
     t.access <- access;
-    t.traces <- [ trace ]
+    t.traces <- [ trace ];
+    t.best <- None
   end
+
+let makespan tr = (Scheduler.trace_schedule tr).Schedule.makespan
+
+let offer t trace =
+  if Scheduler.trace_matches trace ~system:t.system t.cfg then
+    match t.best with
+    | Some b when makespan b <= makespan trace -> ()
+    | Some _ | None -> t.best <- Some trace
 
 let evaluate t order =
   t.evaluations <- t.evaluations + 1;
@@ -191,9 +203,12 @@ module Shared = struct
             (* Another worker checked a cache in under this key while we
                held ours.  Keep the resident (later arrivals see it) and
                merge our traces into it, oldest first so its recency
-               order ends with our most recent work. *)
-            if resident != cache then
-              List.iter (seed_matching resident) (List.rev cache.traces)
+               order ends with our most recent work, and the better of
+               the two best traces. *)
+            if resident != cache then begin
+              List.iter (seed_matching resident) (List.rev cache.traces);
+              Option.iter (offer resident) cache.best
+            end
         | None ->
             let rec take n = function
               | [] -> []

@@ -9,7 +9,11 @@
     key; each evaluation finds the cached trace with the longest
     common order prefix and {!Scheduler.resume}s it, which is
     byte-identical to a from-scratch run at a fraction of the work.
-    An identical order is a pure lookup. *)
+    An identical order is a pure lookup.
+
+    The cache also keeps the best (lowest-makespan) trace {!offer}ed
+    for its key, apart from the recency-bounded traces: a search
+    driver that finds the cache again can start from it. *)
 
 type t
 
@@ -51,9 +55,9 @@ val rebase : t -> Scheduler.trace -> unit
     system this is exactly {!seed}; when it belongs to a different one
     (an accepted placement move, or a tempering exchange importing a
     chain's mutated placement) the retained traces — all evaluated
-    under the old placement — are dropped and the cache restarts from
-    [trace] alone.  Statistics survive; the evaluation arena
-    re-validates itself on the next run.
+    under the old placement — are dropped with the {!best} trace and
+    the cache restarts from [trace] alone.  Statistics survive; the
+    evaluation arena re-validates itself on the next run.
     @raise Invalid_argument if the trace's configuration (ignoring
     order) differs from the cache's. *)
 
@@ -68,6 +72,16 @@ val system : t -> System.t
 (** The system the retained traces belong to.  Starts as the [system]
     given to {!create}; {!rebase} moves it to the adopted trace's
     (possibly placement-mutated) instance. *)
+
+val best : t -> Scheduler.trace option
+(** The lowest-makespan trace {!offer}ed under the current key, if
+    any. *)
+
+val offer : t -> Scheduler.trace -> unit
+(** Keep [trace] as {!best} if it belongs to the cache's key and its
+    makespan is strictly lower than the current best's (or there is
+    none yet).  A trace of another system or configuration is
+    ignored. *)
 
 val matches : t -> system:System.t -> Scheduler.config -> bool
 (** Whether the cache's key is exactly this (physical) system instance
@@ -113,17 +127,18 @@ module Shared : sig
       [cache_capacity] and [access] to {!create}) when the key is
       absent — or present but keyed to a different physical system
       instance or configuration, in which case the stale cache is
-      dropped.  Returns [(cache, hit)]; [hit] is true iff a resident
-      matching cache was reused. *)
+      dropped with its {!best} trace.  Returns [(cache, hit)]; [hit]
+      is true iff a resident matching cache was reused. *)
 
   val checkin : registry -> key:string -> cache -> unit
   (** Return a checked-out (or freshly built) cache to the registry.
       If another cache was checked in under [key] in the meantime, the
       resident one is kept and the returned cache's traces are merged
-      into it (mismatching traces — e.g. after a placement-move
-      {!rebase} — are silently skipped).  Callers should not check in
-      a cache whose {!system} no longer is the instance other requests
-      resolve to. *)
+      into it, its {!best} trace {!offer}ed to the resident's
+      (mismatching traces — e.g. after a placement-move {!rebase} — are
+      silently skipped).  Callers should not check in a cache whose
+      {!system} no longer is the instance other requests resolve
+      to. *)
 
   val hits : registry -> int
   (** Checkouts served by a resident matching cache. *)

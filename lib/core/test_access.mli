@@ -98,9 +98,10 @@ val memory_feasible :
     The cost model is time-invariant: for a fixed system and test
     application, the feasibility and cost of every (module, source,
     sink) triple never change while scheduling.  A {!table} evaluates
-    all of them once — including the per-module wrapper design, the
-    expensive part — and the schedulers then answer every query with
-    an array lookup.  One table serves every scheduler run on the same
+    all of them once — the per-module wrapper design (a minor share of
+    a build) and the dense module × endpoint-pair cell loop (the bulk
+    of it) — and the schedulers then answer every query with an array
+    lookup.  One table serves every scheduler run on the same
     system (all reuse counts, all power limits, all test orders), which
     is where reuse sweeps, annealing and branch-and-bound spend their
     time.

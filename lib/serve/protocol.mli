@@ -138,8 +138,9 @@ type request = {
           tiles instead of two order positions (default 0: order-only) *)
   warm : bool option;
       (** [Anneal] warm-start opt-out: [Some false] searches cold,
-          ignoring the server's cross-request warm-start LRU (the
-          result is still noted for later requests).  Default: warm. *)
+          ignoring the best trace the server keeps for the instance
+          (the result is still offered for later requests).  Default:
+          warm. *)
   max_sessions : int option;
       (** [Preempt] per-core session bound, [>= 1] (default 3) *)
   at : int option;  (** [Replan] fault event instant (default 0) *)

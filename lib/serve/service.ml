@@ -24,7 +24,6 @@ type job = {
 type t = {
   queue : job Job_queue.t;
   cache : Table_cache.t;
-  warm : Warm_start.t;
   inflight : job Inflight.t;
   coalescing : bool;
   shared : Core.Eval_cache.Shared.registry option;
@@ -52,9 +51,7 @@ let snapshot t =
     | Some r -> (Core.Eval_cache.Shared.hits r, Core.Eval_cache.Shared.misses r)
   in
   Stats.snapshot t.stats ~cache_hits:(Table_cache.hits t.cache)
-    ~cache_misses:(Table_cache.misses t.cache)
-    ~warm_hits:(Warm_start.hits t.warm)
-    ~warm_misses:(Warm_start.misses t.warm) ~shared_cache_hits
+    ~cache_misses:(Table_cache.misses t.cache) ~shared_cache_hits
     ~shared_cache_misses
     ~queue_depth:(Job_queue.depth t.queue)
     ~queue_capacity:(Job_queue.capacity t.queue)
@@ -145,7 +142,7 @@ let prometheus_text t =
         (List.map
            (fun (b, ms) -> Prom.sample ~labels:[ ("backend", b) ] ms)
            s.Stats.backend_latency_ms);
-      Prom.metric ~help:"Anneal searches seeded from the warm-start cache."
+      Prom.metric ~help:"Anneal searches that adopted a warm trace."
         Prom.Counter ~name:"nocplan_warm_hits_total"
         [ Prom.sample (float_of_int s.Stats.warm_hits) ];
       Prom.metric ~help:"Anneal searches started cold." Prom.Counter
@@ -181,7 +178,7 @@ let prometheus_text t =
     ]
 
 (* The per-instance key covers exactly what cross-request solver state
-   (warm-start traces, shared evaluation caches) depends on: the
+   (shared evaluation caches and their warm-start traces) depends on: the
    physical system (via the table-cache key — a cache hit hands back
    the one shared instance) and the configuration fields
    [Scheduler.trace_matches] compares.  Search-shape parameters
@@ -388,40 +385,46 @@ let execute t (req : Protocol.request) ~check =
               let placement_moves =
                 Option.value req.placement_moves ~default:0.0
               in
-              let warm_key =
+              let key =
                 instance_key system ~application ~policy
                   ~power_pct:req.power_pct ~reuse
-              in
-              (* "warm": false searches cold on request — the server's
-                 warm-start LRU is skipped (the result is still noted
-                 below, so later warm requests benefit). *)
-              let warm_start =
-                if Option.value req.warm ~default:true then
-                  Warm_start.find t.warm ~key:warm_key
-                else None
               in
               let config =
                 Core.Scheduler.config ~policy ~application ~power_limit ~reuse
                   ()
               in
+              let warm = Option.value req.warm ~default:true in
               let r =
                 (* Chain 0 borrows the shared cache for the search:
                    prefix traces left by earlier requests on this
                    instance serve its evaluations, and this search's
                    traces stay behind for the next one.  Results are
-                   unaffected (cached evaluation is byte-identical). *)
-                with_shared_cache t ~key:warm_key ~access system config
+                   unaffected (cached evaluation is byte-identical).
+                   The cache's best trace is the warm start, skipped
+                   on "warm": false; the result is offered back either
+                   way.  A placement-mutated winner is ignored by
+                   [offer] or dropped with its rebased cache: no later
+                   request holds that system physically. *)
+                with_shared_cache t ~key ~access system config
                   (fun eval_cache ->
-                    Core.Annealing.schedule ~policy ~application ~power_limit
-                      ~iterations ~seed ~chains ~placement_moves ~access
-                      ?warm_start ?eval_cache ~reuse system)
+                    let warm_start =
+                      if warm then Option.bind eval_cache Core.Eval_cache.best
+                      else None
+                    in
+                    let r =
+                      Core.Annealing.schedule ~policy ~application
+                        ~power_limit ~iterations ~seed ~chains
+                        ~placement_moves ~access ?warm_start ?eval_cache
+                        ~reuse system
+                    in
+                    Option.iter
+                      (fun c ->
+                        Core.Eval_cache.offer c r.Core.Annealing.best_trace)
+                      eval_cache;
+                    r)
               in
-              (* A placement-mutated winner belongs to a system no
-                 later request will hold physically — only traces of
-                 the cached instance are worth remembering. *)
-              if r.Core.Annealing.system == system then
-                Warm_start.note t.warm ~key:warm_key
-                  r.Core.Annealing.best_trace;
+              if warm then
+                Stats.record_warm t.stats ~hit:r.Core.Annealing.warm_started;
               Ok
                 ( Json.Obj
                     [
@@ -707,7 +710,7 @@ let worker_loop t worker () =
 (* Admission                                                          *)
 
 let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8)
-    ?(warm_capacity = 32) ?(coalescing = true) ?(shared_capacity = 8) () =
+    ?(coalescing = true) ?(shared_capacity = 8) () =
   if shared_capacity < 0 then
     invalid_arg "Service.create: shared_capacity must be >= 0";
   let recommended = Domain.recommended_domain_count () in
@@ -724,7 +727,6 @@ let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8)
     {
       queue = Job_queue.create ~capacity:queue_capacity;
       cache = Table_cache.create ~capacity:cache_capacity;
-      warm = Warm_start.create ~capacity:warm_capacity;
       inflight = Inflight.create ();
       coalescing;
       shared =

@@ -23,13 +23,6 @@
     with the shared verdict under their own envelope, marked
     [coalesced].  Requests carrying a deadline are exempt.
 
-    {b Warm starts.}  Each completed anneal's best trace is remembered
-    per (system, configuration) key ({!Warm_start}); the next anneal of
-    the same instance resumes from it instead of the cold heuristic
-    order, and can only improve on it.  The response says which with
-    its [warm_start] field.  A request with ["warm": false] skips the
-    lookup and searches cold (its result is still remembered).
-
     {b Shared evaluation caches.}  One {!Nocplan_core.Eval_cache} per
     (system, configuration) instance lives in a mutex-guarded,
     LRU-bounded registry ({!Nocplan_core.Eval_cache.Shared}).  A solve
@@ -38,6 +31,18 @@
     skip the engine run, and annealing chains from different requests
     resume each other's prefix traces.  Byte-identity of cached
     evaluation makes this invisible in the responses.
+
+    {b Warm starts.}  Each completed anneal offers its best trace to
+    the instance's shared cache, which keeps the lowest-makespan one
+    ({!Nocplan_core.Eval_cache.best}); the next anneal of the same
+    instance resumes from it instead of the cold heuristic order, and
+    can only improve on it.  The response says which with its
+    [warm_start] field, and [warm_hits] counts only searches that
+    adopted a trace.  The trace lives and dies with its cache: an
+    evicted entry, a cache dropped after a placement move, a rebuilt
+    system instance, a disabled registry ([shared_capacity = 0]) or
+    another request holding the cache all mean a cold start.  A request with ["warm": false] skips the
+    lookup and searches cold (its result is still offered).
 
     {b Observability.}  Every response is counted ({!Stats});
     [metrics] requests are answered inline (never queued, so they
@@ -53,7 +58,6 @@ val create :
   ?workers:int ->
   ?queue_capacity:int ->
   ?cache_capacity:int ->
-  ?warm_capacity:int ->
   ?coalescing:bool ->
   ?shared_capacity:int ->
   unit ->
@@ -63,12 +67,12 @@ val create :
     left to the callers feeding the queue) and is clamped to
     [Domain.recommended_domain_count ()]; [queue_capacity] defaults to
     64 (0 is allowed and rejects everything — the backpressure test
-    hook); [cache_capacity] defaults to 8; [warm_capacity] defaults to
-    32 (0 disables cross-request warm starts); [coalescing] defaults
-    to [true] (false gives every request its own solve — the
-    uncoalesced baseline the bench compares against);
-    [shared_capacity] (default 8) bounds the shared evaluation-cache
-    registry (0 disables it: every solve builds private state).  Each
+    hook); [cache_capacity] defaults to 8; [coalescing] defaults to
+    [true] (false gives every request its own solve — the uncoalesced
+    baseline the bench compares against); [shared_capacity] (default
+    8) bounds the shared evaluation-cache registry and so the warm
+    traces kept with it (0 disables it: every solve builds private
+    state and every anneal starts cold).  Each
     worker runs its jobs one at a time, in queue order.
     @raise Invalid_argument on a negative capacity, [cache_capacity < 1]
     or [workers < 1]. *)

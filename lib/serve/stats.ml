@@ -15,6 +15,8 @@ type t = {
   mutable fault_events : int;  (* fault targets handled by replan ops *)
   mutable fault_replans : int;  (* replan ops that reached recovery *)
   mutable fault_abandoned : int;  (* modules given up across them *)
+  mutable warm_hits : int;  (* anneals that adopted a warm trace *)
+  mutable warm_misses : int;  (* warm-enabled anneals that started cold *)
   latencies : float array;  (* circular buffer of recent served latencies *)
   mutable filled : int;  (* entries in use, <= reservoir_size *)
   mutable next : int;  (* next write position *)
@@ -36,6 +38,8 @@ let create () =
     fault_events = 0;
     fault_replans = 0;
     fault_abandoned = 0;
+    warm_hits = 0;
+    warm_misses = 0;
     latencies = Array.make reservoir_size 0.0;
     filled = 0;
     next = 0;
@@ -95,6 +99,11 @@ let record_fault t ~events ~abandoned =
       t.fault_replans <- t.fault_replans + 1;
       t.fault_abandoned <- t.fault_abandoned + abandoned)
 
+let record_warm t ~hit =
+  locked t (fun () ->
+      if hit then t.warm_hits <- t.warm_hits + 1
+      else t.warm_misses <- t.warm_misses + 1)
+
 type quantiles = {
   count : int;
   p50_ms : float;
@@ -142,8 +151,7 @@ let quantiles_of sorted =
     max_ms = sorted.(n - 1);
   }
 
-let snapshot t ~cache_hits ~cache_misses ~warm_hits ~warm_misses
-    ~shared_cache_hits ~shared_cache_misses ~queue_depth ~queue_capacity
+let snapshot t ~cache_hits ~cache_misses ~shared_cache_hits ~shared_cache_misses ~queue_depth ~queue_capacity
     ~workers =
   locked t (fun () ->
       let latency =
@@ -173,8 +181,8 @@ let snapshot t ~cache_hits ~cache_misses ~warm_hits ~warm_misses
         fault_abandoned = t.fault_abandoned;
         cache_hits;
         cache_misses;
-        warm_hits;
-        warm_misses;
+        warm_hits = t.warm_hits;
+        warm_misses = t.warm_misses;
         shared_cache_hits;
         shared_cache_misses;
         queue_depth;

@@ -46,6 +46,11 @@ val record_fault : t -> events:int -> abandoned:int -> unit
     fault targets were injected and [abandoned] modules were left
     without a test path. *)
 
+val record_warm : t -> hit:bool -> unit
+(** Count one [anneal] that looked for a warm start: [hit] iff the
+    search adopted a warm trace.  Requests with ["warm": false] do not
+    look and are not counted. *)
+
 type quantiles = {
   count : int;  (** observations currently in the reservoir *)
   p50_ms : float;
@@ -73,8 +78,8 @@ type snapshot = {
   fault_abandoned : int;  (** modules abandoned across them *)
   cache_hits : int;
   cache_misses : int;
-  warm_hits : int;  (** anneal runs seeded from the warm-start cache *)
-  warm_misses : int;
+  warm_hits : int;  (** anneal searches that adopted a warm trace *)
+  warm_misses : int;  (** anneal searches that looked and started cold *)
   shared_cache_hits : int;
       (** solves that resumed a resident shared evaluation cache *)
   shared_cache_misses : int;  (** solves that built a fresh one *)
@@ -88,8 +93,6 @@ val snapshot :
   t ->
   cache_hits:int ->
   cache_misses:int ->
-  warm_hits:int ->
-  warm_misses:int ->
   shared_cache_hits:int ->
   shared_cache_misses:int ->
   queue_depth:int ->

@@ -1,8 +1,9 @@
 (** Shared LRU cache of precomputed {!Nocplan_core.Test_access.table}s.
 
-    Building an access table — per-module wrapper design against every
-    endpoint pair — dominates the cost of a single plan request, and
-    the table is immutable once built.  The service therefore caches
+    Building an access table — a cost cell for every module against
+    every endpoint pair, plus each module's wrapper design — costs
+    about as much as the scheduler run a plan request makes, and the
+    table is immutable once built.  The service therefore caches
     tables across requests, keyed by {!Nocplan_core.System.fingerprint}
     plus the test application.
 
@@ -41,9 +42,9 @@ val key :
   string
 (** The cache key for a system/application pair — the system
     fingerprint plus an application tag.  Exposed so sibling caches
-    (the service's warm-start cache) key their entries consistently
-    with this one: two requests that share a table entry share the
-    prefix of their warm-start key too. *)
+    (the service's shared evaluation-cache registry) key their entries
+    consistently with this one: two requests that share a table entry
+    share the prefix of their registry key too. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -289,7 +289,6 @@ let test_service_rejects_bad_capacities () =
       ("cache_capacity 0", fun () -> Serve.Service.create ~cache_capacity:0 ());
       ("workers 0", fun () -> Serve.Service.create ~workers:0 ());
       ("queue_capacity -1", fun () -> Serve.Service.create ~queue_capacity:(-1) ());
-      ("warm_capacity -1", fun () -> Serve.Service.create ~warm_capacity:(-1) ());
       ("shared_capacity -1", fun () -> Serve.Service.create ~shared_capacity:(-1) ());
     ]
 
@@ -828,7 +827,7 @@ let test_service_warm_false_disables_warm_start () =
     result_string resp
   in
   let cold = anneal "" in
-  (* The repeat opts out of the warm LRU: same cold trajectory, and no
+  (* The repeat opts out of the warm start: same cold trajectory, and no
      warm hit is counted. *)
   Alcotest.(check string) "warm:false repeats the cold run" cold
     (anneal ", \"warm\": false");
@@ -881,32 +880,97 @@ let test_service_warm_start_across_requests () =
   Alcotest.(check bool) "two warm misses" true
     (field "warm_misses" result = Json.Int 2)
 
-let test_warm_start_lru_monotone () =
-  let sys = Util.small_system () in
-  let trace_of_order order =
-    Core.Scheduler.run_traced sys
-      (Core.Scheduler.config ~reuse:1 ?order ())
+(* A warm hit is a warm start that happened.  With one table-cache
+   slot, the p22810 request evicts d695, so the last d695 anneal runs
+   against a rebuilt system: the trace kept for the old instance must
+   not be handed out, nor counted as a hit. *)
+let test_service_warm_hits_count_adopted_traces () =
+  let service = Serve.Service.create ~workers:1 ~cache_capacity:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
+  let anneal system =
+    let resp =
+      parse_response
+        (Serve.Service.request service
+           (Printf.sprintf
+              "{\"op\": \"anneal\", \"system\": \"%s\", \"leons\": 2, \
+               \"reuse\": 2, \"iterations\": 30}"
+              system))
+    in
+    field "warm_start" (field "result" resp) = Json.Bool true
   in
-  let best = trace_of_order None in
-  let lru = Serve.Warm_start.create ~capacity:2 in
-  Alcotest.(check bool) "miss on empty" true
-    (Serve.Warm_start.find lru ~key:"k" = None);
-  Serve.Warm_start.note lru ~key:"k" best;
-  (match Serve.Warm_start.find lru ~key:"k" with
-  | Some t ->
-      Alcotest.(check int) "stored trace" (* same schedule *)
-        (Core.Scheduler.trace_schedule best).Core.Schedule.makespan
-        (Core.Scheduler.trace_schedule t).Core.Schedule.makespan
-  | None -> Alcotest.fail "note then find missed");
-  Alcotest.(check int) "hits" 1 (Serve.Warm_start.hits lru);
-  Alcotest.(check int) "misses" 1 (Serve.Warm_start.misses lru);
-  (* Capacity 0 disables the cache entirely. *)
-  let off = Serve.Warm_start.create ~capacity:0 in
-  Serve.Warm_start.note off ~key:"k" best;
-  Alcotest.(check bool) "disabled cache never stores" true
-    (Serve.Warm_start.find off ~key:"k" = None);
-  Alcotest.(check int) "disabled cache stays empty" 0
-    (Serve.Warm_start.length off)
+  let warm = List.map anneal [ "d695"; "d695"; "p22810"; "d695" ] in
+  Alcotest.(check (list bool)) "only the immediate repeat is warm"
+    [ false; true; false; false ] warm;
+  let metrics =
+    field "result"
+      (parse_response (Serve.Service.request service "{\"op\": \"metrics\"}"))
+  in
+  let adopted = List.length (List.filter Fun.id warm) in
+  Alcotest.(check bool) "warm_hits counts adopted traces" true
+    (field "warm_hits" metrics = Json.Int adopted);
+  Alcotest.(check bool) "every other lookup is a miss" true
+    (field "warm_misses" metrics = Json.Int (List.length warm - adopted))
+
+(* The warm trace lives with the instance's shared cache: the best
+   offered trace wins, whether offered to one cache in turn or merged
+   from two concurrent check-ins, and a rebuilt system instance gets no
+   warm trace at all. *)
+let test_shared_registry_keeps_best_trace () =
+  let module Shared = Core.Eval_cache.Shared in
+  let system = d695 () in
+  let cfg = Core.Scheduler.config ~reuse:2 () in
+  let trace order =
+    Core.Scheduler.run_traced system
+      { cfg with Core.Scheduler.order = Some order }
+  in
+  let makespan tr =
+    (Core.Scheduler.trace_schedule tr).Core.Schedule.makespan
+  in
+  let heuristic = Core.Priority.order system ~reuse:2 in
+  let good, bad =
+    let a = trace heuristic and b = trace (List.rev heuristic) in
+    if makespan a < makespan b then (a, b) else (b, a)
+  in
+  Alcotest.(check bool) "fixture: distinct makespans" true
+    (makespan good < makespan bad);
+  let best = Core.Eval_cache.best in
+  let r = Shared.registry ~capacity:2 () in
+  let cache, _ = Shared.checkout r ~key:"k" system cfg in
+  Alcotest.(check bool) "fresh cache has no warm trace" true
+    (Option.is_none (best cache));
+  Core.Eval_cache.offer cache good;
+  Core.Eval_cache.offer cache bad;
+  Alcotest.(check bool) "worse offer never replaces a better one" true
+    (Option.get (best cache) == good);
+  Shared.checkin r ~key:"k" cache;
+  let back, hit = Shared.checkout r ~key:"k" system cfg in
+  Alcotest.(check bool) "best trace survives the round trip" true
+    (hit && Option.get (best back) == good);
+  Shared.checkin r ~key:"k" back;
+  (* Two concurrent holders of a new key: the second check-in merges,
+     and the resident keeps the better trace either way round. *)
+  let concurrent key ~first ~second =
+    let a, _ = Shared.checkout r ~key system cfg in
+    let b, _ = Shared.checkout r ~key system cfg in
+    Core.Eval_cache.offer a first;
+    Core.Eval_cache.offer b second;
+    Shared.checkin r ~key a;
+    Shared.checkin r ~key b;
+    let c, hit = Shared.checkout r ~key system cfg in
+    Alcotest.(check bool) "resident back" true (hit && c == a);
+    Alcotest.(check bool) "concurrent check-in keeps the better trace" true
+      (Option.get (best c) == good);
+    Shared.checkin r ~key c
+  in
+  concurrent "bad-first" ~first:bad ~second:good;
+  concurrent "good-first" ~first:good ~second:bad;
+  (* Same key string, rebuilt system instance: the resident is stale,
+     so the checkout misses and offers no warm trace. *)
+  let rebuilt = (List.assoc "d695_leon" Core.Experiments.builders) () in
+  let stale, hit = Shared.checkout r ~key:"good-first" rebuilt cfg in
+  Alcotest.(check bool) "stale instance misses" false hit;
+  Alcotest.(check bool) "stale instance gives no warm trace" true
+    (Option.is_none (best stale))
 
 (* --- TCP and read-only listeners ------------------------------------ *)
 
@@ -1121,8 +1185,10 @@ let suite =
       `Quick test_socket_coalesced_identical_requests;
     Alcotest.test_case "warm start carries across requests" `Quick
       test_service_warm_start_across_requests;
-    Alcotest.test_case "warm start lru monotone and bounded" `Quick
-      test_warm_start_lru_monotone;
+    Alcotest.test_case "warm hits count adopted traces" `Quick
+      test_service_warm_hits_count_adopted_traces;
+    Alcotest.test_case "shared registry keeps the best trace" `Quick
+      test_shared_registry_keeps_best_trace;
     Alcotest.test_case "tcp and read-only listeners" `Quick
       test_tcp_and_read_only_listener;
     Alcotest.test_case "tcp: responses not held by nagle" `Quick

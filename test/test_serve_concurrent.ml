@@ -6,7 +6,7 @@
    Only the envelope's scheduling markers (elapsed_ms, cache,
    coalesced) may differ.
 
-   Anneal requests carry [warm: false]: the warm-start LRU is the one
+   Anneal requests carry [warm: false]: warm starts are the one
    deliberately order-sensitive piece of the service, and a concurrent
    burst has no defined arrival order to replay.  Everything else —
    plan, validate, anneal trajectories, unschedulable verdicts — must

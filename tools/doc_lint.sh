@@ -6,8 +6,10 @@
 #      subcommand of the built binary.
 #   1b. The CLI flag surface and the README must agree both ways:
 #      every option flag declared by any subcommand's --help is
-#      documented in README.md, and every --flag used in a fenced
-#      nocplan example is a real flag (--help/--version exempt).
+#      documented in README.md, every --flag used in a fenced
+#      nocplan example is a real flag (--help/--version exempt), and
+#      every --flag in a subcommand's row of the README flag table
+#      (| `cmd` | … |) is declared by that subcommand's --help.
 #   2. Every markdown file the README links to must exist.
 #   3. OBSERVABILITY.md must be reachable from README.md (the span
 #      taxonomy is documentation-as-contract for the golden tests).
@@ -58,15 +60,19 @@ done
 
 # -- 1b. CLI flags: --help and the README must agree ------------------------
 
-# Union of declared option flags across every subcommand's help page.
-# Declaration lines are exactly 7-space indented ("       --flag=VAL" or
+# Option flags a subcommand's help page declares.  Declaration lines
+# are exactly 7-space indented ("       --flag=VAL" or
 # "       -x VAL, --flag=VAL"); deeper-indented description prose is
 # excluded so a doc string mentioning another flag cannot declare it.
-cli_flags=$(for cmd in $subcommands; do
-    "$BIN" "$cmd" --help=plain 2>/dev/null \
-      | grep -E '^       -' \
-      | grep -oE -e '--[a-z][a-z0-9-]*'
-  done | sort -u | grep -vE '^--(help|version)$' || true)
+help_flags() {
+  "$BIN" "$1" --help=plain 2>/dev/null \
+    | grep -E '^       -' \
+    | grep -oE -e '--[a-z][a-z0-9-]*' || true
+}
+
+# Union of declared option flags across every subcommand's help page.
+cli_flags=$(for cmd in $subcommands; do help_flags "$cmd"; done \
+  | sort -u | grep -vE '^--(help|version)$' || true)
 [ -n "$cli_flags" ] || err "could not extract option flags from $BIN help pages"
 
 # Forward: every real flag is documented somewhere in the README.  The
@@ -85,6 +91,19 @@ for f in $readme_flags; do
   esac
   printf '%s\n' "$cli_flags" | grep -qx -e "$f" \
     || err "README.md fenced example uses unknown CLI flag $f"
+done
+
+# Table: every --flag in a subcommand's flag-table row is that
+# subcommand's own, so a removed flag cannot linger in the table.
+for cmd in $subcommands; do
+  row_flags=$(grep -E "^\| \`$cmd\` \|" README.md \
+    | grep -oE -e '--[a-z][a-z0-9-]*' | sort -u || true)
+  [ -n "$row_flags" ] || continue
+  declared=$(help_flags "$cmd")
+  for f in $row_flags; do
+    printf '%s\n' "$declared" | grep -qx -e "$f" \
+      || err "README.md flag table lists $f for $cmd, which 'nocplan $cmd --help' does not declare"
+  done
 done
 
 # -- 2. Local markdown links from the README --------------------------------

@@ -45,6 +45,18 @@ let plan_fail msg =
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsing                                            *)
 
+(* Counts and capacities are range-checked by the parser, so a bad
+   value is a usage error naming its flag rather than an uncaught
+   [Invalid_argument] from the library it is passed to. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is below the minimum %d" s lo))
+    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let load_system ~spec ~width ~height ~leons ~plasmas =
   (* A spec naming neither a builtin system nor a corpus benchmark may
      be a description file; its text goes through the same inline path
@@ -381,11 +393,11 @@ let anneal_cmd =
            ~doc:"Deterministic search seed.")
   in
   let chains_arg =
-    Arg.(value & opt int 1 & info [ "chains" ] ~docv:"K"
+    Arg.(value & opt (int_at_least 1) 1 & info [ "chains" ] ~docv:"K"
            ~doc:"Parallel tempering chains (1 = the sequential annealer).")
   in
   let exchange_arg =
-    Arg.(value & opt int 50 & info [ "exchange" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 1) 50 & info [ "exchange" ] ~docv:"N"
            ~doc:"Iterations between best-exchanges across chains.")
   in
   let placement_arg =
@@ -428,7 +440,7 @@ let replay_cmd =
             0)
   in
   let max_patterns_arg =
-    Arg.(value & opt int 20 & info [ "max-patterns" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 1) 20 & info [ "max-patterns" ] ~docv:"N"
            ~doc:"Cap pattern counts before replay (flit-level cost).")
   in
   let term =
@@ -1057,8 +1069,7 @@ let faults_cmd =
 (* serve                                                              *)
 
 let serve_cmd =
-  let run socket tcp tcp_ro workers queue cache no_coalesce shared
-      verbosity trace trace_ring =
+  let run socket tcp tcp_ro workers queue cache verbosity trace trace_ring =
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level
       (Some
@@ -1088,8 +1099,7 @@ let serve_cmd =
     in
     let make_service () =
       Serve.Service.create ?workers ~queue_capacity:queue
-        ~cache_capacity:cache ~coalescing:(not no_coalesce)
-        ~shared_capacity:shared ()
+        ~cache_capacity:cache ()
     in
     (match (socket, tcp, tcp_ro) with
     | None, None, None ->
@@ -1151,18 +1161,6 @@ let serve_cmd =
     let print ppf (host, port) = Fmt.pf ppf "%s:%d" host port in
     Arg.conv (parse, print)
   in
-  (* Capacities are range-checked here, so a bad value is a usage
-     error naming its flag rather than an exception from
-     [Service.create]. *)
-  let int_at_least lo =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= lo -> Ok n
-      | Some _ -> Error (`Msg (Printf.sprintf "%s is below the minimum %d" s lo))
-      | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
-    in
-    Arg.conv (parse, Fmt.int)
-  in
   let socket_arg =
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
            ~doc:"Listen on a Unix-domain socket at $(docv) instead of \
@@ -1193,33 +1191,21 @@ let serve_cmd =
   in
   let cache_arg =
     Arg.(value & opt (int_at_least 1) 8 & info [ "cache" ] ~docv:"N"
-           ~doc:"Access-table cache capacity (systems retained).")
-  in
-  let no_coalesce_arg =
-    Arg.(value & flag & info [ "no-coalesce" ]
-           ~doc:"Give every request its own solve instead of attaching \
-                 identical concurrent requests to one in-flight job.")
-  in
-  let shared_arg =
-    Arg.(value & opt (int_at_least 0) 8 & info [ "shared" ] ~docv:"N"
-           ~doc:"Shared evaluation-cache registry capacity: per-(system, \
-                 configuration) prefix-trace caches reused across requests, \
-                 each keeping its best annealing trace as the next anneal's \
-                 warm start (0 disables both).")
+           ~doc:"Access-table cache capacity (systems retained, each with \
+                 the evaluation caches of up to 8 configurations).")
   in
   let verbose_arg =
     Arg.(value & flag_all & info [ "v"; "verbose" ]
            ~doc:"Log requests to stderr (repeat for debug logging).")
   in
   let trace_ring_arg =
-    Arg.(value & opt int 4096 & info [ "trace-ring" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 1) 4096 & info [ "trace-ring" ] ~docv:"N"
            ~doc:"Trace ring capacity: events buffered in memory between \
                  flushes to the --trace file.")
   in
   let term =
     Term.(const run $ socket_arg $ tcp_arg $ tcp_ro_arg $ workers_arg
-          $ queue_arg $ cache_arg $ no_coalesce_arg $ shared_arg
-          $ verbose_arg $ trace_arg $ trace_ring_arg)
+          $ queue_arg $ cache_arg $ verbose_arg $ trace_arg $ trace_ring_arg)
   in
   Cmd.v
     (cmd_info "serve"

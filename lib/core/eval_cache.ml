@@ -153,71 +153,16 @@ let evaluate t order =
 
 let schedule t order = Scheduler.trace_schedule (evaluate t order)
 
-let seed_matching t trace =
-  if Scheduler.trace_matches trace ~system:t.system t.cfg then remember t trace
-
-module Shared = struct
-  type cache = t
-
-  type entry = { key : string; cache : cache }
-
-  type registry = {
-    capacity : int;
-    mutex : Mutex.t;
-    mutable entries : entry list;  (* most recently used first *)
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let registry ?(capacity = 8) () =
-    if capacity < 1 then
-      invalid_arg "Eval_cache.Shared.registry: capacity must be >= 1";
-    { capacity; mutex = Mutex.create (); entries = []; hits = 0; misses = 0 }
-
-  let locked r f =
-    Mutex.lock r.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock r.mutex) f
-
-  let checkout r ~key ?cache_capacity ?access system cfg =
-    locked r (fun () ->
-        let resident, rest =
-          List.partition (fun e -> String.equal e.key key) r.entries
-        in
-        r.entries <- rest;
-        match resident with
-        | { cache; _ } :: _ when matches cache ~system cfg ->
-            r.hits <- r.hits + 1;
-            (cache, true)
-        | _ ->
-            (* Either absent or keyed to a stale system instance (the
-               table cache rebuilt the system after an eviction): the
-               retained traces must not be resumed against the new
-               instance, so start fresh. *)
-            r.misses <- r.misses + 1;
-            (create ?capacity:cache_capacity ?access system cfg, false))
-
-  let checkin r ~key cache =
-    locked r (fun () ->
-        match List.find_opt (fun e -> String.equal e.key key) r.entries with
-        | Some { cache = resident; _ } ->
-            (* Another worker checked a cache in under this key while we
-               held ours.  Keep the resident (later arrivals see it) and
-               merge our traces into it, oldest first so its recency
-               order ends with our most recent work, and the better of
-               the two best traces. *)
-            if resident != cache then begin
-              List.iter (seed_matching resident) (List.rev cache.traces);
-              Option.iter (offer resident) cache.best
-            end
-        | None ->
-            let rec take n = function
-              | [] -> []
-              | _ when n = 0 -> []
-              | e :: rest -> e :: take (n - 1) rest
-            in
-            r.entries <- { key; cache } :: take (r.capacity - 1) r.entries)
-
-  let hits r = locked r (fun () -> r.hits)
-  let misses r = locked r (fun () -> r.misses)
-  let length r = locked r (fun () -> List.length r.entries)
-end
+(* Traces of another key are skipped: a cache rebased by a placement
+   move shares nothing resumable with [into]. *)
+let merge ~into t =
+  if into != t then begin
+    (* Oldest first, so [into]'s recency order ends with [t]'s most
+       recent work. *)
+    List.iter
+      (fun tr ->
+        if Scheduler.trace_matches tr ~system:into.system into.cfg then
+          remember into tr)
+      (List.rev t.traces);
+    Option.iter (offer into) t.best
+  end

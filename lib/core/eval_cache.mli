@@ -97,55 +97,12 @@ type snapshot = {
 
 val stats : t -> snapshot
 
-(** Cross-request sharing of caches.
-
-    A cache itself is single-threaded by contract (its workspace arena
-    is exclusive), so concurrent users cannot evaluate through one
-    simultaneously.  The registry makes sharing safe by handing out
-    {e exclusive ownership}: {!Shared.checkout} removes the cache for a
-    key from the registry (building a fresh one on a miss), the caller
-    evaluates through it alone, and {!Shared.checkin} returns it for
-    the next request on the same key.  Two simultaneous requests on one
-    key simply each get a cache — the later check-in merges its traces
-    into the resident one — so the registry never blocks for the
-    duration of a solve, only for list surgery. *)
-module Shared : sig
-  type cache := t
-  type registry
-
-  val registry : ?capacity:int -> unit -> registry
-  (** An empty registry holding at most [capacity] (default 8) caches,
-      evicted least recently used.
-      @raise Invalid_argument if [capacity < 1]. *)
-
-  val checkout :
-    registry -> key:string -> ?cache_capacity:int ->
-    ?access:Test_access.table -> System.t -> Scheduler.config ->
-    cache * bool
-  (** [checkout r ~key system cfg] takes exclusive ownership of the
-      cache registered under [key], or creates a fresh one (forwarding
-      [cache_capacity] and [access] to {!create}) when the key is
-      absent — or present but keyed to a different physical system
-      instance or configuration, in which case the stale cache is
-      dropped with its {!best} trace.  Returns [(cache, hit)]; [hit]
-      is true iff a resident matching cache was reused. *)
-
-  val checkin : registry -> key:string -> cache -> unit
-  (** Return a checked-out (or freshly built) cache to the registry.
-      If another cache was checked in under [key] in the meantime, the
-      resident one is kept and the returned cache's traces are merged
-      into it, its {!best} trace {!offer}ed to the resident's
-      (mismatching traces — e.g. after a placement-move {!rebase} — are
-      silently skipped).  Callers should not check in a cache whose
-      {!system} no longer is the instance other requests resolve
-      to. *)
-
-  val hits : registry -> int
-  (** Checkouts served by a resident matching cache. *)
-
-  val misses : registry -> int
-  (** Checkouts that had to build a fresh cache. *)
-
-  val length : registry -> int
-  (** Currently resident caches. *)
-end
+val merge : into:t -> t -> unit
+(** [merge ~into t] folds [t]'s retained traces into [into] (oldest
+    first, so [into]'s most recent entries end up being [t]'s) and
+    {!offer}s [t]'s {!best} trace to it.  Traces of another system or
+    configuration — e.g. after a placement-move {!rebase} — are
+    skipped.  Merging a cache into itself does nothing.  A cache
+    evaluates on one thread at a time, so two concurrent searches of
+    one configuration each hold their own cache; merging is how the
+    second one's work joins the first's. *)

@@ -25,8 +25,6 @@ type t = {
   queue : job Job_queue.t;
   cache : Table_cache.t;
   inflight : job Inflight.t;
-  coalescing : bool;
-  shared : Core.Eval_cache.Shared.registry option;
   stats : Stats.t;
   created_at : float;
   (* Per-worker utilization, indexed by worker; written lock-free from
@@ -45,14 +43,10 @@ type t = {
 (* Request execution                                                  *)
 
 let snapshot t =
-  let shared_cache_hits, shared_cache_misses =
-    match t.shared with
-    | None -> (0, 0)
-    | Some r -> (Core.Eval_cache.Shared.hits r, Core.Eval_cache.Shared.misses r)
-  in
   Stats.snapshot t.stats ~cache_hits:(Table_cache.hits t.cache)
-    ~cache_misses:(Table_cache.misses t.cache) ~shared_cache_hits
-    ~shared_cache_misses
+    ~cache_misses:(Table_cache.misses t.cache)
+    ~shared_cache_hits:(Table_cache.eval_hits t.cache)
+    ~shared_cache_misses:(Table_cache.eval_misses t.cache)
     ~queue_depth:(Job_queue.depth t.queue)
     ~queue_capacity:(Job_queue.capacity t.queue)
     ~workers:(List.length t.workers)
@@ -149,9 +143,12 @@ let prometheus_text t =
         ~name:"nocplan_warm_misses_total"
         [ Prom.sample (float_of_int s.Stats.warm_misses) ];
       Prom.metric
-        ~help:"Solves that resumed a resident shared evaluation cache."
+        ~help:"Solves that resumed a resident evaluation cache."
         Prom.Counter ~name:"nocplan_shared_cache_hits_total"
         [ Prom.sample (float_of_int s.Stats.shared_cache_hits) ];
+      Prom.metric ~help:"Solves that started a fresh evaluation cache."
+        Prom.Counter ~name:"nocplan_shared_cache_misses_total"
+        [ Prom.sample (float_of_int s.Stats.shared_cache_misses) ];
       Prom.metric ~help:"Jobs waiting in the admission queue." Prom.Gauge
         ~name:"nocplan_queue_depth"
         [ Prom.sample (float_of_int s.Stats.queue_depth) ];
@@ -177,65 +174,42 @@ let prometheus_text t =
            response)." Prom.Summary ~name:"nocplan_request_latency_ms" latency;
     ]
 
-(* The per-instance key covers exactly what cross-request solver state
-   (shared evaluation caches and their warm-start traces) depends on: the
-   physical system (via the table-cache key — a cache hit hands back
-   the one shared instance) and the configuration fields
-   [Scheduler.trace_matches] compares.  Search-shape parameters
-   (iterations, seed, chains) are deliberately absent: any search of
-   the same instance can resume from any other's work. *)
-let instance_key system ~application ~policy ~power_pct ~reuse =
-  Printf.sprintf "%s|%s|%s|%d"
-    (Table_cache.key system ~application)
-    (match policy with
-    | Core.Scheduler.Greedy -> "greedy"
-    | Core.Scheduler.Lookahead -> "lookahead")
-    (match power_pct with
-    | None -> "-"
-    | Some pct -> Printf.sprintf "%h" pct)
-    reuse
-
-(* Run one solve with exclusive ownership of the shared evaluation
-   cache registered under [key] (a fresh one on a miss), returning the
-   cache to the registry afterwards — also on Unschedulable/Expired,
-   which leave the cache valid.  A cache rebased onto a
-   placement-mutated system (an accepted anneal placement move) is
-   dropped instead: no later request resolves to that instance. *)
-let with_shared_cache t ~key ~access system config f =
-  match t.shared with
-  | None -> f None
-  | Some registry ->
-      let cache, hit =
-        Core.Eval_cache.Shared.checkout registry ~key ~access system config
-      in
-      if hit && Trace.enabled () then Trace.instant "cache.shared_hit";
-      Fun.protect
-        ~finally:(fun () ->
-          if Core.Eval_cache.system cache == system then
-            Core.Eval_cache.Shared.checkin registry ~key cache)
-        (fun () -> f (Some cache))
+(* Run one solve with exclusive ownership of the table entry's
+   evaluation cache for [config] (a fresh one on a miss), returning it
+   to the entry afterwards — also on Unschedulable/Expired, which leave
+   the cache valid.  Search-shape parameters (iterations, seed, chains)
+   are not part of the configuration: any search of the same instance
+   can resume from any other's work. *)
+let with_eval_cache t entry config f =
+  let cache, hit = Table_cache.checkout t.cache entry config in
+  if hit && Trace.enabled () then Trace.instant "cache.shared_hit";
+  Fun.protect
+    ~finally:(fun () -> Table_cache.checkin entry config cache)
+    (fun () -> f cache)
 
 (* One engine run on the configured (heuristic) order, through the
-   shared cache when the registry is on.  [Eval_cache.evaluate] is
-   byte-identical to [Scheduler.run] — with no explicit order the
-   scheduler visits [Priority.order] — so repeats of a configuration
-   across requests become exact cache hits that skip the run
-   entirely, at no observable difference in the response. *)
-let heuristic_schedule t ~key ~access system config ~reuse =
-  with_shared_cache t ~key ~access system config (function
-    | None -> Core.Scheduler.run ~access system config
-    | Some cache ->
-        let order = Array.of_list (Core.Priority.order system ~reuse) in
-        Core.Eval_cache.schedule cache order)
+   entry's evaluation cache.  [Eval_cache.evaluate] is byte-identical
+   to [Scheduler.run] — with no explicit order the scheduler visits
+   [Priority.order] — so repeats of a configuration across requests
+   become exact cache hits that skip the run entirely, at no
+   observable difference in the response. *)
+let heuristic_schedule t entry config ~reuse =
+  with_eval_cache t entry config (fun cache ->
+      let order =
+        Array.of_list (Core.Priority.order (Table_cache.system entry) ~reuse)
+      in
+      Core.Eval_cache.schedule cache order)
 
 (* Dispatch one plan/validate solve to the requested backend and name
    the solver that produced the plan.  The default (greedy) path keeps
-   going through the shared evaluation cache — exact repeats skip the
+   going through the evaluation cache — exact repeats skip the
    engine — while "binpack" solves directly and "race" runs every
    registered backend on its own domain and keeps the best valid plan.
    Every attempt is recorded per backend (a race records one per
    racer); the win counter tracks whose plan clients actually get. *)
-let backend_schedule t ~key ~access system config ~reuse backend =
+let backend_schedule t entry config ~reuse backend =
+  let system = Table_cache.system entry
+  and access = Table_cache.table entry in
   let timed name f =
     let t0 = Unix.gettimeofday () in
     let sched = f () in
@@ -247,7 +221,7 @@ let backend_schedule t ~key ~access system config ~reuse backend =
   | None | Some "greedy" ->
       let sched =
         timed "greedy" (fun () ->
-            heuristic_schedule t ~key ~access system config ~reuse)
+            heuristic_schedule t entry config ~reuse)
       in
       Stats.record_backend_win t.stats ~backend:"greedy";
       (sched, "greedy")
@@ -295,11 +269,13 @@ let execute t (req : Protocol.request) ~check =
       | Error msg -> Error (Protocol.Parse, msg)
       | Ok system -> (
           check ();
-          let system, access, hit =
+          let entry, hit =
             Trace.span "serve.table" (fun () ->
                 Table_cache.find_or_build t.cache system
                   ~application:req.application)
           in
+          let system = Table_cache.system entry
+          and access = Table_cache.table entry in
           let cache = if hit then `Hit else `Miss in
           if Trace.enabled () then
             Trace.instant "serve.cache"
@@ -323,13 +299,8 @@ let execute t (req : Protocol.request) ~check =
                 Core.Scheduler.config ~policy ~application ~power_limit ~reuse
                   ()
               in
-              let key =
-                instance_key system ~application ~policy
-                  ~power_pct:req.power_pct ~reuse
-              in
               let sched, backend =
-                backend_schedule t ~key ~access system config ~reuse
-                  req.backend
+                backend_schedule t entry config ~reuse req.backend
               in
               (* Export documents end in a newline; the protocol is
                  one line per response, so splice them trimmed. *)
@@ -343,13 +314,8 @@ let execute t (req : Protocol.request) ~check =
                 Core.Scheduler.config ~policy ~application ~power_limit ~reuse
                   ()
               in
-              let key =
-                instance_key system ~application ~policy
-                  ~power_pct:req.power_pct ~reuse
-              in
               let sched, backend =
-                backend_schedule t ~key ~access system config ~reuse
-                  req.backend
+                backend_schedule t entry config ~reuse req.backend
               in
               check ();
               let valid, violations =
@@ -385,42 +351,35 @@ let execute t (req : Protocol.request) ~check =
               let placement_moves =
                 Option.value req.placement_moves ~default:0.0
               in
-              let key =
-                instance_key system ~application ~policy
-                  ~power_pct:req.power_pct ~reuse
-              in
               let config =
                 Core.Scheduler.config ~policy ~application ~power_limit ~reuse
                   ()
               in
               let warm = Option.value req.warm ~default:true in
               let r =
-                (* Chain 0 borrows the shared cache for the search:
-                   prefix traces left by earlier requests on this
-                   instance serve its evaluations, and this search's
-                   traces stay behind for the next one.  Results are
-                   unaffected (cached evaluation is byte-identical).
-                   The cache's best trace is the warm start, skipped
-                   on "warm": false; the result is offered back either
-                   way.  A placement-mutated winner is ignored by
-                   [offer] or dropped with its rebased cache: no later
-                   request holds that system physically. *)
-                with_shared_cache t ~key ~access system config
-                  (fun eval_cache ->
+                (* Chain 0 borrows the evaluation cache for the
+                   search: prefix traces left by earlier requests on
+                   this instance serve its evaluations, and this
+                   search's traces stay behind for the next one.
+                   Results are unaffected (cached evaluation is
+                   byte-identical).  The cache's best trace is the warm
+                   start, skipped on "warm": false; the result is
+                   offered back either way.  A placement-mutated winner
+                   is ignored by [offer] or dropped with its rebased
+                   cache: no later request holds that system
+                   physically. *)
+                with_eval_cache t entry config (fun eval_cache ->
                     let warm_start =
-                      if warm then Option.bind eval_cache Core.Eval_cache.best
-                      else None
+                      if warm then Core.Eval_cache.best eval_cache else None
                     in
                     let r =
                       Core.Annealing.schedule ~policy ~application
                         ~power_limit ~iterations ~seed ~chains
-                        ~placement_moves ~access ?warm_start ?eval_cache
+                        ~placement_moves ~access ?warm_start ~eval_cache
                         ~reuse system
                     in
-                    Option.iter
-                      (fun c ->
-                        Core.Eval_cache.offer c r.Core.Annealing.best_trace)
-                      eval_cache;
+                    Core.Eval_cache.offer eval_cache
+                      r.Core.Annealing.best_trace;
                     r)
               in
               if warm then
@@ -709,10 +668,7 @@ let worker_loop t worker () =
 (* ------------------------------------------------------------------ *)
 (* Admission                                                          *)
 
-let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8)
-    ?(coalescing = true) ?(shared_capacity = 8) () =
-  if shared_capacity < 0 then
-    invalid_arg "Service.create: shared_capacity must be >= 0";
+let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8) () =
   let recommended = Domain.recommended_domain_count () in
   let workers =
     match workers with
@@ -728,10 +684,6 @@ let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8)
       queue = Job_queue.create ~capacity:queue_capacity;
       cache = Table_cache.create ~capacity:cache_capacity;
       inflight = Inflight.create ();
-      coalescing;
-      shared =
-        (if shared_capacity = 0 then None
-         else Some (Core.Eval_cache.Shared.registry ~capacity:shared_capacity ()));
       stats = Stats.create ();
       created_at = Unix.gettimeofday ();
       worker_busy_us = Array.init workers (fun _ -> Atomic.make 0);
@@ -795,9 +747,7 @@ let handle_line ?(read_only = false) t line respond =
           let deadline =
             Option.map (fun ms -> now +. (ms /. 1e3)) req.Protocol.deadline_ms
           in
-          let coalesce_key =
-            if t.coalescing then Protocol.coalesce_key req else None
-          in
+          let coalesce_key = Protocol.coalesce_key req in
           let job = { req; respond; enqueued_at = now; deadline; coalesce_key } in
           Mutex.lock t.pending_mutex;
           t.pending <- t.pending + 1;

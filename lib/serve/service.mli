@@ -23,26 +23,27 @@
     with the shared verdict under their own envelope, marked
     [coalesced].  Requests carrying a deadline are exempt.
 
-    {b Shared evaluation caches.}  One {!Nocplan_core.Eval_cache} per
-    (system, configuration) instance lives in a mutex-guarded,
-    LRU-bounded registry ({!Nocplan_core.Eval_cache.Shared}).  A solve
-    checks the instance's cache out (exclusive ownership for its
-    duration), so plan/validate repeats become exact trace hits that
-    skip the engine run, and annealing chains from different requests
-    resume each other's prefix traces.  Byte-identity of cached
-    evaluation makes this invisible in the responses.
+    {b Evaluation caches.}  One {!Nocplan_core.Eval_cache} per
+    configuration (policy, power limit, reuse) lives in the system's
+    {!Table_cache} entry, next to the access table it evaluates
+    against.  A solve checks the configuration's cache out (exclusive
+    ownership for its duration), so plan/validate repeats become exact
+    trace hits that skip the engine run, and annealing chains from
+    different requests resume each other's prefix traces.
+    Byte-identity of cached evaluation makes this invisible in the
+    responses.
 
     {b Warm starts.}  Each completed anneal offers its best trace to
-    the instance's shared cache, which keeps the lowest-makespan one
-    ({!Nocplan_core.Eval_cache.best}); the next anneal of the same
-    instance resumes from it instead of the cold heuristic order, and
-    can only improve on it.  The response says which with its
-    [warm_start] field, and [warm_hits] counts only searches that
-    adopted a trace.  The trace lives and dies with its cache: an
-    evicted entry, a cache dropped after a placement move, a rebuilt
-    system instance, a disabled registry ([shared_capacity = 0]) or
-    another request holding the cache all mean a cold start.  A request with ["warm": false] skips the
-    lookup and searches cold (its result is still offered).
+    the configuration's evaluation cache, which keeps the
+    lowest-makespan one ({!Nocplan_core.Eval_cache.best}); the next
+    anneal of the same configuration resumes from it instead of the
+    cold heuristic order, and can only improve on it.  The response
+    says which with its [warm_start] field, and [warm_hits] counts only
+    searches that adopted a trace.  The trace lives and dies with its
+    cache: a cache evicted from its entry, a cache dropped after a
+    placement move, an evicted system, or another request holding the
+    cache all mean a cold start.  A request with ["warm": false] skips
+    the lookup and searches cold (its result is still offered).
 
     {b Observability.}  Every response is counted ({!Stats});
     [metrics] requests are answered inline (never queued, so they
@@ -58,8 +59,6 @@ val create :
   ?workers:int ->
   ?queue_capacity:int ->
   ?cache_capacity:int ->
-  ?coalescing:bool ->
-  ?shared_capacity:int ->
   unit ->
   t
 (** Start the worker pool.  [workers] defaults to
@@ -67,15 +66,12 @@ val create :
     left to the callers feeding the queue) and is clamped to
     [Domain.recommended_domain_count ()]; [queue_capacity] defaults to
     64 (0 is allowed and rejects everything — the backpressure test
-    hook); [cache_capacity] defaults to 8; [coalescing] defaults to
-    [true] (false gives every request its own solve — the uncoalesced
-    baseline the bench compares against); [shared_capacity] (default
-    8) bounds the shared evaluation-cache registry and so the warm
-    traces kept with it (0 disables it: every solve builds private
-    state and every anneal starts cold).  Each
-    worker runs its jobs one at a time, in queue order.
-    @raise Invalid_argument on a negative capacity, [cache_capacity < 1]
-    or [workers < 1]. *)
+    hook); [cache_capacity] (default 8) bounds the systems kept in the
+    {!Table_cache}, each with up to
+    {!Table_cache.evals_per_entry} evaluation caches.  Each worker
+    runs its jobs one at a time, in queue order.
+    @raise Invalid_argument on a negative [queue_capacity],
+    [cache_capacity < 1] or [workers < 1]. *)
 
 val handle_line : ?read_only:bool -> t -> string -> (string list -> unit) -> unit
 (** Process one request line.  [respond] is called exactly once with

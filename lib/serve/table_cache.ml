@@ -1,10 +1,16 @@
 module Core = Nocplan_core
 module Proc = Nocplan_proc
 
+let evals_per_entry = 8
+
 type entry = {
   key : string;
   system : Core.System.t;
   table : Core.Test_access.table;
+  (* Guards [evals] only: a check-out never waits behind another
+     system's table build, which holds the cache-wide mutex. *)
+  lock : Mutex.t;
+  mutable evals : Core.Eval_cache.t list;  (* most recently used first *)
 }
 
 type t = {
@@ -13,44 +19,92 @@ type t = {
   mutable entries : entry list;  (* most recently used first *)
   mutable hits : int;
   mutable misses : int;
+  eval_hits : int Atomic.t;
+  eval_misses : int Atomic.t;
 }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Table_cache.create: capacity must be >= 1";
-  { capacity; mutex = Mutex.create (); entries = []; hits = 0; misses = 0 }
+  {
+    capacity;
+    mutex = Mutex.create ();
+    entries = [];
+    hits = 0;
+    misses = 0;
+    eval_hits = Atomic.make 0;
+    eval_misses = Atomic.make 0;
+  }
 
 let app_tag = function
   | Proc.Processor.Bist -> "bist"
   | Proc.Processor.Decompression -> "decompress"
 
-let key system ~application =
-  Core.System.fingerprint system ^ "/" ^ app_tag application
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked mutex f =
+  Mutex.lock mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
 let find_or_build t system ~application =
-  let key = key system ~application in
-  locked t (fun () ->
+  let key = Core.System.fingerprint system ^ "/" ^ app_tag application in
+  locked t.mutex (fun () ->
       match List.find_opt (fun e -> e.key = key) t.entries with
       | Some e ->
           t.hits <- t.hits + 1;
           (* Move to front. *)
           t.entries <- e :: List.filter (fun x -> x.key <> key) t.entries;
-          (e.system, e.table, true)
+          (e, true)
       | None ->
           t.misses <- t.misses + 1;
           let table = Core.Test_access.table ~application system in
-          let e = { key; system; table } in
+          let e = { key; system; table; lock = Mutex.create (); evals = [] } in
           let kept =
             if List.length t.entries >= t.capacity then
               List.filteri (fun i _ -> i < t.capacity - 1) t.entries
             else t.entries
           in
           t.entries <- e :: kept;
-          (system, table, false))
+          (e, false))
 
-let hits t = locked t (fun () -> t.hits)
-let misses t = locked t (fun () -> t.misses)
-let length t = locked t (fun () -> List.length t.entries)
+let system e = e.system
+let table e = e.table
+
+let checkout t e cfg =
+  let resident =
+    locked e.lock (fun () ->
+        match
+          List.partition
+            (fun c -> Core.Eval_cache.matches c ~system:e.system cfg)
+            e.evals
+        with
+        | c :: _, rest ->
+            e.evals <- rest;
+            Some c
+        | [], _ -> None)
+  in
+  match resident with
+  | Some c ->
+      Atomic.incr t.eval_hits;
+      (c, true)
+  | None ->
+      Atomic.incr t.eval_misses;
+      (Core.Eval_cache.create ~access:e.table e.system cfg, false)
+
+let checkin e cfg cache =
+  (* A cache rebased onto a placement-mutated system is dropped: no
+     later request resolves to that instance. *)
+  if Core.Eval_cache.system cache == e.system then
+    locked e.lock (fun () ->
+        match
+          List.find_opt
+            (fun c -> Core.Eval_cache.matches c ~system:e.system cfg)
+            e.evals
+        with
+        | Some resident -> Core.Eval_cache.merge ~into:resident cache
+        | None ->
+            e.evals <-
+              cache :: List.filteri (fun i _ -> i < evals_per_entry - 1) e.evals)
+
+let hits t = locked t.mutex (fun () -> t.hits)
+let misses t = locked t.mutex (fun () -> t.misses)
+let length t = locked t.mutex (fun () -> List.length t.entries)
+let eval_hits t = Atomic.get t.eval_hits
+let eval_misses t = Atomic.get t.eval_misses

@@ -1,4 +1,5 @@
-(** Shared LRU cache of precomputed {!Nocplan_core.Test_access.table}s.
+(** Shared LRU cache of precomputed {!Nocplan_core.Test_access.table}s
+    and the evaluation caches planned against them.
 
     Building an access table — a cost cell for every module against
     every endpoint pair, plus each module's wrapper design — costs
@@ -16,10 +17,22 @@
     of the system's structure only, so the swap is unobservable (a
     test pins cached and uncached responses byte-identical).
 
-    All operations are serialized by an internal mutex; the cache is
-    shared by every worker domain. *)
+    {b Evaluation caches.}  Each entry also owns the
+    {!Nocplan_core.Eval_cache}s of its configurations (policy, power
+    limit and reuse), at most {!evals_per_entry} of them, evicted least
+    recently used.  They depend on the entry's system instance and
+    table, so they live and die with the entry: evicting a system drops
+    its evaluation caches, and a rebuilt system starts with none.
+
+    Entry lookups are serialized by a cache-wide mutex; evaluation-cache
+    check-outs by a per-entry one, so they never wait behind another
+    system's table build.  The cache is shared by every worker
+    domain. *)
 
 type t
+
+type entry
+(** One cached system with its access table and evaluation caches. *)
 
 val create : capacity:int -> t
 (** Keep at most [capacity] tables, evicting the least recently used.
@@ -29,23 +42,45 @@ val find_or_build :
   t ->
   Nocplan_core.System.t ->
   application:Nocplan_proc.Processor.application ->
-  Nocplan_core.System.t * Nocplan_core.Test_access.table * bool
-(** [(system, table, hit)]: on a hit, the cached system (structurally
-    equal to the argument) and its table; on a miss, the argument
-    itself with a freshly built (and now cached) table.  The build
-    happens while holding the cache lock, so concurrent requests for
-    the same system build the table exactly once. *)
+  entry * bool
+(** [(entry, hit)]: on a hit, the cached entry, whose {!system} is
+    structurally equal to the argument; on a miss, a fresh (and now
+    cached) entry holding the argument itself and a newly built table.
+    The build happens while holding the cache lock, so concurrent
+    requests for the same system build the table exactly once. *)
 
-val key :
-  Nocplan_core.System.t ->
-  application:Nocplan_proc.Processor.application ->
-  string
-(** The cache key for a system/application pair — the system
-    fingerprint plus an application tag.  Exposed so sibling caches
-    (the service's shared evaluation-cache registry) key their entries
-    consistently with this one: two requests that share a table entry
-    share the prefix of their registry key too. *)
+val system : entry -> Nocplan_core.System.t
+(** The system instance to plan against. *)
+
+val table : entry -> Nocplan_core.Test_access.table
+(** The access table built for {!system}. *)
+
+val evals_per_entry : int
+(** Evaluation caches one entry keeps (8). *)
+
+val checkout :
+  t -> entry -> Nocplan_core.Scheduler.config -> Nocplan_core.Eval_cache.t * bool
+(** [checkout t entry cfg] takes exclusive ownership of the entry's
+    evaluation cache for [cfg] (the [order] field is ignored), or
+    creates a fresh one over the entry's system and table when none is
+    resident.  Returns [(cache, hit)]; [hit] is true iff a resident
+    cache was reused.  Two simultaneous check-outs of one configuration
+    each get a cache; see {!checkin}. *)
+
+val checkin :
+  entry -> Nocplan_core.Scheduler.config -> Nocplan_core.Eval_cache.t -> unit
+(** Return a cache checked out for [cfg] to its entry, as the most
+    recently used.  If another cache for [cfg] was checked in
+    meanwhile, that resident is kept and the returned one merged into
+    it ({!Nocplan_core.Eval_cache.merge}).  A cache that a placement
+    move rebased onto another system is dropped. *)
 
 val hits : t -> int
 val misses : t -> int
 val length : t -> int
+
+val eval_hits : t -> int
+(** Check-outs served by a resident evaluation cache. *)
+
+val eval_misses : t -> int
+(** Check-outs that created a fresh evaluation cache. *)

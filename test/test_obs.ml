@@ -340,7 +340,13 @@ let test_serve_prometheus_monotonic () =
             match float_of_string_opt v with
             | Some _ -> ()
             | None -> Alcotest.failf "bad sample value in %S" line))
-    (String.split_on_char '\n' body)
+    (String.split_on_char '\n' body);
+  (* Both sides of the evaluation-cache reuse ratio are scraped; the
+     first plan of a configuration is a miss. *)
+  List.iter
+    (fun sample ->
+      Alcotest.(check bool) (sample ^ " exported") true (contains body sample))
+    [ "nocplan_shared_cache_hits_total "; "nocplan_shared_cache_misses_total 1" ]
 
 (* Inline observability requests feed the same latency reservoir as
    queued work: the very first scrape seeds the quantiles, and each

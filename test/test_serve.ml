@@ -64,18 +64,21 @@ let test_fingerprint_stability () =
 let test_cache_hit_returns_cached_instance () =
   let cache = Serve.Table_cache.create ~capacity:2 in
   let first = Util.small_system () in
-  let sys1, tbl1, hit1 =
-    Serve.Table_cache.find_or_build cache first ~application:Proc.Processor.Bist
+  let lookup sys =
+    let e, hit =
+      Serve.Table_cache.find_or_build cache sys
+        ~application:Proc.Processor.Bist
+    in
+    (Serve.Table_cache.system e, Serve.Table_cache.table e, hit)
   in
+  let sys1, tbl1, hit1 = lookup first in
   Alcotest.(check bool) "first lookup misses" false hit1;
   Alcotest.(check bool) "miss returns the given system" true (sys1 == first);
   (* A structurally identical system built elsewhere must map to the
      SAME cached table and the system it was built for, because the
      schedulers demand physical equality between the two. *)
   let twin = Util.small_system () in
-  let sys2, tbl2, hit2 =
-    Serve.Table_cache.find_or_build cache twin ~application:Proc.Processor.Bist
-  in
+  let sys2, tbl2, hit2 = lookup twin in
   Alcotest.(check bool) "second lookup hits" true hit2;
   Alcotest.(check bool) "same table instance" true (tbl1 == tbl2);
   Alcotest.(check bool) "cached system, not the probe" true (sys2 == sys1);
@@ -88,10 +91,10 @@ let test_cache_hit_returns_cached_instance () =
 let test_cache_applications_distinct () =
   let cache = Serve.Table_cache.create ~capacity:4 in
   let sys = Util.small_system () in
-  let _, _, _ =
+  let _, _ =
     Serve.Table_cache.find_or_build cache sys ~application:Proc.Processor.Bist
   in
-  let _, _, hit =
+  let _, hit =
     Serve.Table_cache.find_or_build cache sys
       ~application:Proc.Processor.Decompression
   in
@@ -108,7 +111,7 @@ let test_cache_evicts_lru () =
       ()
   in
   let touch sys =
-    let _, _, hit =
+    let _, hit =
       Serve.Table_cache.find_or_build cache sys
         ~application:Proc.Processor.Bist
     in
@@ -134,10 +137,12 @@ let test_cached_schedule_identical () =
   in
   let cache = Serve.Table_cache.create ~capacity:2 in
   let via_cache () =
-    let sys, access, _ =
+    let entry, _ =
       Serve.Table_cache.find_or_build cache (d695 ())
         ~application:Proc.Processor.Bist
     in
+    let sys = Serve.Table_cache.system entry
+    and access = Serve.Table_cache.table entry in
     let sched =
       Core.Scheduler.run ~access sys (Core.Scheduler.config ~reuse:3 ())
     in
@@ -289,7 +294,7 @@ let test_service_rejects_bad_capacities () =
       ("cache_capacity 0", fun () -> Serve.Service.create ~cache_capacity:0 ());
       ("workers 0", fun () -> Serve.Service.create ~workers:0 ());
       ("queue_capacity -1", fun () -> Serve.Service.create ~queue_capacity:(-1) ());
-      ("shared_capacity -1", fun () -> Serve.Service.create ~shared_capacity:(-1) ());
+      ("cache_capacity -1", fun () -> Serve.Service.create ~cache_capacity:(-1) ());
     ]
 
 let test_service_unschedulable_kind () =
@@ -632,78 +637,220 @@ let test_socket_coalesced_identical_requests () =
           Alcotest.(check bool) "one table build" true
             (field "cache_misses" result = Json.Int 1)))
 
-(* --- shared evaluation-cache registry -------------------------------- *)
+(* --- evaluation caches in table-cache entries ------------------------ *)
 
-let test_shared_registry_checkout_checkin () =
-  let system = Util.small_system () in
+let bist = Proc.Processor.Bist
+
+(* A table cache holding [system] (or a structural twin) in its own
+   entry; a miss stores the argument, so [system] itself is the
+   entry's instance when the cache is fresh. *)
+let entry_for ?(cache = Serve.Table_cache.create ~capacity:4) system =
+  (cache, fst (Serve.Table_cache.find_or_build cache system ~application:bist))
+
+(* [n] configurations that differ only in their power limit. *)
+let configs n =
+  List.init n (fun i ->
+      Core.Scheduler.config ~power_limit:(Some (float_of_int (1000 * (i + 1))))
+        ~reuse:1 ())
+
+let resident tc entry cfg =
+  let cache, hit = Serve.Table_cache.checkout tc entry cfg in
+  Serve.Table_cache.checkin entry cfg cache;
+  hit
+
+let test_eval_checkout_checkin () =
+  let tc, entry = entry_for (Util.small_system ()) in
+  let system = Serve.Table_cache.system entry in
   let cfg = Core.Scheduler.config ~reuse:1 () in
-  let r = Core.Eval_cache.Shared.registry ~capacity:2 () in
-  let cache, hit = Core.Eval_cache.Shared.checkout r ~key:"k" system cfg in
+  let cache, hit = Serve.Table_cache.checkout tc entry cfg in
   Alcotest.(check bool) "first checkout misses" false hit;
+  Alcotest.(check bool) "fresh cache evaluates on the entry's table" true
+    (Core.Eval_cache.access cache == Serve.Table_cache.table entry);
   let order = Array.of_list (Core.Priority.order system ~reuse:1) in
   let direct = Core.Scheduler.run system { cfg with Core.Scheduler.order = None } in
   let via = Core.Eval_cache.schedule cache order in
   Alcotest.(check int) "cache evaluation byte-identical" direct.Core.Schedule.makespan
     via.Core.Schedule.makespan;
-  Core.Eval_cache.Shared.checkin r ~key:"k" cache;
-  let cache2, hit2 = Core.Eval_cache.Shared.checkout r ~key:"k" system cfg in
+  Serve.Table_cache.checkin entry cfg cache;
+  let cache2, hit2 = Serve.Table_cache.checkout tc entry cfg in
   Alcotest.(check bool) "second checkout hits" true hit2;
   Alcotest.(check bool) "same cache instance back" true (cache2 == cache);
   (* The resident trace makes the next evaluation an exact hit. *)
   ignore (Core.Eval_cache.schedule cache2 order);
   Alcotest.(check bool) "trace survived the round trip" true
     ((Core.Eval_cache.stats cache2).Core.Eval_cache.exact_hits >= 1);
-  Core.Eval_cache.Shared.checkin r ~key:"k" cache2;
-  (* A stale key — same string, different physical system instance —
-     must start fresh: resuming another instance's traces is unsound. *)
-  let twin = Util.small_system () in
-  let cache3, hit3 = Core.Eval_cache.Shared.checkout r ~key:"k" twin cfg in
-  Alcotest.(check bool) "stale instance misses" false hit3;
-  Alcotest.(check bool) "fresh cache for the new instance" true
-    (cache3 != cache);
-  Alcotest.(check int) "hits counted" 1 (Core.Eval_cache.Shared.hits r);
-  Alcotest.(check int) "misses counted" 2 (Core.Eval_cache.Shared.misses r)
+  Serve.Table_cache.checkin entry cfg cache2;
+  (* Another configuration of the same system has a cache of its own. *)
+  let other, hit3 =
+    Serve.Table_cache.checkout tc entry (Core.Scheduler.config ~reuse:0 ())
+  in
+  Alcotest.(check bool) "other configuration misses" false hit3;
+  Alcotest.(check bool) "fresh cache for the other configuration" true
+    (other != cache);
+  Alcotest.(check int) "hits counted" 1 (Serve.Table_cache.eval_hits tc);
+  Alcotest.(check int) "misses counted" 2 (Serve.Table_cache.eval_misses tc)
 
-let test_shared_registry_concurrent_checkout_merges () =
-  let system = Util.small_system () in
+let test_eval_concurrent_checkout_merges () =
+  let tc, entry = entry_for (Util.small_system ()) in
+  let system = Serve.Table_cache.system entry in
   let cfg = Core.Scheduler.config ~reuse:1 () in
-  let r = Core.Eval_cache.Shared.registry ~capacity:2 () in
-  (* Two workers want the same key at once: each gets its own cache
-     (exclusive ownership), and the second check-in folds its traces
-     into the resident instead of clobbering it. *)
-  let a, _ = Core.Eval_cache.Shared.checkout r ~key:"k" system cfg in
-  let b, hit_b = Core.Eval_cache.Shared.checkout r ~key:"k" system cfg in
+  (* Two workers want the same configuration at once: each gets its own
+     cache (exclusive ownership), and the second check-in folds its
+     traces into the resident instead of clobbering it. *)
+  let a, _ = Serve.Table_cache.checkout tc entry cfg in
+  let b, hit_b = Serve.Table_cache.checkout tc entry cfg in
   Alcotest.(check bool) "concurrent checkout gets a fresh cache" false hit_b;
   let order = Array.of_list (Core.Priority.order system ~reuse:1) in
   ignore (Core.Eval_cache.schedule b order);
-  Core.Eval_cache.Shared.checkin r ~key:"k" a;
-  Core.Eval_cache.Shared.checkin r ~key:"k" b;
-  Alcotest.(check int) "one resident per key" 1
-    (Core.Eval_cache.Shared.length r);
+  Serve.Table_cache.checkin entry cfg a;
+  Serve.Table_cache.checkin entry cfg b;
   (* The resident (a) inherited b's trace: its next evaluation of the
      same order is an exact hit, not a run. *)
-  let c, hit_c = Core.Eval_cache.Shared.checkout r ~key:"k" system cfg in
+  let c, hit_c = Serve.Table_cache.checkout tc entry cfg in
   Alcotest.(check bool) "resident survives" true (hit_c && c == a);
   ignore (Core.Eval_cache.schedule c order);
   Alcotest.(check bool) "merged trace hits exactly" true
-    ((Core.Eval_cache.stats c).Core.Eval_cache.exact_hits >= 1)
+    ((Core.Eval_cache.stats c).Core.Eval_cache.exact_hits >= 1);
+  (* One resident per configuration: with [a] checked out, nothing
+     else answers for it. *)
+  let _, hit_d = Serve.Table_cache.checkout tc entry cfg in
+  Alcotest.(check bool) "b was merged, not kept" false hit_d
 
-let test_shared_registry_eviction () =
-  let system = Util.small_system () in
-  let cfg = Core.Scheduler.config ~reuse:1 () in
-  let r = Core.Eval_cache.Shared.registry ~capacity:2 () in
+let test_eval_eviction_follows_recency () =
+  let tc, entry = entry_for (Util.small_system ()) in
+  let n = Serve.Table_cache.evals_per_entry in
+  let cfgs = configs (n + 1) in
+  List.iteri (fun i cfg -> if i < n then ignore (resident tc entry cfg)) cfgs;
+  (* Touching the oldest makes it the most recent: the next newcomer
+     evicts the second-oldest instead. *)
+  Alcotest.(check bool) "oldest still resident" true
+    (resident tc entry (List.nth cfgs 0));
+  ignore (resident tc entry (List.nth cfgs n));
+  Alcotest.(check bool) "touched configuration kept" true
+    (resident tc entry (List.nth cfgs 0));
+  Alcotest.(check bool) "least recently used evicted" false
+    (resident tc entry (List.nth cfgs 1))
+
+(* (b) the per-system bound: the 9th configuration of one system
+   evicts that system's least recently used one, and only that one. *)
+let test_eval_ninth_configuration_evicts_lru () =
+  let tc, entry = entry_for (Util.small_system ()) in
+  let n = Serve.Table_cache.evals_per_entry in
+  Alcotest.(check int) "eight per system" 8 n;
+  let cfgs = configs (n + 1) in
+  List.iter (fun cfg -> ignore (resident tc entry cfg)) cfgs;
+  (* The evicted one is probed last: checking its fresh cache in would
+     evict another. *)
   List.iter
-    (fun key ->
-      let cache, _ = Core.Eval_cache.Shared.checkout r ~key system cfg in
-      Core.Eval_cache.Shared.checkin r ~key cache)
-    [ "a"; "b"; "c" ];
-  Alcotest.(check int) "capacity bounds residents" 2
-    (Core.Eval_cache.Shared.length r);
-  (* "a" was the least recently used: it is the one gone. *)
-  let _, hit_b = Core.Eval_cache.Shared.checkout r ~key:"b" system cfg in
-  Alcotest.(check bool) "recent key resident" true hit_b;
-  let _, hit_a = Core.Eval_cache.Shared.checkout r ~key:"a" system cfg in
-  Alcotest.(check bool) "oldest key evicted" false hit_a
+    (fun cfg ->
+      Alcotest.(check bool) "recent configuration resident" true
+        (resident tc entry cfg))
+    (List.rev (List.tl cfgs));
+  Alcotest.(check bool) "first configuration evicted" false
+    (resident tc entry (List.hd cfgs))
+
+(* The warm trace lives with the configuration's evaluation cache: the
+   best offered trace wins, whether offered to one cache in turn or
+   merged from two concurrent check-ins. *)
+let test_eval_keeps_best_trace () =
+  let system = d695 () in
+  let cfg = Core.Scheduler.config ~reuse:2 () in
+  let trace order =
+    Core.Scheduler.run_traced system
+      { cfg with Core.Scheduler.order = Some order }
+  in
+  let makespan tr =
+    (Core.Scheduler.trace_schedule tr).Core.Schedule.makespan
+  in
+  let heuristic = Core.Priority.order system ~reuse:2 in
+  let good, bad =
+    let a = trace heuristic and b = trace (List.rev heuristic) in
+    if makespan a < makespan b then (a, b) else (b, a)
+  in
+  Alcotest.(check bool) "fixture: distinct makespans" true
+    (makespan good < makespan bad);
+  let best = Core.Eval_cache.best in
+  let tc, entry = entry_for system in
+  let cache, _ = Serve.Table_cache.checkout tc entry cfg in
+  Alcotest.(check bool) "fresh cache has no warm trace" true
+    (Option.is_none (best cache));
+  Core.Eval_cache.offer cache good;
+  Core.Eval_cache.offer cache bad;
+  Alcotest.(check bool) "worse offer never replaces a better one" true
+    (Option.get (best cache) == good);
+  Serve.Table_cache.checkin entry cfg cache;
+  let back, hit = Serve.Table_cache.checkout tc entry cfg in
+  Alcotest.(check bool) "best trace survives the round trip" true
+    (hit && Option.get (best back) == good);
+  Serve.Table_cache.checkin entry cfg back;
+  (* Two concurrent holders of a fresh entry's configuration: the
+     second check-in merges, and the resident keeps the better trace
+     either way round. *)
+  let concurrent ~first ~second =
+    let tc, entry = entry_for system in
+    let a, _ = Serve.Table_cache.checkout tc entry cfg in
+    let b, _ = Serve.Table_cache.checkout tc entry cfg in
+    Core.Eval_cache.offer a first;
+    Core.Eval_cache.offer b second;
+    Serve.Table_cache.checkin entry cfg a;
+    Serve.Table_cache.checkin entry cfg b;
+    let c, hit = Serve.Table_cache.checkout tc entry cfg in
+    Alcotest.(check bool) "resident back" true (hit && c == a);
+    Alcotest.(check bool) "concurrent check-in keeps the better trace" true
+      (Option.get (best c) == good)
+  in
+  concurrent ~first:bad ~second:good;
+  concurrent ~first:good ~second:bad
+
+(* (a) the bound is per system: a configuration's cache and its warm
+   trace outlive check-ins of more configurations than one entry keeps,
+   as long as those belong to other systems. *)
+let test_eval_survives_other_systems () =
+  let system = d695 () in
+  let cfg = Core.Scheduler.config ~reuse:2 () in
+  let tc, entry = entry_for system in
+  let cache, _ = Serve.Table_cache.checkout tc entry cfg in
+  let order = Array.of_list (Core.Priority.order system ~reuse:2) in
+  Core.Eval_cache.offer cache (Core.Eval_cache.evaluate cache order);
+  Serve.Table_cache.checkin entry cfg cache;
+  let others =
+    [
+      Util.small_system ();
+      Util.small_system ~processors:[ Proc.Processor.plasma ~id:1 ] ();
+    ]
+  in
+  let cfgs = configs (Serve.Table_cache.evals_per_entry + 1) in
+  List.iteri
+    (fun i cfg ->
+      let _, other =
+        entry_for ~cache:tc (List.nth others (i mod List.length others))
+      in
+      ignore (resident tc other cfg))
+    cfgs;
+  let back, hit = Serve.Table_cache.checkout tc entry cfg in
+  Alcotest.(check bool) "cache survives" true (hit && back == cache);
+  Alcotest.(check bool) "warm trace survives" true
+    (Option.is_some (Core.Eval_cache.best back))
+
+(* (c) evaluation caches live and die with their system's entry: once
+   the table is evicted, the rebuilt system starts with none. *)
+let test_eval_dropped_with_table () =
+  let tc = Serve.Table_cache.create ~capacity:1 in
+  let cfg = Core.Scheduler.config ~reuse:1 () in
+  let _, entry = entry_for ~cache:tc (Util.small_system ()) in
+  ignore (resident tc entry cfg);
+  Alcotest.(check bool) "resident while the table is" true
+    (resident tc entry cfg);
+  let _ =
+    entry_for ~cache:tc
+      (Util.small_system ~processors:[ Proc.Processor.plasma ~id:1 ] ())
+  in
+  let _, rebuilt = entry_for ~cache:tc (Util.small_system ()) in
+  Alcotest.(check bool) "table rebuilt" true (rebuilt != entry);
+  let cache, hit = Serve.Table_cache.checkout tc rebuilt cfg in
+  Alcotest.(check bool) "first checkout after the rebuild misses" false hit;
+  Alcotest.(check bool) "and brings no warm trace" true
+    (Option.is_none (Core.Eval_cache.best cache))
 
 let test_annealing_adopts_matching_cache () =
   let system = d695 () in
@@ -911,67 +1058,6 @@ let test_service_warm_hits_count_adopted_traces () =
   Alcotest.(check bool) "every other lookup is a miss" true
     (field "warm_misses" metrics = Json.Int (List.length warm - adopted))
 
-(* The warm trace lives with the instance's shared cache: the best
-   offered trace wins, whether offered to one cache in turn or merged
-   from two concurrent check-ins, and a rebuilt system instance gets no
-   warm trace at all. *)
-let test_shared_registry_keeps_best_trace () =
-  let module Shared = Core.Eval_cache.Shared in
-  let system = d695 () in
-  let cfg = Core.Scheduler.config ~reuse:2 () in
-  let trace order =
-    Core.Scheduler.run_traced system
-      { cfg with Core.Scheduler.order = Some order }
-  in
-  let makespan tr =
-    (Core.Scheduler.trace_schedule tr).Core.Schedule.makespan
-  in
-  let heuristic = Core.Priority.order system ~reuse:2 in
-  let good, bad =
-    let a = trace heuristic and b = trace (List.rev heuristic) in
-    if makespan a < makespan b then (a, b) else (b, a)
-  in
-  Alcotest.(check bool) "fixture: distinct makespans" true
-    (makespan good < makespan bad);
-  let best = Core.Eval_cache.best in
-  let r = Shared.registry ~capacity:2 () in
-  let cache, _ = Shared.checkout r ~key:"k" system cfg in
-  Alcotest.(check bool) "fresh cache has no warm trace" true
-    (Option.is_none (best cache));
-  Core.Eval_cache.offer cache good;
-  Core.Eval_cache.offer cache bad;
-  Alcotest.(check bool) "worse offer never replaces a better one" true
-    (Option.get (best cache) == good);
-  Shared.checkin r ~key:"k" cache;
-  let back, hit = Shared.checkout r ~key:"k" system cfg in
-  Alcotest.(check bool) "best trace survives the round trip" true
-    (hit && Option.get (best back) == good);
-  Shared.checkin r ~key:"k" back;
-  (* Two concurrent holders of a new key: the second check-in merges,
-     and the resident keeps the better trace either way round. *)
-  let concurrent key ~first ~second =
-    let a, _ = Shared.checkout r ~key system cfg in
-    let b, _ = Shared.checkout r ~key system cfg in
-    Core.Eval_cache.offer a first;
-    Core.Eval_cache.offer b second;
-    Shared.checkin r ~key a;
-    Shared.checkin r ~key b;
-    let c, hit = Shared.checkout r ~key system cfg in
-    Alcotest.(check bool) "resident back" true (hit && c == a);
-    Alcotest.(check bool) "concurrent check-in keeps the better trace" true
-      (Option.get (best c) == good);
-    Shared.checkin r ~key c
-  in
-  concurrent "bad-first" ~first:bad ~second:good;
-  concurrent "good-first" ~first:good ~second:bad;
-  (* Same key string, rebuilt system instance: the resident is stale,
-     so the checkout misses and offers no warm trace. *)
-  let rebuilt = (List.assoc "d695_leon" Core.Experiments.builders) () in
-  let stale, hit = Shared.checkout r ~key:"good-first" rebuilt cfg in
-  Alcotest.(check bool) "stale instance misses" false hit;
-  Alcotest.(check bool) "stale instance gives no warm trace" true
-    (Option.is_none (best stale))
-
 (* --- TCP and read-only listeners ------------------------------------ *)
 
 let with_tcp_client port f =
@@ -1167,12 +1253,18 @@ let suite =
     Alcotest.test_case "coalesce key semantics" `Quick
       test_coalesce_key_semantics;
     Alcotest.test_case "inflight registry" `Quick test_inflight_registry;
-    Alcotest.test_case "shared registry checkout and checkin" `Quick
-      test_shared_registry_checkout_checkin;
-    Alcotest.test_case "shared registry concurrent checkout merges" `Quick
-      test_shared_registry_concurrent_checkout_merges;
-    Alcotest.test_case "shared registry eviction" `Quick
-      test_shared_registry_eviction;
+    Alcotest.test_case "eval cache checkout and checkin" `Quick
+      test_eval_checkout_checkin;
+    Alcotest.test_case "eval cache concurrent checkout merges" `Quick
+      test_eval_concurrent_checkout_merges;
+    Alcotest.test_case "eval cache eviction follows recency" `Quick
+      test_eval_eviction_follows_recency;
+    Alcotest.test_case "eval cache: 9th configuration evicts lru" `Quick
+      test_eval_ninth_configuration_evicts_lru;
+    Alcotest.test_case "eval cache survives other systems" `Quick
+      test_eval_survives_other_systems;
+    Alcotest.test_case "eval caches dropped with their table" `Quick
+      test_eval_dropped_with_table;
     Alcotest.test_case "annealing adopts matching eval cache" `Quick
       test_annealing_adopts_matching_cache;
     Alcotest.test_case "service: compatible requests share the eval cache"
@@ -1187,8 +1279,8 @@ let suite =
       test_service_warm_start_across_requests;
     Alcotest.test_case "warm hits count adopted traces" `Quick
       test_service_warm_hits_count_adopted_traces;
-    Alcotest.test_case "shared registry keeps the best trace" `Quick
-      test_shared_registry_keeps_best_trace;
+    Alcotest.test_case "eval cache keeps the best trace" `Quick
+      test_eval_keeps_best_trace;
     Alcotest.test_case "tcp and read-only listeners" `Quick
       test_tcp_and_read_only_listener;
     Alcotest.test_case "tcp: responses not held by nagle" `Quick

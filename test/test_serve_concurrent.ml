@@ -2,7 +2,8 @@
    generated requests served concurrently (two workers, shared
    evaluation caches and coalescing on, one submitter thread per
    request) must produce, request for request, byte-identical verdicts
-   to a sequential one-worker service with shared caches disabled.
+   to answering each request alone, on its own fresh one-worker
+   service with nothing cached.
    Only the envelope's scheduling markers (elapsed_ms, cache,
    coalesced) may differ.
 
@@ -84,13 +85,15 @@ let id_of line =
 let prop (soc_text, shapes) =
   let lines = List.mapi (request_line ~soc_text) shapes in
   let n = List.length lines in
-  (* Sequential reference: one worker, no shared caches. *)
+  (* Sequential reference: every request on its own fresh service, so
+     no request sees another's tables or evaluation caches. *)
   let sequential =
-    let service =
-      Serve.Service.create ~workers:1 ~shared_capacity:0 ()
-    in
-    Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
-    List.map (fun line -> Serve.Service.request service line) lines
+    List.map
+      (fun line ->
+        let service = Serve.Service.create ~workers:1 () in
+        Fun.protect ~finally:(fun () -> Serve.Service.shutdown service)
+        @@ fun () -> Serve.Service.request service line)
+      lines
   in
   (* Concurrent burst: every request submitted at once from its own
      thread, so both workers and the shared caches are contended. *)

@@ -9,7 +9,11 @@
 #      documented in README.md, every --flag used in a fenced
 #      nocplan example is a real flag (--help/--version exempt), and
 #      every --flag in a subcommand's row of the README flag table
-#      (| `cmd` | … |) is declared by that subcommand's --help.
+#      (| `cmd` | … |) is declared by that subcommand's --help, and
+#      every --flag inside an inline `code span` of README.md /
+#      OBSERVABILITY.md prose is declared by some subcommand's --help
+#      or by the bench harness's --help (spans quoting an `opam …`
+#      command line are another tool's flags and skipped).
 #   2. Every markdown file the README links to must exist.
 #   3. OBSERVABILITY.md must be reachable from README.md (the span
 #      taxonomy is documentation-as-contract for the golden tests).
@@ -31,10 +35,13 @@ fail=0
 err() { echo "doc-lint: $1" >&2; fail=1; }
 
 BIN=_build/default/bin/nocplan.exe
-if [ ! -x "$BIN" ]; then
-  echo "doc-lint: building $BIN" >&2
-  dune build bin/nocplan.exe
-fi
+BENCH=_build/default/bench/main.exe
+for exe in "$BIN" "$BENCH"; do
+  if [ ! -x "$exe" ]; then
+    echo "doc-lint: building $exe" >&2
+    dune build "${exe#_build/default/}"
+  fi
+done
 
 # -- 1. CLI subcommands referenced in code fences ---------------------------
 
@@ -103,6 +110,25 @@ for cmd in $subcommands; do
   for f in $row_flags; do
     printf '%s\n' "$declared" | grep -qx -e "$f" \
       || err "README.md flag table lists $f for $cmd, which 'nocplan $cmd --help' does not declare"
+  done
+done
+
+# Prose: every --flag quoted in an inline code span outside the fences
+# is real, so a removed flag cannot linger in a bullet or a paragraph.
+# The bench harness's flags (its --help lines start "  --flag") count.
+bench_flags=$("$BENCH" --help 2>/dev/null \
+  | grep -oE -e '^  --[a-z][a-z0-9-]*' | tr -d ' ' || true)
+[ -n "$bench_flags" ] || err "could not extract option flags from $BENCH --help"
+for doc in README.md OBSERVABILITY.md; do
+  prose_flags=$(awk '/^```/{f=!f;next} !f' "$doc" \
+    | grep -oE '`[^`]*`' | grep -vE '^`opam ' \
+    | grep -oE -e '--[a-z][a-z0-9-]*' | sort -u || true)
+  for f in $prose_flags; do
+    case "$f" in
+      --help|--version) continue ;;
+    esac
+    printf '%s\n%s\n' "$cli_flags" "$bench_flags" | grep -qx -e "$f" \
+      || err "$doc mentions \`$f\`, which neither a nocplan subcommand nor the bench declares"
   done
 done
 

@@ -771,7 +771,9 @@ let timing_benchmarks systems =
                     ~power:1.0 ())));
         Test.make ~name:"headline/baseline_d695"
           (Staged.stage (fun () ->
-               ignore (Baseline.schedule (List.assoc "d695_leon" systems))));
+               ignore
+                 (Planner.schedule ~reuse:0
+                    (List.assoc "d695_leon" systems))));
       ]
   in
   let grouped = Test.make_grouped ~name:"nocplan" ~fmt:"%s %s" tests in

@@ -57,6 +57,16 @@ let int_at_least lo =
   in
   Arg.conv (parse, Fmt.int)
 
+(* A float option restricted to the values its consumer accepts. *)
+let float_where ok ~expected =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when ok f -> Ok f
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not %s" s expected))
+    | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let load_system ~spec ~width ~height ~leons ~plasmas =
   (* A spec naming neither a builtin system nor a corpus benchmark may
      be a description file; its text goes through the same inline path
@@ -119,12 +129,40 @@ let application_arg =
          ~doc:"Test application run by reused processors.")
 
 let power_arg =
-  Arg.(value & opt (some float) None & info [ "power" ] ~docv:"PCT"
+  let pct = float_where (fun f -> f > 0.0) ~expected:"positive" in
+  Arg.(value & opt (some pct) None & info [ "power" ] ~docv:"PCT"
          ~doc:"Power limit as a percentage of the sum of all core powers.")
 
 let reuse_arg =
   Arg.(value & opt (some int) None & info [ "reuse" ] ~docv:"N"
          ~doc:"Number of processors reused for test (default: all).")
+
+(* The instance a planning subcommand works on: the loaded system, the
+   reuse count (default: every processor) and the absolute power limit.
+   A reuse count the system cannot supply is malformed input, like an
+   unknown system. *)
+let load_instance spec width height leons plasmas reuse power =
+  Result.bind (load_system ~spec ~width ~height ~leons ~plasmas)
+    (fun system ->
+      let processors = List.length system.Core.System.processors in
+      match reuse with
+      | Some r when r < 0 || r > processors ->
+          Error
+            (Fmt.str "--reuse %d is out of range: %s has %d processors" r spec
+               processors)
+      | _ ->
+          let power_limit =
+            Option.map
+              (fun pct -> Core.System.power_limit_of_pct system ~pct)
+              power
+          in
+          Ok (system, Option.value reuse ~default:processors, power_limit))
+
+(* [instance power] parses the instance flags; [power] is [power_arg],
+   or [Term.const None] for a subcommand without [--power]. *)
+let instance power =
+  Term.(const load_instance $ system_spec $ width_arg $ height_arg
+        $ leons_arg $ plasmas_arg $ reuse_arg $ power)
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -132,11 +170,14 @@ let trace_arg =
                trace-event JSON (open in chrome://tracing or Perfetto).")
 
 let backend_arg =
-  let backend_conv = Arg.enum [ ("greedy", `Greedy); ("binpack", `Binpack); ("race", `Race) ] in
-  Arg.(value & opt backend_conv `Greedy & info [ "backend" ] ~docv:"BACKEND"
+  let names =
+    List.map (fun b -> b.Core.Backend.name) Core.Backend.builtins @ [ "race" ]
+  in
+  Arg.(value & opt (enum (List.map (fun n -> (n, n)) names)) "greedy"
+       & info [ "backend" ] ~docv:"BACKEND"
          ~doc:"Planning backend: greedy (the paper's event-driven list \
                scheduler), binpack (rectangle bin packing: shelf heuristic, \
-               best-fit decreasing), or race (run every registered backend \
+               best-fit decreasing), or race (run both backends \
                concurrently on Domains and keep the best valid plan).")
 
 (* Traced CLI runs want real time on the trace axis; tests that pin
@@ -197,38 +238,20 @@ let pp_attempt ppf (a : Core.Backend.attempt) =
         a.Core.Backend.latency_s
 
 let plan_cmd =
-  let run spec width height leons plasmas policy application power reuse
-      backend gantt resources json csv trace explain =
-    match load_system ~spec ~width ~height ~leons ~plasmas with
+  let run instance policy application backend gantt resources json csv trace
+      explain =
+    match instance with
     | Error msg -> parse_fail msg
-    | Ok system -> (
-        let reuse =
-          match reuse with
-          | Some r -> r
-          | None -> List.length system.Core.System.processors
-        in
-        let power_limit =
-          Option.map
-            (fun pct -> Core.System.power_limit_of_pct system ~pct)
-            power
+    | Ok (system, reuse, power_limit) -> (
+        let config =
+          Core.Scheduler.config ~policy ~application ~power_limit ~reuse ()
         in
         let solve () =
-          match backend with
-          | `Greedy ->
-              ( Core.Backend.solve Core.Backend.greedy system
-                  (Core.Scheduler.config ~policy ~application ~power_limit
-                     ~reuse ()),
-                None )
-          | `Binpack ->
-              ( Core.Backend.solve Core.Backend.binpack system
-                  (Core.Scheduler.config ~policy ~application ~power_limit
-                     ~reuse ()),
-                None )
-          | `Race ->
+          match Core.Backend.find backend with
+          | Some b -> (Core.Backend.solve b system config, None)
+          | None ->
               let outcome =
-                Core.Backend.race ~clock:Unix.gettimeofday system
-                  (Core.Scheduler.config ~policy ~application ~power_limit
-                     ~reuse ())
+                Core.Backend.race ~clock:Unix.gettimeofday system config
               in
               (outcome.Core.Backend.schedule, Some outcome)
         in
@@ -288,10 +311,9 @@ let plan_cmd =
                  processor chosen.")
   in
   let term =
-    Term.(const run $ system_spec $ width_arg $ height_arg $ leons_arg
-          $ plasmas_arg $ policy_arg $ application_arg $ power_arg
-          $ reuse_arg $ backend_arg $ gantt_arg $ resources_arg $ json_arg
-          $ csv_arg $ trace_arg $ explain_arg)
+    Term.(const run $ instance power_arg $ policy_arg $ application_arg
+          $ backend_arg $ gantt_arg $ resources_arg $ json_arg $ csv_arg
+          $ trace_arg $ explain_arg)
   in
   Cmd.v (cmd_info "plan" ~doc:"Produce and validate one test schedule.") term
 
@@ -299,21 +321,16 @@ let plan_cmd =
 (* stats                                                              *)
 
 let stats_cmd =
-  let run spec width height leons plasmas policy application power reuse vcd =
-    match load_system ~spec ~width ~height ~leons ~plasmas with
+  let run instance policy application vcd =
+    match instance with
     | Error msg -> parse_fail msg
-    | Ok system -> (
-        let reuse =
-          match reuse with
-          | Some r -> r
-          | None -> List.length system.Core.System.processors
-        in
+    | Ok (system, reuse, power_limit) -> (
         match
-          Core.Planner.schedule ~policy ~application ?power_limit_pct:power
-            ~reuse system
+          Core.Planner.run_point system ~policy ~application ~power_limit
+            ~reuse
         with
         | exception Core.Scheduler.Unschedulable msg -> plan_fail msg
-        | sched ->
+        | _, sched ->
             Fmt.pr "%a@." Core.Metrics.pp
               (Core.Metrics.of_schedule system ~reuse sched);
             (match vcd with
@@ -328,9 +345,8 @@ let stats_cmd =
            ~doc:"Also dump the schedule as a VCD waveform.")
   in
   let term =
-    Term.(const run $ system_spec $ width_arg $ height_arg $ leons_arg
-          $ plasmas_arg $ policy_arg $ application_arg $ power_arg
-          $ reuse_arg $ vcd_arg)
+    Term.(const run $ instance power_arg $ policy_arg $ application_arg
+          $ vcd_arg)
   in
   Cmd.v
     (cmd_info "stats"
@@ -341,24 +357,13 @@ let stats_cmd =
 (* anneal                                                             *)
 
 let anneal_cmd =
-  let run spec width height leons plasmas power reuse iterations seed chains
-      exchange placement_moves trace =
+  let run instance iterations seed chains exchange placement_moves trace =
     if placement_moves < 0.0 || placement_moves > 1.0 then
       parse_fail "--placement-moves must be within [0, 1]"
     else
-      match load_system ~spec ~width ~height ~leons ~plasmas with
+      match instance with
       | Error msg -> parse_fail msg
-      | Ok system -> (
-          let reuse =
-            match reuse with
-            | Some r -> r
-            | None -> List.length system.Core.System.processors
-          in
-          let power_limit =
-            Option.map
-              (fun pct -> Core.System.power_limit_of_pct system ~pct)
-              power
-          in
+      | Ok (system, reuse, power_limit) -> (
           match
             with_tracing trace (fun () ->
                 Core.Annealing.schedule ~power_limit ~iterations
@@ -385,7 +390,7 @@ let anneal_cmd =
               0)
   in
   let iterations_arg =
-    Arg.(value & opt int 400 & info [ "iterations" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 1) 400 & info [ "iterations" ] ~docv:"N"
            ~doc:"Annealing iterations per chain (engine evaluations).")
   in
   let seed_arg =
@@ -407,9 +412,8 @@ let anneal_cmd =
                  processors and IO ports stay pinned).")
   in
   let term =
-    Term.(const run $ system_spec $ width_arg $ height_arg $ leons_arg
-          $ plasmas_arg $ power_arg $ reuse_arg $ iterations_arg
-          $ seed_arg $ chains_arg $ exchange_arg $ placement_arg $ trace_arg)
+    Term.(const run $ instance power_arg $ iterations_arg $ seed_arg
+          $ chains_arg $ exchange_arg $ placement_arg $ trace_arg)
   in
   Cmd.v
     (cmd_info "anneal"
@@ -422,16 +426,11 @@ let anneal_cmd =
 (* replay                                                             *)
 
 let replay_cmd =
-  let run spec width height leons plasmas reuse max_patterns =
-    match load_system ~spec ~width ~height ~leons ~plasmas with
+  let run instance max_patterns =
+    match instance with
     | Error msg -> parse_fail msg
-    | Ok system -> (
+    | Ok (system, reuse, _) -> (
         let system = Core.Schedule_sim.downscale ~max_patterns system in
-        let reuse =
-          match reuse with
-          | Some r -> r
-          | None -> List.length system.Core.System.processors
-        in
         match Core.Planner.schedule ~reuse system with
         | exception Core.Scheduler.Unschedulable msg -> plan_fail msg
         | sched ->
@@ -444,8 +443,7 @@ let replay_cmd =
            ~doc:"Cap pattern counts before replay (flit-level cost).")
   in
   let term =
-    Term.(const run $ system_spec $ width_arg $ height_arg $ leons_arg
-          $ plasmas_arg $ reuse_arg $ max_patterns_arg)
+    Term.(const run $ instance (Term.const None) $ max_patterns_arg)
   in
   Cmd.v
     (cmd_info "replay"
@@ -458,20 +456,10 @@ let replay_cmd =
 (* optimal                                                            *)
 
 let optimal_cmd =
-  let run spec width height leons plasmas power reuse max_nodes orders =
-    match load_system ~spec ~width ~height ~leons ~plasmas with
+  let run instance max_nodes orders =
+    match instance with
     | Error msg -> parse_fail msg
-    | Ok system -> (
-        let reuse =
-          match reuse with
-          | Some r -> r
-          | None -> List.length system.Core.System.processors
-        in
-        let power_limit =
-          Option.map
-            (fun pct -> Core.System.power_limit_of_pct system ~pct)
-            power
-        in
+    | Ok (system, reuse, power_limit) -> (
         let greedy () =
           Core.Scheduler.run system
             (Core.Scheduler.config ~power_limit ~reuse ())
@@ -522,8 +510,7 @@ let optimal_cmd =
                  prefix-resumed evaluations instead of the schedule space.")
   in
   let term =
-    Term.(const run $ system_spec $ width_arg $ height_arg $ leons_arg
-          $ plasmas_arg $ power_arg $ reuse_arg $ max_nodes_arg $ orders_arg)
+    Term.(const run $ instance power_arg $ max_nodes_arg $ orders_arg)
   in
   Cmd.v
     (cmd_info "optimal"
@@ -893,21 +880,10 @@ let verify_cmd =
 (* faults                                                             *)
 
 let faults_cmd =
-  let run spec width height leons plasmas policy application power reuse
-      rates seed selftest csv gate trace =
-    match load_system ~spec ~width ~height ~leons ~plasmas with
+  let run instance policy application rates seed selftest csv gate trace =
+    match instance with
     | Error msg -> parse_fail msg
-    | Ok system -> (
-        let reuse =
-          match reuse with
-          | Some r -> r
-          | None -> List.length system.Core.System.processors
-        in
-        let power_limit =
-          Option.map
-            (fun pct -> Core.System.power_limit_of_pct system ~pct)
-            power
-        in
+    | Ok (system, reuse, power_limit) -> (
         let topology = system.Core.System.topology in
         match
           with_tracing trace (fun () ->
@@ -1028,8 +1004,11 @@ let faults_cmd =
   in
   let rates_arg =
     let doc = "Comma-separated fault rates in [0, 1] to sweep." in
+    let rate =
+      float_where (fun r -> r >= 0.0 && r <= 1.0) ~expected:"in [0, 1]"
+    in
     Arg.(value
-         & opt (list float) [ 0.0; 0.05; 0.1; 0.15; 0.2 ]
+         & opt (list rate) [ 0.0; 0.05; 0.1; 0.15; 0.2 ]
          & info [ "rates" ] ~docv:"R1,R2,..." ~doc)
   in
   let seed_arg =
@@ -1052,10 +1031,9 @@ let faults_cmd =
                  not monotone in the fault rate (CI smoke gate).")
   in
   let term =
-    Term.(const run $ system_spec $ width_arg $ height_arg $ leons_arg
-          $ plasmas_arg $ policy_arg $ application_arg $ power_arg
-          $ reuse_arg $ rates_arg $ seed_arg $ selftest_arg $ csv_arg
-          $ gate_arg $ trace_arg)
+    Term.(const run $ instance power_arg $ policy_arg $ application_arg
+          $ rates_arg $ seed_arg $ selftest_arg $ csv_arg $ gate_arg
+          $ trace_arg)
   in
   Cmd.v
     (cmd_info "faults"

@@ -59,7 +59,9 @@ let () =
       ~io_outputs:[ Noc.Coord.make ~x:3 ~y:3 ]
       ()
   in
-  let baseline = Core.Baseline.makespan system in
+  let baseline =
+    (Core.Planner.schedule ~reuse:0 system).Core.Schedule.makespan
+  in
   let sweep = Core.Planner.reuse_sweep system in
   Fmt.pr "%a@.@." Core.Planner.pp_sweep sweep;
   let best = Core.Planner.best_point sweep in

@@ -26,7 +26,7 @@ let () =
   in
 
   (* 3. Baseline: external tester only. *)
-  let baseline = Core.Baseline.schedule system in
+  let baseline = Core.Planner.schedule ~reuse:0 system in
   Fmt.pr "baseline (no reuse): %d cycles@." baseline.Core.Schedule.makespan;
 
   (* 4. Reuse both processors as extra test sources/sinks. *)

@@ -1,50 +1,15 @@
 module Trace = Nocplan_obs.Trace
 
-type capabilities = { honors_order : bool; honors_policy : bool }
-
 type t = {
   name : string;
-  capabilities : capabilities;
   solve :
     ?access:Test_access.table -> System.t -> Scheduler.config -> Schedule.t;
 }
 
-let greedy =
-  {
-    name = "greedy";
-    capabilities = { honors_order = true; honors_policy = true };
-    solve = Scheduler.run;
-  }
-
-let binpack =
-  {
-    name = "binpack";
-    capabilities = { honors_order = false; honors_policy = false };
-    solve = Binpack.schedule;
-  }
-
+let greedy = { name = "greedy"; solve = Scheduler.run }
+let binpack = { name = "binpack"; solve = Binpack.schedule }
 let builtins = [ greedy; binpack ]
-
-(* Registration is process-global, like the trace collector; the
-   mutex only matters for exotic registrars, lookups copy the list. *)
-let registry_mutex = Mutex.create ()
-let registry = ref builtins
-
-let with_registry f =
-  Mutex.lock registry_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) (fun () ->
-      f registry)
-
-let names () = with_registry (fun r -> List.map (fun b -> b.name) !r)
-
-let find name =
-  with_registry (fun r -> List.find_opt (fun b -> b.name = name) !r)
-
-let register b =
-  with_registry (fun r ->
-      if List.exists (fun b' -> b'.name = b.name) !r then
-        invalid_arg (Fmt.str "Backend.register: %S already registered" b.name);
-      r := !r @ [ b ])
+let find name = List.find_opt (fun b -> b.name = name) builtins
 
 let solve b ?access system config =
   Trace.span "backend.solve"

@@ -1,20 +1,18 @@
-(** First-class planning backends.
+(** The planning backends: a closed, fixed set.
 
     A backend is a named strategy producing a complete {!Schedule.t}
-    from a {!System.t} and a {!Scheduler.config}.  Two ship built in:
+    from a {!System.t} and a {!Scheduler.config}.  Exactly two exist,
+    known at build time like the resources the paper plans over:
 
     - ["greedy"] — the paper's event-driven list scheduler
       ({!Scheduler.run}), honoring every configuration field including
       [policy] and [order];
     - ["binpack"] — the rectangle bin-packing formulation
-      ({!Binpack.schedule}), which ignores [policy] and [order]
-      (its {!capabilities} record says so).
+      ({!Binpack.schedule}), which ignores [policy] and [order].
 
-    Each backend's declared {!capabilities} let callers (the CLI, the
-    planning service) warn when a requested knob will be ignored
-    instead of silently dropping it.  {!solve} wraps every invocation
-    in a [backend.solve] trace span tagged with the backend name, so
-    traces attribute planning time per strategy.
+    {!solve} wraps every invocation in a [backend.solve] trace span
+    tagged with the backend name, so traces attribute planning time per
+    strategy.
 
     {!race} runs several backends on the same instance concurrently
     (one OCaml domain each), validates every produced schedule through
@@ -22,15 +20,8 @@
     result — ties broken by backend list order, so with the default
     list a race never returns a worse test time than greedy alone. *)
 
-type capabilities = {
-  honors_order : bool;
-      (** the backend visits cores in [config.order] when given *)
-  honors_policy : bool;  (** the backend distinguishes [config.policy] *)
-}
-
 type t = {
   name : string;
-  capabilities : capabilities;
   solve :
     ?access:Test_access.table -> System.t -> Scheduler.config -> Schedule.t;
       (** Raises {!Scheduler.Unschedulable} / [Invalid_argument] under
@@ -45,19 +36,11 @@ val binpack : t
 (** The shelf-packing backend; ignores order and policy. *)
 
 val builtins : t list
-(** [[greedy; binpack]] — greedy first, which is also the {!race}
-    tie-break order. *)
-
-val names : unit -> string list
-(** Registered backend names, registration order. *)
+(** [[greedy; binpack]] — every backend there is.  Greedy comes first,
+    which is also the {!race} tie-break order. *)
 
 val find : string -> t option
-(** Look a backend up by name. *)
-
-val register : t -> unit
-(** Add a backend to the registry (future formulations: preemptive
-    splitting, precomputed-pattern delivery).
-    @raise Invalid_argument if the name is already taken. *)
+(** The member of {!builtins} with this name. *)
 
 val solve :
   t -> ?access:Test_access.table -> System.t -> Scheduler.config -> Schedule.t

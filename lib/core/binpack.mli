@@ -26,12 +26,10 @@
     Compared with the event-driven {!Scheduler}, shelf packing trades
     resource-holes (a shelf waits for its tallest rectangle) for a
     search space that level-packing theory understands; it is the
-    second planning backend behind {!Backend} and the template for
-    every further formulation.
+    second planning backend behind {!Backend}.
 
     The [order] and [policy] fields of the configuration do not apply
-    to this formulation and are ignored — {!Backend.capabilities}
-    records that. *)
+    to this formulation and are ignored. *)
 
 val schedule :
   ?access:Test_access.table -> System.t -> Scheduler.config -> Schedule.t

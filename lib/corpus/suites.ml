@@ -47,34 +47,39 @@ let schedule_invariants_check (item : Corpus.item) =
 (* -- backend_differential ------------------------------------------- *)
 
 let backend_differential_check (item : Corpus.item) =
-  let row =
-    Core.Differential.race_row ~label:item.Corpus.name item.Corpus.system
-      (Corpus.config item)
-  in
-  match row.Core.Differential.outcome with
-  | Error msg -> Fail ("no backend produced a valid schedule: " ^ msg)
-  | Ok outcome ->
-      if not (Core.Differential.all_backends_valid row) then
-        let bad =
-          List.filter_map
-            (fun (a : Core.Backend.attempt) ->
-              match a.Core.Backend.outcome with
-              | Ok _ when not a.Core.Backend.valid ->
-                  Some a.Core.Backend.backend
-              | Ok _ | Error _ -> None)
-            outcome.Core.Backend.attempts
-        in
+  match Core.Backend.race item.Corpus.system (Corpus.config item) with
+  | exception (Core.Scheduler.Unschedulable msg | Invalid_argument msg) ->
+      Fail ("no backend produced a valid schedule: " ^ msg)
+  | outcome -> (
+      let attempts = outcome.Core.Backend.attempts in
+      let bad =
+        List.filter_map
+          (fun (a : Core.Backend.attempt) ->
+            match a.Core.Backend.outcome with
+            | Ok _ when not a.Core.Backend.valid -> Some a.Core.Backend.backend
+            | Ok _ | Error _ -> None)
+          attempts
+      in
+      let greedy =
+        List.find_map
+          (fun (a : Core.Backend.attempt) ->
+            match a.Core.Backend.outcome with
+            | Ok s when a.Core.Backend.backend = "greedy" ->
+                Some s.Core.Schedule.makespan
+            | Ok _ | Error _ -> None)
+          attempts
+      in
+      let makespan = outcome.Core.Backend.schedule.Core.Schedule.makespan in
+      if bad <> [] then
         Fail
-          ("backend(s) emitted an invalid schedule: "
-          ^ String.concat ", " bad)
-      else if not (Core.Differential.race_never_worse row) then
-        Fail
-          (Fmt.str "race (%s, makespan %d) is worse than greedy (%a)"
-             outcome.Core.Backend.winner
-             outcome.Core.Backend.schedule.Core.Schedule.makespan
-             (Fmt.option Fmt.int)
-             (Core.Differential.greedy_makespan row))
-      else Pass
+          ("backend(s) emitted an invalid schedule: " ^ String.concat ", " bad)
+      else
+        match greedy with
+        | Some g when makespan > g ->
+            Fail
+              (Fmt.str "race (%s, makespan %d) is worse than greedy (%d)"
+                 outcome.Core.Backend.winner makespan g)
+        | Some _ | None -> Pass)
 
 (* -- fault_monotonicity --------------------------------------------- *)
 
@@ -201,7 +206,7 @@ let all =
     {
       name = "backend_differential";
       doc =
-        "race the full backend registry: all attempts validator-clean, \
+        "race both builtin backends: all attempts validator-clean, \
          race never worse than greedy";
       check = backend_differential_check;
     };

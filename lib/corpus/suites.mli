@@ -22,9 +22,10 @@ val all : suite list
     - ["schedule_invariants"] — greedy plans the item and the result
       passes both the production validator and the naive independent
       {!Invariants} re-check;
-    - ["backend_differential"] — every registered backend is raced
-      ({!Nocplan_core.Differential}): all attempts validator-clean and
-      the race winner never worse than greedy;
+    - ["backend_differential"] — every builtin backend is raced
+      ({!Nocplan_core.Backend.race}): every schedule produced passes
+      the independent validator and the race winner is never worse
+      than greedy;
     - ["fault_monotonicity"] — seeded fault-injection sweep: the rate-0
       point is fault-free with full availability, the injected fault
       count is non-decreasing in the rate (fault sets are nested

@@ -6,13 +6,15 @@ let version = 1
 
 type op = Plan | Sweep | Validate | Anneal | Replan | Preempt | Metrics | Prometheus
 
+type backend = Solo of Core.Backend.t | Race
+
 type request = {
   id : Json.t;
   op : op;
   spec : Sysbuild.spec option;
   policy : Core.Scheduler.policy;
   application : Proc.Processor.application;
-  backend : string option;
+  backend : backend option;
   power_pct : float option;
   reuse : int option;
   max_reuse : int option;
@@ -153,15 +155,18 @@ let parse_request line =
     | None -> Ok None
     | Some name -> (
         match op with
-        | Plan | Validate ->
-            if name = "race" || Option.is_some (Core.Backend.find name) then
-              Ok (Some name)
-            else
-              Error
-                ( Invalid,
-                  Printf.sprintf
-                    "unknown backend %S (known: %s, race)" name
-                    (String.concat ", " (Core.Backend.names ())) )
+        | Plan | Validate -> (
+            match Core.Backend.find name with
+            | Some b -> Ok (Some (Solo b))
+            | None when name = "race" -> Ok (Some Race)
+            | None ->
+                Error
+                  ( Invalid,
+                    Printf.sprintf "unknown backend %S (known: %s, race)" name
+                      (String.concat ", "
+                         (List.map
+                            (fun b -> b.Core.Backend.name)
+                            Core.Backend.builtins)) ))
         | _ ->
             Error
               ( Invalid,
@@ -339,7 +344,11 @@ let coalesce_key req =
             | Proc.Processor.Decompression -> "decompress");
           (* [backend] shapes the plan itself, so requests asking
              different backends must never share a solve. *)
-          add (Option.value req.backend ~default:"-");
+          add
+            (match req.backend with
+            | None -> "-"
+            | Some (Solo b) -> b.Core.Backend.name
+            | Some Race -> "race");
           add
             (match req.power_pct with
             | None -> "-"

@@ -50,15 +50,16 @@
 
     {b Backends.}  [plan] and [validate] accept a ["backend"] field
     naming a planning backend ([greedy] — the default, [binpack] — the
-    rectangle bin-packing formulation, or [race] — every registered
-    backend runs concurrently on its own domain and the best valid
+    rectangle bin-packing formulation, or [race] — both builtin
+    backends run concurrently, each on its own domain, and the best valid
     plan wins, never worse than greedy alone).  Every plan/validate
     response — coalesced ones included — names the solver that produced
     its plan in ["backend"]; per-backend solve counts, win counts and
     total latency appear in the [metrics] snapshot ([backend_solves],
     [backend_wins], [backend_latency_ms]) and as
-    [nocplan_backend_*] Prometheus series.  Naming [backend] on any
-    other op is refused as [invalid].
+    [nocplan_backend_*] Prometheus series.  The name is resolved when
+    the request is parsed: an unknown one, or [backend] on any other
+    op, is refused as [invalid].
 
     Error response:
     {v
@@ -116,6 +117,9 @@ type op =
   | Metrics
   | Prometheus
 
+(** A [backend] field, resolved against {!Nocplan_core.Backend.builtins}. *)
+type backend = Solo of Nocplan_core.Backend.t | Race
+
 type request = {
   id : Json.t;  (** echoed verbatim; [Null] when absent *)
   op : op;
@@ -123,10 +127,9 @@ type request = {
       (** [None] only for [Metrics] and [Prometheus] *)
   policy : Nocplan_core.Scheduler.policy;
   application : Nocplan_proc.Processor.application;
-  backend : string option;
-      (** [Plan]/[Validate] planning backend: a registered
-          {!Nocplan_core.Backend} name or ["race"]; [None] means the
-          default greedy path *)
+  backend : backend option;
+      (** [Plan]/[Validate] planning backend; [None] means the default
+          greedy path *)
   power_pct : float option;
   reuse : int option;
   max_reuse : int option;

@@ -203,8 +203,9 @@ let heuristic_schedule t entry config ~reuse =
 (* Dispatch one plan/validate solve to the requested backend and name
    the solver that produced the plan.  The default (greedy) path keeps
    going through the evaluation cache — exact repeats skip the
-   engine — while "binpack" solves directly and "race" runs every
-   registered backend on its own domain and keeps the best valid plan.
+   engine — while "binpack" solves directly and "race" runs both
+   builtin backends, each on its own domain, and keeps the best valid
+   plan.
    Every attempt is recorded per backend (a race records one per
    racer); the win counter tracks whose plan clients actually get. *)
 let backend_schedule t entry config ~reuse backend =
@@ -217,15 +218,15 @@ let backend_schedule t entry config ~reuse backend =
       ~latency_ms:((Unix.gettimeofday () -. t0) *. 1e3);
     sched
   in
-  match backend with
-  | None | Some "greedy" ->
+  match (backend : Protocol.backend option) with
+  | None | Some (Solo { Core.Backend.name = "greedy"; _ }) ->
       let sched =
         timed "greedy" (fun () ->
             heuristic_schedule t entry config ~reuse)
       in
       Stats.record_backend_win t.stats ~backend:"greedy";
       (sched, "greedy")
-  | Some "race" ->
+  | Some Race ->
       let outcome =
         Core.Backend.race ~clock:Unix.gettimeofday ~access system config
       in
@@ -237,17 +238,13 @@ let backend_schedule t entry config ~reuse backend =
       Stats.record_backend_win t.stats
         ~backend:outcome.Core.Backend.winner;
       (outcome.Core.Backend.schedule, outcome.Core.Backend.winner)
-  | Some name -> (
-      (* Parse already refused unknown names; a registry change
-         between parse and execution surfaces as a parse error. *)
-      match Core.Backend.find name with
-      | None -> invalid_arg (Printf.sprintf "unknown backend %S" name)
-      | Some b ->
-          let sched =
-            timed name (fun () -> Core.Backend.solve b ~access system config)
-          in
-          Stats.record_backend_win t.stats ~backend:name;
-          (sched, name))
+  | Some (Solo b) ->
+      let name = b.Core.Backend.name in
+      let sched =
+        timed name (fun () -> Core.Backend.solve b ~access system config)
+      in
+      Stats.record_backend_win t.stats ~backend:name;
+      (sched, name)
 
 (* [execute] answers [Ok (result, cache, backend)]: the payload, the
    access-table cache verdict, and — for plan/validate — the name of

@@ -164,7 +164,6 @@ let test_race_checks_partial_configs () =
   let bogus =
     {
       Backend.name = "bogus";
-      capabilities = { Backend.honors_order = false; honors_policy = false };
       solve = (fun ?access:_ _ _ -> Schedule.of_entries []);
     }
   in
@@ -181,34 +180,23 @@ let test_race_checks_partial_configs () =
   Alcotest.(check bool) "greedy valid" true (valid "greedy");
   Alcotest.(check bool) "bogus invalid" false (valid "bogus")
 
-(* --- registry ------------------------------------------------------ *)
+(* --- lookup -------------------------------------------------------- *)
 
-let test_registry () =
+let test_lookup () =
   Alcotest.(check (list string))
     "builtin names, greedy first (race tie-break order)"
-    [ "greedy"; "binpack" ] (Backend.names ());
-  Alcotest.(check bool) "find greedy" true (Backend.find "greedy" <> None);
-  Alcotest.(check bool) "find binpack" true (Backend.find "binpack" <> None);
-  Alcotest.(check bool) "find unknown" true (Backend.find "simplex" = None);
-  Alcotest.(check bool)
-    "greedy honors order and policy" true
-    Backend.(
-      greedy.capabilities.honors_order && greedy.capabilities.honors_policy);
-  Alcotest.(check bool)
-    "binpack honors neither" false
-    Backend.(
-      binpack.capabilities.honors_order || binpack.capabilities.honors_policy);
-  (match
-     Backend.register
-       { Backend.greedy with Backend.name = "greedy" }
-   with
-  | () -> Alcotest.fail "duplicate registration accepted"
-  | exception Invalid_argument _ -> ());
-  (* A fresh name registers and resolves; race's default racer list is
-     the builtins, so the global registry stays a lookup table. *)
-  let dummy = { Backend.greedy with Backend.name = "test-dummy" } in
-  Backend.register dummy;
-  Alcotest.(check bool) "registered" true (Backend.find "test-dummy" <> None)
+    [ "greedy"; "binpack" ]
+    (List.map (fun (b : Backend.t) -> b.Backend.name) Backend.builtins);
+  let found name =
+    Option.map (fun (b : Backend.t) -> b.Backend.name) (Backend.find name)
+  in
+  Alcotest.(check (option string))
+    "find greedy" (Some "greedy") (found "greedy");
+  Alcotest.(check (option string))
+    "find binpack" (Some "binpack") (found "binpack");
+  (* "race" is a serve/CLI mode over the builtins, not a backend. *)
+  Alcotest.(check (option string)) "find race" None (found "race");
+  Alcotest.(check (option string)) "find unknown" None (found "simplex")
 
 let suite =
   [
@@ -220,5 +208,5 @@ let suite =
     Alcotest.test_case "race single backend" `Quick test_race_single_backend;
     Alcotest.test_case "race checks partial configs" `Quick
       test_race_checks_partial_configs;
-    Alcotest.test_case "registry" `Quick test_registry;
+    Alcotest.test_case "lookup" `Quick test_lookup;
   ]

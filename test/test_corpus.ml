@@ -121,31 +121,22 @@ let test_power_profiles () =
 
 let test_differential_regression () =
   let items = Corpus.Corpus.generate ~seed:0xD1FFL ~count:50 in
-  let rows =
-    Core.Differential.sweep ~domains:2
-      (List.map
-         (fun item ->
-           (item.Corpus.Corpus.name, item.Corpus.Corpus.system,
-            Corpus.Corpus.config item))
-         items)
+  let check =
+    (Option.get (Corpus.Suites.find "backend_differential")).Corpus.Suites.check
   in
-  Alcotest.(check int) "one row per system" 50 (List.length rows);
+  let outcomes =
+    Core.Domains.map ~domains:2
+      (fun item -> (item.Corpus.Corpus.name, check item))
+      items
+  in
+  Alcotest.(check int) "one outcome per system" 50 (List.length outcomes);
   List.iter
-    (fun (row : Core.Differential.row) ->
-      (match row.Core.Differential.outcome with
-      | Ok _ -> ()
-      | Error msg ->
-          Alcotest.failf "%s: no backend produced a valid schedule: %s"
-            row.Core.Differential.label msg);
-      Alcotest.(check bool)
-        (row.Core.Differential.label ^ ": all backends validator-clean")
-        true
-        (Core.Differential.all_backends_valid row);
-      Alcotest.(check bool)
-        (row.Core.Differential.label ^ ": race never worse than greedy")
-        true
-        (Core.Differential.race_never_worse row))
-    rows
+    (fun (name, outcome) ->
+      match outcome with
+      | Corpus.Suites.Pass -> ()
+      | Corpus.Suites.Fail msg | Corpus.Suites.Skip msg ->
+          Alcotest.failf "%s: backend_differential: %s" name msg)
+    outcomes
 
 (* --- testplan parsing, lint, and the checked-in plan ---------------- *)
 

@@ -46,7 +46,7 @@ let test_plan_backends () =
             (backend_of (plan "binpack"));
           let race = backend_of (plan "race") in
           Alcotest.(check bool)
-            "race winner is a registered backend" true
+            "race winner is a builtin backend" true
             (Nocplan_core.Backend.find race <> None);
           (* Default path still reports its solver. *)
           let default =

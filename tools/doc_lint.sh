@@ -23,7 +23,13 @@
 #      literal under lib/, has a row in an OBSERVABILITY.md table; and
 #      every name in the first column of the span-taxonomy and metric
 #      tables is a string literal somewhere under lib/.
-#   5. If odoc is installed, `dune build @doc` must succeed; when it
+#   5. Module references in README.md, DESIGN.md and OBSERVABILITY.md
+#      resolve: every `Core.X`, `Fault.X` or `Nocplan_<lib>.X` names a
+#      module X of that library, and every backticked `Mod.name` whose
+#      Mod is a module under lib/*/ names something Mod's .mli declares
+#      (a value, type, record field, exception, module or constructor),
+#      so a deleted module or function cannot linger in the prose.
+#   6. If odoc is installed, `dune build @doc` must succeed; when it
 #      is not installed the check is skipped with a notice (the CI
 #      image does not ship odoc).
 #
@@ -174,7 +180,62 @@ for name in $documented; do
     || err "OBSERVABILITY.md documents $name, which nothing under lib/ emits"
 done
 
-# -- 5. odoc (optional) ------------------------------------------------------
+# -- 5. Module references resolve against lib/ -----------------------------
+
+ref_docs="README.md DESIGN.md OBSERVABILITY.md"
+uncap() { printf '%s' "$1" | awk '{ print tolower(substr($0, 1, 1)) substr($0, 2) }'; }
+
+for doc in $ref_docs; do
+  for ref in $(grep -oE '\b(Core|Fault|Nocplan_[a-z0-9]+)\.[A-Z][A-Za-z0-9_]*' "$doc" \
+                 | sort -u); do
+    lib=${ref%%.*}
+    case "$lib" in
+      Core) dir=lib/core ;;
+      Fault) dir=lib/fault ;;
+      *) dir=lib/${lib#Nocplan_} ;;
+    esac
+    [ -f "$dir/$(uncap "${ref#*.}").ml" ] \
+      || err "$doc references $ref, which $dir/ does not define"
+  done
+done
+
+# [declares mli name]: the interface declares [name] — a value, type,
+# record field or class member when lowercase; a module, module type,
+# exception or constructor when capitalised.
+declares() {
+  case "$2" in
+    [A-Z]*) grep -qE -e "^[[:space:]]*(module( type)?|exception)[[:space:]]+$2\b" \
+              -e "(^|[|=])[[:space:]]*$2([[:space:]]|\)|\$)" "$1" ;;
+    *) grep -qE -e "^[[:space:]]*(val|external|method)[[:space:]]+$2[[:space:]]*:" \
+         -e "^[[:space:]]*(type|and)([[:space:]]+(nonrec|'[a-z]+|\([^)]*\)))*[[:space:]]+$2([[:space:]]|=|\$)" \
+         -e "(^|[{;])[[:space:]]*(mutable[[:space:]]+)?$2[[:space:]]*:" "$1" ;;
+  esac
+}
+
+for doc in $ref_docs; do
+  # Inline code spans outside fences; a leading library qualifier
+  # (Core.Backend.race) is dropped so the module comes first.
+  refs=$(awk '/^```/{f=!f;next} !f' "$doc" | grep -oE '`[^`]*`' \
+    | grep -oE '([A-Z][A-Za-z0-9_]*\.)+[A-Za-z_][A-Za-z0-9_]*' \
+    | sed -E 's/^(Core|Fault|Noc|Proc|Itc02|Obs|Serve|Corpus|Nocplan_[a-z0-9]+)\.([A-Z])/\2/' \
+    | sort -u || true)
+  for ref in $refs; do
+    mod=${ref%%.*}
+    rest=${ref#*.}
+    [ "$rest" != "$ref" ] || continue
+    name=${rest%%.*}
+    found=0 declared=0
+    for mli in lib/*/"$(uncap "$mod")".mli; do
+      [ -f "$mli" ] || continue
+      found=1
+      if declares "$mli" "$name"; then declared=1; fi
+    done
+    [ "$found" -eq 0 ] || [ "$declared" -eq 1 ] \
+      || err "$doc mentions \`$mod.$name\`, which no lib/*/$(uncap "$mod").mli declares"
+  done
+done
+
+# -- 6. odoc (optional) ------------------------------------------------------
 
 if command -v odoc >/dev/null 2>&1; then
   echo "doc-lint: odoc found, building @doc" >&2

@@ -358,36 +358,33 @@ let stats_cmd =
 
 let anneal_cmd =
   let run instance iterations seed chains exchange placement_moves trace =
-    if placement_moves < 0.0 || placement_moves > 1.0 then
-      parse_fail "--placement-moves must be within [0, 1]"
-    else
-      match instance with
-      | Error msg -> parse_fail msg
-      | Ok (system, reuse, power_limit) -> (
-          match
-            with_tracing trace (fun () ->
-                Core.Annealing.schedule ~power_limit ~iterations
-                  ~seed:(Int64.of_int seed) ~chains ~exchange_period:exchange
-                  ~placement_moves ~reuse system)
-          with
-          | exception Core.Scheduler.Unschedulable msg -> plan_fail msg
-          | r, _ ->
-              Fmt.pr "%a@." Core.Schedule.pp r.Core.Annealing.schedule;
+    match instance with
+    | Error msg -> parse_fail msg
+    | Ok (system, reuse, power_limit) -> (
+        match
+          with_tracing trace (fun () ->
+              Core.Annealing.schedule ~power_limit ~iterations
+                ~seed:(Int64.of_int seed) ~chains ~exchange_period:exchange
+                ~placement_moves ~reuse system)
+        with
+        | exception Core.Scheduler.Unschedulable msg -> plan_fail msg
+        | r, _ ->
+            Fmt.pr "%a@." Core.Schedule.pp r.Core.Annealing.schedule;
+            Fmt.pr
+              "greedy order %d -> annealed %d (%.1f%% better; %d engine \
+               evaluations, %d accepted moves, %d chains, %d exchanges)@."
+              r.Core.Annealing.initial_makespan
+              r.Core.Annealing.schedule.Core.Schedule.makespan
+              (Core.Annealing.improvement_pct r)
+              r.Core.Annealing.evaluations r.Core.Annealing.accepted
+              r.Core.Annealing.chains r.Core.Annealing.exchanges;
+            if r.Core.Annealing.placement_evals > 0 then
               Fmt.pr
-                "greedy order %d -> annealed %d (%.1f%% better; %d engine \
-                 evaluations, %d accepted moves, %d chains, %d exchanges)@."
-                r.Core.Annealing.initial_makespan
-                r.Core.Annealing.schedule.Core.Schedule.makespan
-                (Core.Annealing.improvement_pct r)
-                r.Core.Annealing.evaluations r.Core.Annealing.accepted
-                r.Core.Annealing.chains r.Core.Annealing.exchanges;
-              if r.Core.Annealing.placement_evals > 0 then
-                Fmt.pr
-                  "placement moves: %d evaluated, %d accepted (joint \
-                   order+placement search)@."
-                  r.Core.Annealing.placement_evals
-                  r.Core.Annealing.placement_accepted;
-              0)
+                "placement moves: %d evaluated, %d accepted (joint \
+                 order+placement search)@."
+                r.Core.Annealing.placement_evals
+                r.Core.Annealing.placement_accepted;
+            0)
   in
   let iterations_arg =
     Arg.(value & opt (int_at_least 1) 400 & info [ "iterations" ] ~docv:"N"
@@ -406,7 +403,10 @@ let anneal_cmd =
            ~doc:"Iterations between best-exchanges across chains.")
   in
   let placement_arg =
-    Arg.(value & opt float 0.0 & info [ "placement-moves" ] ~docv:"RATIO"
+    let ratio =
+      float_where (fun r -> r >= 0.0 && r <= 1.0) ~expected:"in [0, 1]"
+    in
+    Arg.(value & opt ratio 0.0 & info [ "placement-moves" ] ~docv:"RATIO"
            ~doc:"Probability in [0, 1] that a move swaps two module tiles \
                  instead of two order positions (0 = order-only annealing; \
                  processors and IO ports stay pinned).")
@@ -500,7 +500,7 @@ let optimal_cmd =
               0)
   in
   let max_nodes_arg =
-    Arg.(value & opt int 300_000 & info [ "max-nodes" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 1) 300_000 & info [ "max-nodes" ] ~docv:"N"
            ~doc:"Branch-and-bound node budget (engine evaluations with \
                  $(b,--orders)).")
   in

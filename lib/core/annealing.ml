@@ -33,6 +33,7 @@ type chain = {
   rng : Rng.t;
   ratio : float;  (** probability that a move is a placement swap *)
   swappable : int array;
+  config : Scheduler.config;  (** shared by every chain; order unset *)
   order : int array;
   cache : Eval_cache.t;
   mutable current : Scheduler.trace;
@@ -65,11 +66,13 @@ let metropolis ch candidate =
   || ch.temperature > 0.0 && Rng.float ch.rng < exp (-.delta /. ch.temperature)
 
 (* One placement move: swap the tiles of two random non-pinned
-   modules, rebuild only their access-table rows, and re-evaluate the
-   current order on the mutated system by verified replay
-   ([Scheduler.resume_onto]).  Nothing is mutated until acceptance —
-   [System.swap_tiles] and [Test_access.table_rebuild] are functional
-   — so a rejection simply drops the candidate. *)
+   modules, rebuild only their access-table rows, and run the current
+   order on the mutated system from scratch.  The run gets no
+   workspace: the chain's evaluation arena belongs to its current
+   placement, and a run on another system would evict it.  Nothing is
+   mutated until acceptance — [System.swap_tiles] and
+   [Test_access.table_rebuild] are functional — so a rejection simply
+   drops the candidate. *)
 let placement_move ch =
   let ns = Array.length ch.swappable in
   let a = ch.swappable.(Rng.int ch.rng ~bound:ns) in
@@ -81,8 +84,10 @@ let placement_move ch =
         (Scheduler.trace_access ch.current)
         ~system:sys ~affected:[ a; b ]
     in
+    let order = Array.to_list (Scheduler.trace_order ch.current) in
     match
-      Scheduler.resume_onto ch.current ~system:sys ~access ~affected:[ a; b ]
+      Scheduler.run_traced ~access sys
+        { ch.config with Scheduler.order = Some order }
     with
     | exception Scheduler.Unschedulable _ -> ()
     | candidate ->
@@ -255,6 +260,7 @@ let schedule ?(policy = Scheduler.Greedy)
          chain applies the full ratio. *)
       ratio = (if chains > 1 && c = 0 then 0.0 else placement_moves);
       swappable;
+      config = base_config;
       order = Array.copy initial_order;
       cache;
       current = initial;

@@ -18,9 +18,9 @@
     are) — and otherwise the usual order swap.  A placement swap
     invalidates only the two modules' rows of the access table, which
     {!Test_access.table_rebuild} recomputes incrementally, and the
-    candidate is evaluated by {!Scheduler.resume_onto}: the schedule
-    prefix predating the first affected commit is replayed, the rest
-    re-run.  On torus topologies, where wraparound halves worst-case
+    candidate (the current order on the swapped placement) is
+    evaluated by a full {!Scheduler.run_traced} on the rebuilt table —
+    the rebuild, not the run, dominates a move's cost.  On torus topologies, where wraparound halves worst-case
     hop counts, the placement dimension is where the remaining test
     time lives — an order-only anneal of a torus system mostly
     rearranges equal path lengths.

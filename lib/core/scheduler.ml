@@ -812,251 +812,6 @@ let resume ?workspace trace order =
     end
   end
 
-(* ------------------------------------------------------------------ *)
-(* Placement resume                                                   *)
-
-(* Re-evaluate a trace's order on a placement-mutated system.  Unlike
-   [resume], which handles a changed {e order} on the same system, here
-   the system itself changed — but only the [affected] modules' rows of
-   the cost model did ({!Test_access.table_rebuild}), so every commit
-   of an unaffected module replays verbatim while the affected modules
-   are re-attempted live at every event, exactly where the from-scratch
-   run would attempt them.
-
-   Why this is exact: at every event the from-scratch run attempts the
-   pending modules once, in order position.  An unaffected module's
-   attempt outcome is a deterministic function of the engine state and
-   its (bit-identical) table row, so while the replayed state equals
-   the traced state its outcome equals the traced outcome — commit for
-   commit, including the events at which nothing commits.  Only the
-   affected modules can behave differently, so the first divergence is
-   the first event at which an affected module's live attempt commits
-   where the trace shows none, or the trace commits an affected module
-   itself (whose new cost makes the outcome different either way).  Up
-   to that point we replay; at that point we finish the event's attempt
-   pass over the remaining positions live — re-entering [event_loop] at
-   the same instant would re-attempt earlier positions, which the
-   from-scratch run never does (observable under Lookahead, where a
-   commit can reorder the estimated-finish ranking) — and only then
-   hand over to the normal loop.  The "placement resume oracle"
-   property test pins resume_onto = run-from-scratch across generated
-   systems, policies and power limits. *)
-let resume_onto ?workspace trace ~system ~access ~affected =
-  let cfg = trace.t_config in
-  if not (Test_access.table_for access ~system ~application:cfg.application)
-  then
-    invalid_arg
-      "Scheduler.resume_onto: access table does not match the mutated system";
-  let order = Array.copy trace.t_order in
-  check_permutation ~wanted:(wanted_modules system cfg) (Array.to_list order);
-  let aff_tbl = Hashtbl.create 4 in
-  List.iter (fun id -> Hashtbl.replace aff_tbl id ()) affected;
-  let go () =
-    let e = make_engine ?workspace ~table:access system cfg order in
-    (* Affected modules that are actually scheduled, ascending by order
-       position; the per-event cursor below walks them in step with the
-       replayed commits (whose positions also ascend within an event,
-       because pending lists preserve order). *)
-    let aff_arr =
-      let l = ref [] in
-      Array.iteri
-        (fun p id -> if Hashtbl.mem aff_tbl id then l := (p, id) :: !l)
-        order;
-      Array.of_list (List.rev !l)
-    in
-    let done_tbl = Hashtbl.create 16 in
-    (* Live-attempt machinery, mirroring [event_loop]'s. *)
-    let eligible =
-      match cfg.policy with
-      | Greedy -> fun a -> a <> not_pooled && a <= e.e_now
-      | Lookahead -> fun a -> a <> not_pooled
-    in
-    let slots = Array.make (max 1 e.e_n) 0 in
-    let k = ref 0 in
-    let stale = ref true in
-    let refresh () =
-      k := 0;
-      for i = 0 to e.e_n - 1 do
-        if eligible e.e_avail.(i) then begin
-          slots.(!k) <- i;
-          incr k
-        end
-      done;
-      stale := false
-    in
-    let attempt =
-      let go_attempt =
-        match cfg.policy with
-        | Greedy -> attempt_greedy e
-        | Lookahead -> attempt_lookahead e
-      in
-      fun id ->
-        if !stale then refresh ();
-        let committed = go_attempt ~slots ~k:!k ~now:e.e_now id in
-        if committed then stale := true;
-        committed
-    in
-    let n_commits = Array.length trace.t_commits in
-    let ci = ref 0 in
-    let diverged = ref false in
-    let div_pos = ref (-1) in
-    let replayed = ref 0 in
-    (* The next event exactly as the engine would compute it — the
-       earliest pending release.  [replay_commit] bypasses the release
-       heap, so scan the availability array instead: the heap's
-       staleness filter makes its answer equal to this minimum. *)
-    let next_event_after t =
-      let best = ref max_int in
-      for i = 0 to e.e_n - 1 do
-        let a = e.e_avail.(i) in
-        if a > t && a < !best then best := a
-      done;
-      (* Gate openings are events too (the heap's sentinels are not
-         consulted here). *)
-      Hashtbl.iter
-        (fun _ r -> if r > t && r < !best then best := r)
-        e.e_gates;
-      if !best = max_int then None else Some !best
-    in
-    let remaining () =
-      !ci < n_commits
-      || Array.exists (fun (_, id) -> not (Hashtbl.mem done_tbl id)) aff_arr
-    in
-    while (not !diverged) && remaining () do
-      let t = e.e_now in
-      stale := true;
-      (* One attempt pass at event [t], merged by order position from
-         the replayed commits and the affected modules' live attempts;
-         [cursor] visits each affected module at most once per event. *)
-      let cursor = ref 0 in
-      let try_aff_upto limit =
-        let hit = ref None in
-        while
-          !hit = None
-          && !cursor < Array.length aff_arr
-          && fst aff_arr.(!cursor) < limit
-        do
-          let p, id = aff_arr.(!cursor) in
-          incr cursor;
-          if (not (Hashtbl.mem done_tbl id)) && attempt id then begin
-            Hashtbl.replace done_tbl id ();
-            hit := Some p
-          end
-        done;
-        !hit
-      in
-      while
-        (not !diverged)
-        && !ci < n_commits
-        && trace.t_commits.(!ci).c_entry.Schedule.start = t
-      do
-        let c = trace.t_commits.(!ci) in
-        match try_aff_upto c.c_pos with
-        | Some p ->
-            diverged := true;
-            div_pos := p
-        | None ->
-            let id = c.c_entry.Schedule.module_id in
-            incr ci;
-            if Hashtbl.mem aff_tbl id then begin
-              (* The trace commits an affected module here; under the
-                 new placement its outcome differs either way (other
-                 resources, other duration, or outright failure), so
-                 the runs part company at this position. *)
-              if attempt id then Hashtbl.replace done_tbl id ();
-              diverged := true;
-              div_pos := c.c_pos
-            end
-            else begin
-              replay_commit e c;
-              (* [replay_commit] leaves the power ledger alone (plain
-                 [resume] restores it wholesale by truncation); here
-                 live commits interleave with replays within one event,
-                 so re-add each replayed window — chronological order,
-                 the same floats the from-scratch run would add. *)
-              Power_monitor.add e.e_monitor ~start:c.c_entry.Schedule.start
-                ~finish:c.c_entry.Schedule.finish
-                ~power:c.c_entry.Schedule.power;
-              Hashtbl.replace done_tbl id ();
-              incr replayed;
-              stale := true
-            end
-      done;
-      if not !diverged then begin
-        (match try_aff_upto max_int with
-        | Some p ->
-            diverged := true;
-            div_pos := p
-        | None -> ());
-        if (not !diverged) && remaining () then
-          match next_event_after t with
-          | Some t' -> e.e_now <- t'
-          | None ->
-              raise
-                (Unschedulable
-                   (Printf.sprintf
-                      "no progress at t=%d resuming onto mutated placement" t))
-      end
-    done;
-    if !diverged then begin
-      (* Finish the divergence event's pass: the from-scratch run goes
-         on to attempt every later pending position with the diverged
-         state before it advances time. *)
-      for p = !div_pos + 1 to Array.length order - 1 do
-        let id = order.(p) in
-        if not (Hashtbl.mem done_tbl id) then
-          if attempt id then Hashtbl.replace done_tbl id ()
-      done;
-      let pending =
-        List.filter
-          (fun id -> not (Hashtbl.mem done_tbl id))
-          (Array.to_list order)
-      in
-      if pending <> [] then begin
-        (match next_event_after e.e_now with
-        | Some t' -> e.e_now <- t'
-        | None ->
-            raise
-              (Unschedulable
-                 (Printf.sprintf
-                    "no progress at t=%d with %d cores pending (power limit \
-                     too tight or no resources)"
-                    e.e_now (List.length pending))));
-        for i = 0 to e.e_n - 1 do
-          if e.e_avail.(i) > e.e_now then
-            Min_heap.push e.e_releases ~key:e.e_avail.(i) ~value:i
-        done;
-        event_loop e pending
-      end
-    end;
-    if Trace.enabled () then
-      Trace.instant "scheduler.replay_onto"
-        ~attrs:
-          [
-            ("replayed", Trace.Int !replayed);
-            ("diverged_at", Trace.Int !div_pos);
-          ];
-    finish_trace e
-  in
-  if not (Trace.enabled ()) then go ()
-  else begin
-    Trace.begin_span "scheduler.resume_onto"
-      ~attrs:
-        [
-          ("modules", Trace.Int (Array.length order));
-          ("affected", Trace.Int (List.length affected));
-        ];
-    match go () with
-    | tr ->
-        Trace.end_span "scheduler.resume_onto"
-          ~attrs:[ ("makespan", Trace.Int tr.t_schedule.Schedule.makespan) ];
-        tr
-    | exception exn ->
-        Trace.end_span "scheduler.resume_onto"
-          ~attrs:[ ("raised", Trace.Bool true) ];
-        raise exn
-  end
-
 let resume_gain trace order =
   let p = trace_lcp trace order in
   if p = Array.length order && p = Array.length trace.t_order then max_int

@@ -127,32 +127,6 @@ val resume : ?workspace:workspace -> trace -> int array -> trace
     @raise Invalid_argument if [order] is not a permutation of the
     traced module set. *)
 
-val resume_onto :
-  ?workspace:workspace ->
-  trace ->
-  system:System.t ->
-  access:Test_access.table ->
-  affected:int list ->
-  trace
-(** [resume_onto trace ~system ~access ~affected] re-evaluates the
-    traced order on a {e placement-mutated} copy of the traced system:
-    [system] must differ from the trace's system only in the tiles of
-    the (non-processor) [affected] modules (e.g. one
-    {!System.swap_tiles}), and [access] must be the mutated system's
-    table with the trace's channel numbering extended
-    ({!Test_access.table_rebuild} of the trace's table).  Commits of
-    unaffected modules replay verbatim until the first event at which
-    an affected module behaves differently (its live attempt commits
-    where the trace shows none, or the trace commits it under its old
-    costs); from there the event's remaining attempt pass and the rest
-    of the run proceed live.  The result is byte-identical to
-    [run_traced] of the mutated system under the same order and
-    configuration — the placement move evaluator of {!Annealing}.
-
-    @raise Unschedulable as {!run}.
-    @raise Invalid_argument if [access] does not match [system] and the
-    trace's application. *)
-
 val resume_gain : trace -> int array -> int
 (** Number of traced commits {!resume} would replay verbatim for
     [order] ([max_int] when [order] equals the traced order, so exact

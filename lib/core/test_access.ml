@@ -293,8 +293,8 @@ type table = {
   channel_ids : (Link.t, int) Hashtbl.t;
       (** the dense numbering itself, link -> channel id in first-use
           order.  Kept so {!table_rebuild} can extend the numbering of
-          its base table instead of renumbering: a calendar populated
-          under the base table stays valid under the rebuilt one. *)
+          its base table: the rows it copies keep their ids, so the
+          rows it refills must number the same links the same way. *)
 }
 
 (* Dense per-table channel numbering: every distinct link routed over
@@ -511,10 +511,9 @@ let table_rebuild base ~system ~affected =
       memory_bits = Array.copy base.memory_bits;
       costs = Array.copy base.costs;
       channels = Array.copy base.channels;
-      (* Copy, then extend: links already numbered keep their ids, so
-         reservations recorded under the base table's numbering remain
-         meaningful; genuinely new links (routes touching the new
-         tiles) are appended in first-use order. *)
+      (* Copy, then extend: links already numbered keep their ids, as
+         they do in the copied rows; genuinely new links (routes
+         touching the new tiles) are appended in first-use order. *)
       channel_ids = Hashtbl.copy base.channel_ids;
     }
   in

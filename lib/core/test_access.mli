@@ -145,13 +145,13 @@ val table_rebuild : table -> system:System.t -> affected:int list -> table
     the placement of the [affected] (non-processor) modules, e.g. via
     {!System.swap_tiles}: every other module's cut coordinate and every
     endpoint keep their tiles, so their rows are bit-identical and are
-    carried over.  The dense channel numbering {e extends} the base's
-    (already-seen links keep their ids; links first routed over by the
-    new placement get fresh ids), so a reservation calendar or commit
-    trace recorded under [base] stays meaningful under the result —
-    the property {!Scheduler.resume_onto} relies on.  Cost: O(table
-    copy) + O(|affected| · endpoints²) instead of a full rebuild's
-    O(modules · endpoints²) wrapper designs.
+    carried over.  The dense channel numbering {e extends} the base's,
+    because the copied rows keep their channel ids: already-seen links
+    keep their ids and links first routed over by the new placement
+    get fresh ones.  Every cell (feasibility, cost, links) equals that
+    of a fresh {!table} of [system]; only the channel ids may differ.
+    Cost: O(table copy) + O(|affected| · endpoints²) instead of a full
+    rebuild's O(modules · endpoints²) wrapper designs.
     @raise Invalid_argument if an affected id is unknown, or if a
     module outside [affected] (or a processor) sits on a different tile
     in [system] than in the base table's system. *)

@@ -103,15 +103,8 @@ let parse_fault_link s =
                 \"eject:x,y\")"
                s))
 
-let parse_request line =
-  let parse_err r = Result.map_error (fun msg -> (Parse, msg)) r in
+let parse_fields ~id json =
   let invalid_err r = Result.map_error (fun msg -> (Invalid, msg)) r in
-  let* json = parse_err (Json.parse line) in
-  let* () =
-    match json with
-    | Json.Obj _ -> Ok ()
-    | _ -> Error (Parse, "request must be a JSON object")
-  in
   let* () =
     match Json.member "v" json with
     | None | Some (Json.Int 1) -> Ok ()
@@ -121,7 +114,6 @@ let parse_request line =
             Printf.sprintf "unsupported protocol version %s (this server: %d)"
               (Json.to_string v) version )
   in
-  let id = Option.value (Json.member "id" json) ~default:Json.Null in
   let* op =
     match Json.str_field "op" json with
     | Some "plan" -> Ok Plan
@@ -203,21 +195,38 @@ let parse_request line =
     | Some _ ->
         Error (Parse, Printf.sprintf "field %S must be a list of strings" name)
   in
+  (* Out-of-domain numbers are refused here, naming the field, rather
+     than reaching the library as an [Invalid_argument] it raises. *)
+  let at_least name lo = function
+    | Some n when n < lo ->
+        Error (Invalid, Printf.sprintf "field %S must be >= %d" name lo)
+    | _ -> Ok ()
+  in
   let* width = int_opt "width" in
   let* height = int_opt "height" in
   let* leons = int_opt "leons" in
   let* plasmas = int_opt "plasmas" in
   let* reuse = int_opt "reuse" in
+  let* () = at_least "reuse" 0 reuse in
   let* max_reuse = int_opt "max_reuse" in
+  let* () = at_least "max_reuse" 0 max_reuse in
   let* iterations = int_opt "iterations" in
+  let* () = at_least "iterations" 1 iterations in
   let* seed = int_opt "seed" in
   let* chains = int_opt "chains" in
+  let* () = at_least "chains" 1 chains in
   let* power_pct = float_opt "power_pct" in
+  let* () =
+    match power_pct with
+    | Some p when not (p > 0.0) ->
+        Error (Invalid, "field \"power_pct\" must be > 0")
+    | _ -> Ok ()
+  in
   let* placement_moves = float_opt "placement_moves" in
   let* () =
     match placement_moves with
-    | Some r when r < 0.0 || r > 1.0 ->
-        Error (Parse, "field \"placement_moves\" must be within [0, 1]")
+    | Some r when not (r >= 0.0 && r <= 1.0) ->
+        Error (Invalid, "field \"placement_moves\" must be within [0, 1]")
     | _ -> Ok ()
   in
   let bool_opt name =
@@ -229,17 +238,9 @@ let parse_request line =
   in
   let* warm = bool_opt "warm" in
   let* max_sessions = int_opt "max_sessions" in
-  let* () =
-    match max_sessions with
-    | Some n when n < 1 -> Error (Invalid, "field \"max_sessions\" must be >= 1")
-    | _ -> Ok ()
-  in
+  let* () = at_least "max_sessions" 1 max_sessions in
   let* at = int_opt "at" in
-  let* () =
-    match at with
-    | Some n when n < 0 -> Error (Invalid, "field \"at\" must be >= 0")
-    | _ -> Ok ()
-  in
+  let* () = at_least "at" 0 at in
   let* router_strs = str_list "failed_routers" in
   let* fault_routers =
     invalid_err
@@ -301,6 +302,16 @@ let parse_request line =
       fault_links;
       deadline_ms;
     }
+
+let parse_request line =
+  match Json.parse line with
+  | Error msg -> Error ((Json.Null, Parse), msg)
+  | Ok (Json.Obj _ as json) ->
+      let id = Option.value (Json.member "id" json) ~default:Json.Null in
+      Result.map_error
+        (fun (kind, msg) -> ((id, kind), msg))
+        (parse_fields ~id json)
+  | Ok _ -> Error ((Json.Null, Parse), "request must be a JSON object")
 
 (* Requests that may coalesce hash to a canonical signature covering
    every result-shaping field — the op, the full system spec and all

@@ -20,7 +20,8 @@
       "backend": "race",       // plan/validate: greedy | binpack | race
 
       "power_pct": 25.0,       // power limit, % of total core power
-      "reuse": 3,              // plan/validate/anneal (default: all)
+      "reuse": 3,              // all planning ops but sweep
+                               //   (default: all)
       "max_reuse": 6,          // sweep (default: all)
       "iterations": 250,       // anneal (default 400)
       "seed": 90,              // anneal RNG seed (default 0x5A)
@@ -66,10 +67,15 @@
     { "v": 1, "id": "r1", "ok": false,
       "error": { "kind": "timeout", "message": "..." } }
     v}
+    The [id] is echoed on errors too; it is [null] only when the line
+    is not a JSON object.
 
     Error kinds: [parse] (malformed request or system description),
     [invalid] (a well-formed request carrying an out-of-domain value:
-    [max_sessions < 1], a negative [at], a malformed or out-of-mesh
+    [iterations], [chains] or [max_sessions] below 1, a negative
+    [reuse], [max_reuse] or [at], [power_pct <= 0], [placement_moves]
+    outside [0, 1], a [reuse] above the system's processor count on an
+    op that reads it, an unknown [backend], a malformed or out-of-mesh
     fault target), [unschedulable] (the planner proved the instance
     infeasible), [timeout] (deadline exceeded), [overload] (queue full
     — retry later), [read_only] (a planning op sent to a read-only
@@ -156,20 +162,22 @@ type request = {
 type error_kind =
   | Parse
   | Invalid
-      (** well-formed request, out-of-domain value ([max_sessions < 1],
-          negative [at], malformed or out-of-mesh fault target) *)
+      (** well-formed request carrying an out-of-domain value (the
+          list is in the module's error-kind paragraph) *)
   | Unschedulable
   | Timeout
   | Overload
   | Readonly
   | Internal
 
-val parse_request : string -> (request, error_kind * string) result
+val parse_request :
+  string -> (request, (Json.t * error_kind) * string) result
 (** Parse and validate one request line.  Unknown fields are ignored
     (minor protocol evolutions stay compatible); an unsupported ["v"]
     is an error.  Structural problems are [Parse] errors;
-    out-of-domain values ([max_sessions < 1], a negative [at], a
-    malformed fault target string) are [Invalid]. *)
+    out-of-domain values are [Invalid].  An error carries the
+    request's [id] for the error envelope: [Null] only when the line
+    is not a JSON object (or has no [id]). *)
 
 val coalesce_key : request -> string option
 (** The request's coalescing signature: a digest of the op, system

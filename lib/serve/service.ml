@@ -285,13 +285,21 @@ let execute t (req : Protocol.request) ~check =
           in
           let all = List.length system.Core.System.processors in
           let policy = req.policy and application = req.application in
+          let reuse = Option.value req.reuse ~default:all in
+          (* Sweep reads [max_reuse] (clamped to [all]), never [reuse]. *)
+          if reuse > all && req.op <> Protocol.Sweep then
+            Error
+              ( Protocol.Invalid,
+                Printf.sprintf
+                  "field \"reuse\" (%d) is out of range: %s has %d processors"
+                  reuse system.Core.System.soc.Nocplan_itc02.Soc.name all )
+          else
           Trace.span "serve.solve"
             ~attrs:[ ("op", Trace.String (Protocol.op_label req.op)) ]
           @@ fun () ->
           match req.op with
           | Protocol.Metrics | Protocol.Prometheus -> assert false
           | Protocol.Plan ->
-              let reuse = Option.value req.reuse ~default:all in
               let config =
                 Core.Scheduler.config ~policy ~application ~power_limit ~reuse
                   ()
@@ -306,7 +314,6 @@ let execute t (req : Protocol.request) ~check =
                   cache,
                   Some backend )
           | Protocol.Validate ->
-              let reuse = Option.value req.reuse ~default:all in
               let config =
                 Core.Scheduler.config ~policy ~application ~power_limit ~reuse
                   ()
@@ -339,7 +346,6 @@ let execute t (req : Protocol.request) ~check =
                   cache,
                   Some backend )
           | Protocol.Anneal ->
-              let reuse = Option.value req.reuse ~default:all in
               let iterations = Option.value req.iterations ~default:400 in
               let seed =
                 Int64.of_int (Option.value req.seed ~default:0x5A)
@@ -408,7 +414,6 @@ let execute t (req : Protocol.request) ~check =
                   cache,
                   None )
           | Protocol.Preempt -> (
-              let reuse = Option.value req.reuse ~default:all in
               let max_sessions = Option.value req.max_sessions ~default:3 in
               let pconfig =
                 Core.Preemptive.config ~application ~power_limit ~max_sessions
@@ -444,7 +449,6 @@ let execute t (req : Protocol.request) ~check =
               | exception Invalid_argument msg ->
                   Error (Protocol.Invalid, msg))
           | Protocol.Replan -> (
-              let reuse = Option.value req.reuse ~default:all in
               let at = Option.value req.at ~default:0 in
               let topology = system.Core.System.topology in
               let router_ob =
@@ -701,10 +705,10 @@ let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8) () =
 let handle_line ?(read_only = false) t line respond =
   let now = Unix.gettimeofday () in
   match Protocol.parse_request line with
-  | Error (kind, msg) ->
+  | Error ((id, kind), msg) ->
       Stats.record t.stats Stats.Failed ~latency_ms:0.0;
       Log.warn (fun m -> m "bad request: %s" msg);
-      respond [ Protocol.error_response ~id:Json.Null kind msg ]
+      respond [ Protocol.error_response ~id kind msg ]
   | Ok req -> (
       if Trace.enabled () then
         Trace.instant "serve.admit"

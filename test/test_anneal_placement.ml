@@ -1,6 +1,7 @@
-(* Joint order+placement annealing: the differential oracle for
-   [Scheduler.resume_onto], the dominance and determinism guarantees
-   of the joint walk, and the torus strict-improvement pin. *)
+(* Joint order+placement annealing: the incremental access-table
+   rebuild placement moves are priced with, the dominance and
+   determinism guarantees of the joint walk, and the torus
+   strict-improvement pin. *)
 
 open Util
 module Core = Nocplan_core
@@ -18,63 +19,63 @@ let swappable sys =
 
 let d695_torus () = Experiments.torus_variant (Experiments.d695_leon ())
 
-(* --- differential oracle ------------------------------------------- *)
+(* --- incremental table rebuild --------------------------------------- *)
 
-(* [resume_onto] after one placement swap must be byte-identical to a
-   from-scratch run of the mutated system under the same order — the
-   whole correctness argument for evaluating placement moves by
-   verified replay.  100 generated systems (meshes and tori, pinned
-   and free processors), both inner policies, assorted power budgets. *)
-let prop_resume_onto_differential =
-  qcheck ~count:100 "resume_onto = run of mutated system"
+(* A placement move prices its candidate with the access table
+   [Test_access.table_rebuild] derives from the current one, so after
+   one placement swap that table must agree with a fresh build of the
+   mutated system in every (module, source, sink) cell: feasibility
+   (route and memory parts too) and the whole cost record.  100
+   generated systems (meshes and tori, pinned and free processors),
+   both test applications. *)
+let prop_table_rebuild_matches_fresh =
+  qcheck ~count:100 "table_rebuild = table of swapped system"
     QCheck2.Gen.(
       Generators.system_gen_any >>= fun sys ->
-      quad (return sys)
-        (pair (int_bound 1000) (int_bound 1000))
-        bool Generators.power_pct_gen)
-    (fun (sys, (na, nb), lookahead, power_pct) ->
-      let policy =
-        if lookahead then Scheduler.Lookahead else Scheduler.Greedy
+      triple (return sys) (pair (int_bound 1000) (int_bound 1000)) bool)
+    (fun (sys, (na, nb), decompress) ->
+      let application =
+        if decompress then Nocplan_proc.Processor.Decompression
+        else Nocplan_proc.Processor.Bist
       in
-      let power_limit =
-        Option.map (fun pct -> System.power_limit_of_pct sys ~pct) power_pct
+      let sw = Array.of_list (swappable sys) in
+      let ns = Array.length sw in
+      let a = sw.(na mod max 1 ns) and b = sw.(nb mod max 1 ns) in
+      ns < 2 || a = b
+      ||
+      let sys' = System.swap_tiles sys a b in
+      let rebuilt =
+        Test_access.table_rebuild
+          (Test_access.table ~application sys)
+          ~system:sys' ~affected:[ a; b ]
       in
-      let reuse = List.length sys.System.processors in
-      let cfg = Scheduler.config ~policy ~power_limit ~reuse () in
-      match Scheduler.run_traced sys cfg with
-      | exception Scheduler.Unschedulable _ -> true
-      | trace -> (
-          let sw = Array.of_list (swappable sys) in
-          let ns = Array.length sw in
-          if ns < 2 then true
-          else
-            let a = sw.(na mod ns) and b = sw.(nb mod ns) in
-            if a = b then true
-            else
-              let sys' = System.swap_tiles sys a b in
-              let access =
-                Test_access.table_rebuild
-                  (Scheduler.trace_access trace)
-                  ~system:sys' ~affected:[ a; b ]
-              in
-              let order = Array.to_list (Scheduler.trace_order trace) in
-              let cfg' =
-                Scheduler.config ~policy ~power_limit ~order ~reuse ()
-              in
-              match
-                Scheduler.resume_onto trace ~system:sys' ~access
-                  ~affected:[ a; b ]
-              with
-              | exception Scheduler.Unschedulable _ -> (
-                  (* The mutated instance may genuinely be infeasible —
-                     but then the oracle must agree. *)
-                  match Scheduler.run_traced ~access sys' cfg' with
-                  | exception Scheduler.Unschedulable _ -> true
-                  | _ -> false)
-              | resumed ->
-                  let fresh = Scheduler.run_traced ~access sys' cfg' in
-                  Scheduler.trace_schedule resumed
-                  = Scheduler.trace_schedule fresh))
+      let fresh = Test_access.table ~application sys' in
+      let endpoints =
+        Core.Resource.all_endpoints sys'
+          ~reuse:(List.length sys'.System.processors)
+      in
+      let cell t ~module_id ~source ~sink =
+        ( Test_access.table_feasible t ~module_id ~source ~sink,
+          Test_access.table_route_feasible t ~module_id ~source ~sink,
+          Test_access.table_memory_feasible t ~module_id ~source,
+          match Test_access.table_cost t ~module_id ~source ~sink with
+          | c -> Some c
+          | exception Invalid_argument _ -> None )
+      in
+      List.for_all
+        (fun module_id ->
+          List.for_all
+            (fun source ->
+              List.for_all
+                (fun sink ->
+                  cell rebuilt ~module_id ~source ~sink
+                  = cell fresh ~module_id ~source ~sink
+                  || QCheck2.Test.fail_reportf
+                       "module %d, %a -> %a: rebuilt cell differs from fresh"
+                       module_id Core.Resource.pp source Core.Resource.pp sink)
+                endpoints)
+            endpoints)
+        (System.module_ids sys'))
 
 (* --- dominance ----------------------------------------------------- *)
 
@@ -287,7 +288,7 @@ let test_swap_tiles_rejects_pinned () =
 
 let suite =
   [
-    prop_resume_onto_differential;
+    prop_table_rebuild_matches_fresh;
     prop_joint_never_worse;
     Alcotest.test_case "torus strict improvement" `Slow
       test_torus_strict_improvement;

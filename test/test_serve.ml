@@ -208,7 +208,7 @@ let test_protocol_fault_fields () =
      out-of-domain values are [invalid]. *)
   let kind line =
     match Serve.Protocol.parse_request line with
-    | Error (k, _) -> k
+    | Error ((_, k), _) -> k
     | Ok _ -> Alcotest.failf "accepted %S" line
   in
   Alcotest.(check bool) "max_sessions 0 is invalid" true
@@ -306,6 +306,42 @@ let test_service_unschedulable_kind () =
   in
   Alcotest.(check bool) "unschedulable kind" true
     (field "kind" (field "error" resp) = Json.String "unschedulable");
+  Serve.Service.shutdown service
+
+(* Out-of-domain values answer [invalid] under the request's own id,
+   whether the parser refuses them or the system does (a reuse count
+   above its processor count); only a line that is not a JSON object
+   answers under a null id. *)
+let test_service_invalid_keeps_id () =
+  let service = Serve.Service.create ~workers:1 () in
+  let error line =
+    let resp = parse_response (Serve.Service.request service line) in
+    (field "id" resp, field "kind" (field "error" resp))
+  in
+  List.iteri
+    (fun i body ->
+      let id = Printf.sprintf "bad-%d" i in
+      let got_id, kind =
+        error (Printf.sprintf "{\"id\": %S, %s}" id body)
+      in
+      if got_id <> Json.String id || kind <> Json.String "invalid" then
+        Alcotest.failf "%s: answered id %s, kind %s" body
+          (Json.to_string got_id) (Json.to_string kind))
+    [
+      {|"op": "preempt", "system": "d695_leon", "max_sessions": 0|};
+      {|"op": "replan", "system": "d695_leon", "at": -1|};
+      {|"op": "plan", "system": "d695_leon", "backend": "nope"|};
+      {|"op": "anneal", "system": "d695_leon", "placement_moves": 3|};
+      {|"op": "anneal", "system": "d695_leon", "iterations": 0|};
+      {|"op": "anneal", "system": "d695_leon", "chains": 0|};
+      {|"op": "plan", "system": "d695_leon", "reuse": -1|};
+      {|"op": "sweep", "system": "d695_leon", "max_reuse": -3|};
+      {|"op": "plan", "system": "d695_leon", "power_pct": 0|};
+      {|"op": "plan", "system": "d695_leon", "reuse": 9|};
+      {|"op": "preempt", "system": "d695_leon", "reuse": 9|};
+    ];
+  Alcotest.(check bool) "non-object answers under a null id" true
+    (fst (error "[1]") = Json.Null);
   Serve.Service.shutdown service
 
 let test_service_anneal_matches_direct () =
@@ -1242,6 +1278,8 @@ let suite =
       test_service_rejects_bad_capacities;
     Alcotest.test_case "service reports unschedulable" `Quick
       test_service_unschedulable_kind;
+    Alcotest.test_case "service: invalid values keep the request id" `Quick
+      test_service_invalid_keeps_id;
     Alcotest.test_case "service anneal matches direct" `Quick
       test_service_anneal_matches_direct;
     Alcotest.test_case "socket: concurrent clients match direct" `Quick

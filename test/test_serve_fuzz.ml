@@ -85,6 +85,14 @@ let corpus =
     "{\"op\": \"anneal\", \"system\": \"d695_leon\", \"placement_moves\": \
      -0.25}";
     "{\"op\": \"plan\", \"system\": \"d695_leon\", \"deadline_ms\": \"now\"}";
+    "{\"op\": \"anneal\", \"system\": \"d695_leon\", \"iterations\": 0}";
+    "{\"op\": \"anneal\", \"system\": \"d695_leon\", \"chains\": -2}";
+    "{\"op\": \"plan\", \"system\": \"d695_leon\", \"reuse\": -1}";
+    "{\"op\": \"plan\", \"system\": \"d695_leon\", \"reuse\": 9}";
+    "{\"op\": \"preempt\", \"system\": \"d695_leon\", \"reuse\": 99}";
+    "{\"op\": \"sweep\", \"system\": \"d695_leon\", \"max_reuse\": -3}";
+    "{\"op\": \"plan\", \"system\": \"d695_leon\", \"power_pct\": 0}";
+    "{\"op\": \"plan\", \"system\": \"d695_leon\", \"power_pct\": -5.5}";
     "{\"op\": \"plan\", \"soc\": 42}";
     "{\"op\": \"plan\", \"soc\": \"not a soc description\"}";
   ]

@@ -6,6 +6,7 @@ module Link = Nocplan_noc.Link
 module Latency = Nocplan_noc.Latency
 module Power = Nocplan_noc.Power
 module Coord = Nocplan_noc.Coord
+module Topology = Nocplan_noc.Topology
 module Processor = Nocplan_proc.Processor
 module Characterization = Nocplan_proc.Characterization
 
@@ -44,9 +45,6 @@ let sink_profile system = function
             c.Characterization.setup_cycles,
             c.Characterization.power ))
 
-let distinct_routers routes =
-  List.sort_uniq Coord.compare (List.concat routes) |> List.length
-
 (* The two halves of a test path, evaluated independently so the table
    can compute them once per (module, endpoint) instead of once per
    (module, source, sink) triple.  Transport: one flit per shift cycle
@@ -55,13 +53,15 @@ let distinct_routers routes =
    flit-level simulator by Schedule_sim: under back-to-back packets the
    successor's header trails the predecessor's tail by the routing
    setup at every one of the [hops + 2] port/channel crossings, on top
-   of the flits' flow-control slots. *)
+   of the flits' flow-control slots.  Both legs price an explicit
+   router path (adjacent tiles, inclusive): the XY path in the classic
+   case, a detour path when the table carries a custom route function,
+   so a longer detour pays honestly (more fill, more routing setup,
+   more routers). *)
 type source_leg = {
   gen_overhead : int;
   src_setup : int;
   src_power : float;
-  links_in : Link.Set.t;
-  route_in : Coord.t list;
   fill_in : int;
   transport_in : int;
 }
@@ -70,19 +70,12 @@ type sink_leg = {
   sink_overhead : int;
   sink_setup : int;
   sink_power : float;
-  links_out : Link.Set.t;
-  route_out : Coord.t list;
   fill_out : int;
   transport_out : int;
   drain : int;
 }
 
-(* Both leg builders price an explicit router path (adjacent tiles,
-   inclusive): the XY path in the classic case, a detour path when the
-   table carries a custom route function.  Hops and the channel set
-   fall out of the path itself, so the wormhole model prices a longer
-   detour honestly (more fill, more routing setup, more routers). *)
-let source_leg_of_route system ~application ~flits_in source route_in =
+let source_leg system ~application ~flits_in source route_in =
   let latency = system.System.latency in
   let flow = Latency.stream_cycle_per_flit latency in
   let routing = latency.Latency.routing_latency in
@@ -94,18 +87,11 @@ let source_leg_of_route system ~application ~flits_in source route_in =
     gen_overhead;
     src_setup;
     src_power;
-    links_in = Link.Set.of_list (Xy.links_of_route route_in);
-    route_in;
     fill_in = Latency.header_latency latency ~hops:hops_in;
     transport_in = ((hops_in + 2) * routing) + (flits_in * flow);
   }
 
-let source_leg system ~application ~cut ~flits_in source =
-  let src = Resource.coord system source in
-  source_leg_of_route system ~application ~flits_in source
-    (Xy.route system.System.topology ~src ~dst:cut)
-
-let sink_leg_of_route system ~flits_out sink route_out =
+let sink_leg system ~flits_out sink route_out =
   let latency = system.System.latency in
   let flow = Latency.stream_cycle_per_flit latency in
   let routing = latency.Latency.routing_latency in
@@ -115,8 +101,6 @@ let sink_leg_of_route system ~flits_out sink route_out =
     sink_overhead;
     sink_setup;
     sink_power;
-    links_out = Link.Set.of_list (Xy.links_of_route route_out);
-    route_out;
     fill_out = Latency.header_latency latency ~hops:hops_out;
     transport_out = ((hops_out + 2) * routing) + (flits_out * flow);
     (* After the last pattern slot the final response still drains
@@ -124,19 +108,15 @@ let sink_leg_of_route system ~flits_out sink route_out =
     drain = flits_out * flow;
   }
 
-let sink_leg system ~cut ~flits_out sink =
-  let snk = Resource.coord system sink in
-  sink_leg_of_route system ~flits_out sink
-    (Xy.route system.System.topology ~src:cut ~dst:snk)
-
-let combine_legs system ~m ~shift_cycles ~pattern_count sleg kleg =
-  let paths_shared =
-    not (Link.Set.is_empty (Link.Set.inter sleg.links_in kleg.links_out))
-  in
+(* The cost of one (source, sink) pair from its two legs and the three
+   facts about their paths taken together: whether they share a
+   channel, the union of their links and the distinct routers. *)
+let combine_legs system ~m ~shift_cycles ~pattern_count sleg kleg ~shared
+    ~links ~routers =
   (* If the two paths share a channel, the stimulus and response
      streams serialize on it and their occupancies add up. *)
   let transport =
-    if paths_shared then sleg.transport_in + kleg.transport_out
+    if shared then sleg.transport_in + kleg.transport_out
     else max sleg.transport_in kleg.transport_out
   in
   let per_pattern =
@@ -147,28 +127,14 @@ let combine_legs system ~m ~shift_cycles ~pattern_count sleg kleg =
     + (pattern_count * per_pattern)
     + kleg.drain
   in
-  let links = Link.Set.elements (Link.Set.union sleg.links_in kleg.links_out) in
-  let routers = distinct_routers [ sleg.route_in; kleg.route_out ] in
   let power =
     m.Module_def.test_power +. sleg.src_power +. kleg.sink_power
     +. Power.stream_power system.System.noc_power ~routers
   in
   { duration; power; links; routers; per_pattern }
 
-(* The cost computation with the module record and its wrapper design
-   already in hand — the wrapper is the expensive, per-module part (an
-   LPT partition over every wrapper cell), so {!table} computes it once
-   per module instead of once per (module, source, sink) triple. *)
-let cost_with_wrapper system ~application ~m ~wrapper ~pattern_count ~module_id
-    ~source ~sink =
-  let cut = System.coord_of_module system module_id in
-  let flits_in = wrapper.Wrapper.scan_in_max + 1 in
-  let flits_out = wrapper.Wrapper.scan_out_max + 1 in
-  let shift_cycles = Wrapper.pattern_cycles wrapper in
-  combine_legs system ~m ~shift_cycles ~pattern_count
-    (source_leg system ~application ~cut ~flits_in source)
-    (sink_leg system ~cut ~flits_out sink)
-
+(* The single-pair reference: sets and lists straight from the two XY
+   routes, independent of the table's merge walk. *)
 let cost ?patterns system ~application ~module_id ~source ~sink =
   if not (Resource.valid_pair ~source ~sink) then
     invalid_arg "Test_access.cost: invalid source/sink pair";
@@ -187,8 +153,23 @@ let cost ?patterns system ~application ~module_id ~source ~sink =
         p
   in
   let wrapper = Wrapper.design ~width:system.System.flit_width m in
-  cost_with_wrapper system ~application ~m ~wrapper ~pattern_count ~module_id
-    ~source ~sink
+  let cut = System.coord_of_module system module_id in
+  let topology = system.System.topology in
+  let route_in = Xy.route topology ~src:(Resource.coord system source) ~dst:cut in
+  let route_out = Xy.route topology ~src:cut ~dst:(Resource.coord system sink) in
+  let links_in = Link.Set.of_list (Xy.links_of_route route_in) in
+  let links_out = Link.Set.of_list (Xy.links_of_route route_out) in
+  combine_legs system ~m ~shift_cycles:(Wrapper.pattern_cycles wrapper)
+    ~pattern_count
+    (source_leg system ~application
+       ~flits_in:(wrapper.Wrapper.scan_in_max + 1)
+       source route_in)
+    (sink_leg system ~flits_out:(wrapper.Wrapper.scan_out_max + 1) sink
+       route_out)
+    ~shared:(not (Link.Set.disjoint links_in links_out))
+    ~links:(Link.Set.elements (Link.Set.union links_in links_out))
+    ~routers:
+      (List.length (List.sort_uniq Coord.compare (route_in @ route_out)))
 
 let assumed_run_length = 4
 
@@ -297,20 +278,103 @@ type table = {
           rows it refills must number the same links the same way. *)
 }
 
+(* One leg's path in the form a cell merges, built once per (module,
+   endpoint): its distinct links in [Link.compare] order with an int
+   key per link that sorts the same way, their dense channel ids ([-1]
+   until a cell first numbers them), and its distinct routers as sorted
+   tile ranks. *)
+type path = {
+  links : Link.t array;
+  keys : int array;
+  chans : int array;
+  tiles : int array;
+}
+
+let path_of_route topology route =
+  (* A tile's rank in [Coord.compare] order, and a link's key in
+     [Link.compare] order: the tag, then its tiles' ranks as digits. *)
+  let height = topology.Topology.height in
+  let n = topology.Topology.width * height in
+  let rank (c : Coord.t) = (c.Coord.x * height) + c.Coord.y in
+  let key = function
+    | Link.Inject c -> rank c
+    | Link.Channel (a, b) -> n + (rank a * n) + rank b
+    | Link.Eject c -> n + (n * n) + rank c
+  in
+  let links =
+    Array.of_list (List.sort_uniq Link.compare (Xy.links_of_route route))
+  in
+  {
+    links;
+    keys = Array.map key links;
+    chans = Array.make (Array.length links) (-1);
+    tiles = Array.of_list (List.sort_uniq Int.compare (List.map rank route));
+  }
+
 (* Dense per-table channel numbering: every distinct link routed over
    by any (module, source, sink) pair gets one id, in first-use order —
-   the reservation calendar indexes by it. *)
-let channels_of_links t links =
-  Array.of_list
-    (List.map
-       (fun l ->
-         match Hashtbl.find_opt t.channel_ids l with
-         | Some c -> c
-         | None ->
-             let c = Hashtbl.length t.channel_ids in
-             Hashtbl.add t.channel_ids l c;
-             c)
-       links)
+   the reservation calendar indexes by it.  [channel t p i] is the id of
+   [p.links.(i)], numbering the link if no cell has used it yet. *)
+let channel t p i =
+  let c = p.chans.(i) in
+  if c >= 0 then c
+  else begin
+    let l = p.links.(i) in
+    let c =
+      match Hashtbl.find_opt t.channel_ids l with
+      | Some c -> c
+      | None ->
+          let c = Hashtbl.length t.channel_ids in
+          Hashtbl.add t.channel_ids l c;
+          c
+    in
+    p.chans.(i) <- c;
+    c
+  end
+
+(* One merge walk over a cell's two sorted link arrays: writes the union
+   in order, with its channel ids, into [links]/[chans] and returns its
+   length.  Links are numbered as the walk meets them, so first use
+   follows union order cell by cell.  The paths share a channel iff the
+   union is shorter than the two legs together. *)
+let merge_links t a b ~links ~chans =
+  let la = Array.length a.links and lb = Array.length b.links in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < la || !j < lb do
+    let c =
+      if !i = la then 1
+      else if !j = lb then -1
+      else Int.compare a.keys.(!i) b.keys.(!j)
+    in
+    if c <= 0 then begin
+      links.(!k) <- a.links.(!i);
+      chans.(!k) <- channel t a !i;
+      if c = 0 then begin
+        b.chans.(!j) <- chans.(!k);
+        incr j
+      end;
+      incr i
+    end
+    else begin
+      links.(!k) <- b.links.(!j);
+      chans.(!k) <- channel t b !j;
+      incr j
+    end;
+    incr k
+  done;
+  !k
+
+(* Distinct routers across two sorted tile-rank arrays. *)
+let distinct_tiles a b =
+  let la = Array.length a and lb = Array.length b in
+  let i = ref 0 and j = ref 0 and n = ref 0 in
+  while !i < la && !j < lb do
+    let x = a.(!i) and y = b.(!j) in
+    if x <= y then incr i;
+    if y <= x then incr j;
+    incr n
+  done;
+  !n + (la - !i) + (lb - !j)
 
 (* Fill one module's row of the table — every (source, sink) cell plus
    the per-source memory bits.  Shared by {!table} (every row, in order)
@@ -320,7 +384,6 @@ let fill_row t row module_id =
   let application = t.table_application in
   let endpoints = t.endpoints in
   let n = t.width in
-  let no_failed = Link.Set.is_empty system.System.failed_links in
   let m = Soc.find system.System.soc module_id in
   (* The expensive per-module invariants, computed once. *)
   let wrapper = Wrapper.design ~width:system.System.flit_width m in
@@ -333,6 +396,7 @@ let fill_row t row module_id =
   let flits_in = wrapper.Wrapper.scan_in_max + 1 in
   let flits_out = wrapper.Wrapper.scan_out_max + 1 in
   let shift_cycles = Wrapper.pattern_cycles wrapper in
+  let pattern_count = m.Module_def.patterns in
   (* Per-endpoint path legs, computed once per (module, endpoint)
      instead of once per (module, source, sink) triple. *)
   let topology = system.System.topology in
@@ -351,22 +415,24 @@ let fill_row t row module_id =
       (fun e -> resolve ~src:cut ~dst:(Resource.coord system e))
       endpoints
   in
+  let in_paths = Array.map (Option.map (path_of_route topology)) in_routes in
+  let out_paths = Array.map (Option.map (path_of_route topology)) out_routes in
   let source_legs =
     Array.mapi
       (fun i e ->
-        match in_routes.(i) with
-        | Some r when Resource.can_source e ->
-            Some (source_leg_of_route system ~application ~flits_in e r)
-        | Some _ | None -> None)
+        match (in_routes.(i), in_paths.(i)) with
+        | Some r, Some p when Resource.can_source e ->
+            Some (source_leg system ~application ~flits_in e r, p)
+        | _ -> None)
       endpoints
   in
   let sink_legs =
     Array.mapi
       (fun i e ->
-        match out_routes.(i) with
-        | Some r when Resource.can_sink e ->
-            Some (sink_leg_of_route system ~flits_out e r)
-        | Some _ | None -> None)
+        match (out_routes.(i), out_paths.(i)) with
+        | Some r, Some p when Resource.can_sink e ->
+            Some (sink_leg system ~flits_out e r, p)
+        | _ -> None)
       endpoints
   in
   (* Route survivability of each path leg, for any endpoint — the
@@ -374,48 +440,62 @@ let fill_row t row module_id =
      these cover even endpoints that cannot legally play the role.
      Under a custom router a leg survives iff the router produced a
      path (which must itself avoid the faulty channels). *)
-  let link_ok l = not (Link.Set.mem l system.System.failed_links) in
-  let leg_ok routes =
-    if no_failed && Option.is_none t.table_route then Array.make n true
-    else
-      Array.map
-        (function
-          | None -> false
-          | Some r -> List.for_all link_ok (Xy.links_of_route r))
-        routes
+  let failed = system.System.failed_links in
+  let leg_ok =
+    Option.fold ~none:false ~some:(fun p ->
+        Array.for_all (fun l -> not (Link.Set.mem l failed)) p.links)
   in
-  let in_route_ok = leg_ok in_routes in
-  let out_route_ok = leg_ok out_routes in
+  let in_route_ok = Array.map leg_ok in_paths in
+  let out_route_ok = Array.map leg_ok out_paths in
+  (* Scratch for one cell's merged links, sized for the longest pair. *)
+  let longest paths =
+    Array.fold_left
+      (fun acc ->
+        Option.fold ~none:acc ~some:(fun p -> max acc (Array.length p.links)))
+      0 paths
+  in
+  let room = longest in_paths + longest out_paths in
+  let links = Array.make room (Link.Inject cut) in
+  let chans = Array.make room 0 in
   let base = row * n * n in
-  Array.iteri
-    (fun si source ->
-      t.memory_bits.((row * n) + si) <-
-        memory_feasible_of_footprint system ~application ~footprint ~source;
-      Array.iteri
-        (fun ki sink ->
-          let idx = base + (si * n) + ki in
-          t.route_bits.(idx) <- in_route_ok.(si) && out_route_ok.(ki);
-          if Resource.valid_pair ~source ~sink then begin
-            match (source_legs.(si), sink_legs.(ki)) with
-            | Some sleg, Some kleg ->
-                let c =
-                  combine_legs system ~m ~shift_cycles
-                    ~pattern_count:m.Module_def.patterns sleg kleg
-                in
-                t.costs.(idx) <- Some c;
-                t.channels.(idx) <- channels_of_links t c.links;
-                t.feasible_bits.(idx) <-
-                  t.route_bits.(idx) && t.memory_bits.((row * n) + si)
-            | _ ->
-                (* A leg is unreachable under the custom router: the
-                   pair has no path, hence no cost.  Explicit resets so
-                   {!table_rebuild} rows forget their previous state. *)
-                t.costs.(idx) <- None;
-                t.channels.(idx) <- [||];
-                t.feasible_bits.(idx) <- false
-          end)
-        endpoints)
-    endpoints
+  for si = 0 to n - 1 do
+    let source = endpoints.(si) in
+    let memory_ok =
+      memory_feasible_of_footprint system ~application ~footprint ~source
+    in
+    t.memory_bits.((row * n) + si) <- memory_ok;
+    for ki = 0 to n - 1 do
+      let sink = endpoints.(ki) in
+      let idx = base + (si * n) + ki in
+      let route_ok = in_route_ok.(si) && out_route_ok.(ki) in
+      t.route_bits.(idx) <- route_ok;
+      if Resource.valid_pair ~source ~sink then begin
+        match (source_legs.(si), sink_legs.(ki)) with
+        | Some (sleg, pin), Some (kleg, pout) ->
+            let u = merge_links t pin pout ~links ~chans in
+            let union = ref [] in
+            for k = u - 1 downto 0 do
+              union := links.(k) :: !union
+            done;
+            t.costs.(idx) <-
+              Some
+                (combine_legs system ~m ~shift_cycles ~pattern_count sleg
+                   kleg
+                   ~shared:(u < Array.length pin.links + Array.length pout.links)
+                   ~links:!union
+                   ~routers:(distinct_tiles pin.tiles pout.tiles));
+            t.channels.(idx) <- Array.sub chans 0 u;
+            t.feasible_bits.(idx) <- route_ok && memory_ok
+        | _ ->
+            (* A leg is unreachable under the custom router: the
+               pair has no path, hence no cost.  Explicit resets so
+               {!table_rebuild} rows forget their previous state. *)
+            t.costs.(idx) <- None;
+            t.channels.(idx) <- [||];
+            t.feasible_bits.(idx) <- false
+      end
+    done
+  done
 
 let table ?(application = Processor.Bist) ?route system =
   Nocplan_obs.Trace.span "access.table"

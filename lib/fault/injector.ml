@@ -74,12 +74,10 @@ type run = {
   replans : int;
 }
 
-let run ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
-    ?(power_limit = None) ~reuse ~events system =
-  let baseline =
-    Scheduler.run system
-      (Scheduler.config ~policy ~application ~power_limit ~reuse ())
-  in
+(* The campaign from an already computed fault-free [baseline], so a
+   {!sweep} schedules it once for all its rates. *)
+let run_from ~policy ~application ~power_limit ~reuse ~baseline ~events system
+    =
   let rec group = function
     | [] -> []
     | (e : event) :: rest ->
@@ -126,6 +124,14 @@ let run ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
     replans = List.length groups;
   }
 
+let run ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
+    ?(power_limit = None) ~reuse ~events system =
+  let baseline =
+    Scheduler.run system
+      (Scheduler.config ~policy ~application ~power_limit ~reuse ())
+  in
+  run_from ~policy ~application ~power_limit ~reuse ~baseline ~events system
+
 type point = {
   rate : float;
   injected : int;
@@ -135,16 +141,20 @@ type point = {
   replans : int;
 }
 
-let sweep ?policy ?application ?power_limit ~reuse ~seed ~rates system =
-  let baseline_cfg =
-    Scheduler.config ?policy ?application ?power_limit ~reuse ()
+let sweep ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
+    ?(power_limit = None) ~reuse ~seed ~rates system =
+  let baseline =
+    Scheduler.run system
+      (Scheduler.config ~policy ~application ~power_limit ~reuse ())
   in
-  let baseline = Scheduler.run system baseline_cfg in
   let horizon = max 1 baseline.Schedule.makespan in
   List.map
     (fun rate ->
       let events = draw ~seed ~rate ~horizon system.System.topology in
-      let r = run ?policy ?application ?power_limit ~reuse ~events system in
+      let r =
+        run_from ~policy ~application ~power_limit ~reuse ~baseline ~events
+          system
+      in
       ( {
           rate;
           injected = List.length events;

@@ -11,7 +11,7 @@ let lpt_loads ~bins items =
     done;
     loads.(!min_idx) <- loads.(!min_idx) + item
   in
-  List.iter place (List.sort (fun a b -> Stdlib.compare b a) items);
+  List.iter place (List.sort (fun a b -> Int.compare b a) items);
   loads
 
 (* Distribute [cells] unit cells over [bins] bins already carrying the
@@ -25,20 +25,32 @@ let side_loads ~bins ~scan_chains ~cells =
      appending keeps the computation a single LPT run. *)
   lpt_loads ~bins (scan_chains @ units)
 
-let side_length ~bins ~scan_chains ~cells =
-  Array.fold_left max 0 (side_loads ~bins ~scan_chains ~cells)
+(* The longest chain of {!side_loads}, from the scan partition's loads
+   sorted ascending, without placing the unit cells one at a time.
+   Placing each unit on a shortest bin fills the bins like water: the
+   final level is the least [h] with [sum_i max 0 (h - load_i) >= cells],
+   and no bin already above it receives a cell.  The level over the [k]
+   lowest bins is [ceil ((cells + sum of those k) / k)]; it is final as
+   soon as it does not rise above the next bin. *)
+let side_length sorted ~cells =
+  let bins = Array.length sorted in
+  let rec level k sum =
+    let sum = sum + sorted.(k - 1) in
+    let h = (cells + sum + k - 1) / k in
+    if k = bins || h <= sorted.(k) then h else level (k + 1) sum
+  in
+  max sorted.(bins - 1) (level 1 0)
 
 let design ~width (m : Module_def.t) =
   if width < 1 then invalid_arg "Wrapper.design: width must be >= 1";
-  let scan_in_max =
-    side_length ~bins:width ~scan_chains:m.scan_chains
-      ~cells:(m.inputs + m.bidirs)
-  in
-  let scan_out_max =
-    side_length ~bins:width ~scan_chains:m.scan_chains
-      ~cells:(m.outputs + m.bidirs)
-  in
-  { width; scan_in_max; scan_out_max }
+  (* Both sides share the scan partition. *)
+  let sorted = lpt_loads ~bins:width m.scan_chains in
+  Array.sort Int.compare sorted;
+  {
+    width;
+    scan_in_max = side_length sorted ~cells:(m.inputs + m.bidirs);
+    scan_out_max = side_length sorted ~cells:(m.outputs + m.bidirs);
+  }
 
 type layout = { in_lengths : int list; out_lengths : int list }
 

@@ -6,5 +6,9 @@ let make ~x ~y =
 
 let manhattan a b = abs (a.x - b.x) + abs (a.y - b.y)
 let equal a b = a.x = b.x && a.y = b.y
-let compare a b = Stdlib.compare (a.x, a.y) (b.x, b.y)
+
+let compare a b =
+  let c = Int.compare a.x b.x in
+  if c <> 0 then c else Int.compare a.y b.y
+
 let pp ppf c = Fmt.pf ppf "(%d,%d)" c.x c.y

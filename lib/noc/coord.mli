@@ -10,4 +10,6 @@ val manhattan : t -> t -> int
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** Lexicographic: [x] first, then [y]. *)
+
 val pp : t Fmt.t

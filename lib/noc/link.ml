@@ -8,7 +8,7 @@ module T = struct
     | Channel (fa, ta), Channel (fb, tb) ->
         let c = Coord.compare fa fb in
         if c <> 0 then c else Coord.compare ta tb
-    | (Inject _ | Channel _ | Eject _), _ -> Stdlib.compare (tag a) (tag b)
+    | (Inject _ | Channel _ | Eject _), _ -> Int.compare (tag a) (tag b)
 end
 
 include T

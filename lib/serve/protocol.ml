@@ -3,6 +3,7 @@ module Proc = Nocplan_proc
 module Noc = Nocplan_noc
 
 let version = 1
+let max_mesh_tiles = 4096
 
 type op = Plan | Sweep | Validate | Anneal | Replan | Preempt | Metrics | Prometheus
 
@@ -203,9 +204,22 @@ let parse_fields ~id json =
     | _ -> Ok ()
   in
   let* width = int_opt "width" in
+  let* () = at_least "width" 1 width in
   let* height = int_opt "height" in
+  let* () = at_least "height" 1 height in
+  let* () =
+    match (width, height) with
+    | Some w, Some h when w > max_mesh_tiles / h ->
+        Error
+          ( Invalid,
+            Printf.sprintf "mesh \"width\" x \"height\" must be <= %d tiles"
+              max_mesh_tiles )
+    | _ -> Ok ()
+  in
   let* leons = int_opt "leons" in
+  let* () = at_least "leons" 0 leons in
   let* plasmas = int_opt "plasmas" in
+  let* () = at_least "plasmas" 0 plasmas in
   let* reuse = int_opt "reuse" in
   let* () = at_least "reuse" 0 reuse in
   let* max_reuse = int_opt "max_reuse" in

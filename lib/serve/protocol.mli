@@ -74,12 +74,14 @@
     [invalid] (a well-formed request carrying an out-of-domain value:
     [iterations], [chains] or [max_sessions] below 1, a negative
     [reuse], [max_reuse] or [at], [power_pct <= 0], [placement_moves]
-    outside [0, 1], a [reuse] above the system's processor count on an
-    op that reads it, an unknown [backend], a malformed or out-of-mesh
-    fault target), [unschedulable] (the planner proved the instance
-    infeasible), [timeout] (deadline exceeded), [overload] (queue full
-    — retry later), [read_only] (a planning op sent to a read-only
-    listener), [internal].
+    outside [0, 1], [width] or [height] below 1, negative [leons] or
+    [plasmas], a [width * height] mesh above {!max_mesh_tiles}, a
+    [reuse] above the system's processor count on an op that reads it,
+    an unknown [backend], a malformed or out-of-mesh fault target),
+    [unschedulable] (the planner proved the instance infeasible),
+    [timeout] (deadline exceeded), [overload] (queue full — retry
+    later), [read_only] (a planning op sent to a read-only listener),
+    [internal].
 
     {b Fault ops.}  [replan] schedules the spec fault-free, then
     replays the given fault event against it at instant [at]: routers
@@ -112,6 +114,12 @@
     ready for a scrape pipeline. *)
 
 val version : int
+
+val max_mesh_tiles : int
+(** The largest mesh a request may ask for, in tiles: 4096.  A request
+    whose [width * height] exceeds it is refused as [invalid] before any
+    system is built (the largest builtin mesh is 4x4, corpus meshes are
+    smaller still). *)
 
 type op =
   | Plan

@@ -248,6 +248,39 @@ let test_protocol_fault_fields () =
       Alcotest.(check int) "three failed links" 3
         (List.length req.Serve.Protocol.fault_links)
 
+let test_protocol_mesh_fields () =
+  (* Mesh dimensions and processor counts out of domain are refused at
+     parse time, naming the field, instead of reaching Sysbuild; a mesh
+     above the area bound is refused before anything is built. *)
+  let refused msg line =
+    match Serve.Protocol.parse_request line with
+    | Error ((_, Serve.Protocol.Invalid), got) ->
+        Alcotest.(check string) line msg got
+    | Error ((_, k), got) ->
+        Alcotest.failf "%S answered %s (%s), not invalid" line
+          (Serve.Protocol.error_kind_label k) got
+    | Ok _ -> Alcotest.failf "accepted %S" line
+  in
+  let area = {|mesh "width" x "height" must be <= 4096 tiles|} in
+  refused {|field "width" must be >= 1|}
+    {|{"op": "plan", "system": "d695", "width": 0, "height": 4}|};
+  refused {|field "height" must be >= 1|}
+    {|{"op": "plan", "system": "d695", "width": 4, "height": 0}|};
+  refused {|field "leons" must be >= 0|}
+    {|{"op": "plan", "system": "d695", "leons": -1}|};
+  refused {|field "plasmas" must be >= 0|}
+    {|{"op": "plan", "system": "d695", "plasmas": -1}|};
+  refused area
+    {|{"op":"plan","system":"d695","width":1000000,"height":100000,"leons":1}|};
+  refused area {|{"op": "plan", "system": "d695", "width": 1, "height": 4097}|};
+  Alcotest.(check int) "bound" 4096 Serve.Protocol.max_mesh_tiles;
+  match
+    Serve.Protocol.parse_request
+      {|{"op": "plan", "system": "d695", "width": 64, "height": 64}|}
+  with
+  | Ok _ -> ()
+  | Error (_, msg) -> Alcotest.failf "rejected a mesh at the bound: %s" msg
+
 (* --- service (in-process) ------------------------------------------ *)
 
 let field name json =
@@ -339,6 +372,12 @@ let test_service_invalid_keeps_id () =
       {|"op": "plan", "system": "d695_leon", "power_pct": 0|};
       {|"op": "plan", "system": "d695_leon", "reuse": 9|};
       {|"op": "preempt", "system": "d695_leon", "reuse": 9|};
+      {|"op": "plan", "system": "d695", "width": 0, "height": 4, "leons": 1|};
+      {|"op": "plan", "system": "d695", "width": 4, "height": -2, "leons": 1|};
+      {|"op": "plan", "system": "d695", "leons": -1|};
+      {|"op": "plan", "system": "d695", "plasmas": -1|};
+      {|"op": "plan", "system": "d695", "width": 65, "height": 64, "leons": 1|};
+      {|"op":"plan","system":"d695","width":1000000,"height":100000,"leons":1|};
     ];
   Alcotest.(check bool) "non-object answers under a null id" true
     (fst (error "[1]") = Json.Null);
@@ -1268,6 +1307,7 @@ let suite =
     Alcotest.test_case "job queue drains after close" `Quick
       test_queue_drains_after_close;
     Alcotest.test_case "protocol validation" `Quick test_protocol_validation;
+    Alcotest.test_case "protocol mesh fields" `Quick test_protocol_mesh_fields;
     Alcotest.test_case "protocol fault fields" `Quick
       test_protocol_fault_fields;
     Alcotest.test_case "service preempt and replan" `Quick

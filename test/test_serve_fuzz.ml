@@ -93,6 +93,12 @@ let corpus =
     "{\"op\": \"sweep\", \"system\": \"d695_leon\", \"max_reuse\": -3}";
     "{\"op\": \"plan\", \"system\": \"d695_leon\", \"power_pct\": 0}";
     "{\"op\": \"plan\", \"system\": \"d695_leon\", \"power_pct\": -5.5}";
+    "{\"op\": \"plan\", \"system\": \"d695\", \"width\": 0}";
+    "{\"op\": \"plan\", \"system\": \"d695\", \"height\": -1}";
+    "{\"op\": \"plan\", \"system\": \"d695\", \"leons\": -1}";
+    "{\"op\": \"plan\", \"system\": \"d695\", \"plasmas\": -4}";
+    "{\"op\": \"plan\", \"system\": \"d695\", \"width\": 1000000, \
+     \"height\": 100000, \"leons\": 1}";
     "{\"op\": \"plan\", \"soc\": 42}";
     "{\"op\": \"plan\", \"soc\": \"not a soc description\"}";
   ]

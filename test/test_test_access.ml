@@ -162,6 +162,142 @@ let prop_cost_well_formed =
             sources)
         (System.module_ids sys))
 
+(* --- table cells against the single-pair reference ------------------ *)
+
+let applications = [ Proc.Processor.Bist; Proc.Processor.Decompression ]
+
+(* Every cell of [t] for [sys], in row-major order: the endpoints, the
+   cost (or [None] on an invalid pair) and the channel ids, plus the
+   feasibility bit. *)
+let cells sys t =
+  let endpoints =
+    Resource.all_endpoints sys ~reuse:(List.length sys.System.processors)
+  in
+  List.concat_map
+    (fun module_id ->
+      let row = Test_access.module_row t module_id in
+      List.concat_map
+        (fun source ->
+          List.map
+            (fun sink ->
+              let src = Test_access.endpoint_id t source in
+              let snk = Test_access.endpoint_id t sink in
+              ( (module_id, source, sink),
+                (match Test_access.cost_ix t ~row ~src ~snk with
+                | c -> Some c
+                | exception Invalid_argument _ -> None),
+                Test_access.channels_ix t ~row ~src ~snk,
+                Test_access.feasible_ix t ~row ~src ~snk ))
+            endpoints)
+        endpoints)
+    (System.module_ids sys)
+
+let same_cost (a : Test_access.cost) (b : Test_access.cost) =
+  a.Test_access.duration = b.Test_access.duration
+  && Int64.equal
+       (Int64.bits_of_float a.Test_access.power)
+       (Int64.bits_of_float b.Test_access.power)
+  && List.equal Link.equal a.Test_access.links b.Test_access.links
+  && a.Test_access.routers = b.Test_access.routers
+  && a.Test_access.per_pattern = b.Test_access.per_pattern
+
+(* Every valid cell equals {!Test_access.cost} field for field (links
+   in order, power bit-exact), invalid cells carry no cost and no
+   channels, and the channel ids number links one to one in first-use
+   order: walking the cells row-major and each cell's links in order,
+   every unseen link takes the next id. *)
+let table_matches_cost sys =
+  List.for_all
+    (fun application ->
+      let t = Test_access.table ~application sys in
+      let ids = Hashtbl.create 64 in
+      List.for_all
+        (fun ((module_id, source, sink), got, chans, _) ->
+          match got with
+          | None -> (not (Resource.valid_pair ~source ~sink)) && chans = [||]
+          | Some c ->
+              let want =
+                Test_access.cost sys ~application ~module_id ~source ~sink
+              in
+              if not (same_cost c want) then
+                QCheck2.Test.fail_reportf "module %d %a -> %a: table %a, cost %a"
+                  module_id Resource.pp source Resource.pp sink
+                  Test_access.pp_cost c Test_access.pp_cost want;
+              Array.length chans = List.length c.Test_access.links
+              && List.for_all2
+                   (fun l ch ->
+                     match Hashtbl.find_opt ids ch with
+                     | Some l' -> Link.equal l l'
+                     | None ->
+                         let fresh = ch = Hashtbl.length ids in
+                         Hashtbl.add ids ch l;
+                         fresh)
+                   c.Test_access.links (Array.to_list chans))
+        (cells sys t))
+    applications
+
+let prop_table_matches_cost =
+  qcheck ~count:60 "table cells equal the single-pair cost"
+    Generators.system_gen_any table_matches_cost
+
+let corpus_item_gen =
+  QCheck2.Gen.(
+    map2
+      (fun seed index -> Nocplan_corpus.Corpus.item ~seed:(Int64.of_int seed) ~index)
+      (int_range 0 10_000) (int_range 0 50))
+
+let prop_corpus_table_matches_cost =
+  qcheck ~count:25 "corpus table cells equal the single-pair cost"
+    corpus_item_gen (fun item ->
+      table_matches_cost item.Nocplan_corpus.Corpus.system)
+
+let prop_fault_free_detour_table_is_xy =
+  (* With no faults the detour router returns the XY path, so a routed
+     table must equal the XY table cell for cell — costs, channel ids
+     and their numbering included. *)
+  qcheck ~count:40 "fault-free detour table equals the XY table"
+    Generators.system_gen_any (fun sys ->
+      let detour =
+        Nocplan_fault.Detour.table sys.System.topology
+          Nocplan_fault.Detour.no_faults
+      in
+      List.for_all
+        (fun application ->
+          let xy = cells sys (Test_access.table ~application sys) in
+          let routed =
+            cells sys
+              (Test_access.table ~application
+                 ~route:(Nocplan_fault.Detour.route_fn detour)
+                 sys)
+          in
+          List.for_all2
+            (fun (_, a, ca, fa) (_, b, cb, fb) ->
+              Option.equal same_cost a b && ca = cb && fa = fb)
+            xy routed)
+        applications)
+
+(* --- allocation budget --------------------------------------------- *)
+
+let test_table_allocation_budget () =
+  (* Minor words of one table build, a deterministic count (no timing):
+     the per-cell work must stay a merge of precomputed legs.  Builds
+     with per-cell sets and lists allocated 490k words on d695_leon and
+     2.2M on p93791_leon. *)
+  List.iter
+    (fun (name, build, budget) ->
+      let sys = build () in
+      ignore (Test_access.table sys);
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Test_access.table sys));
+      let words = Gc.minor_words () -. before in
+      if words > budget then
+        Alcotest.failf "%s: table build allocated %.0f minor words, budget %.0f"
+          name words budget)
+    [
+      ("d695_leon", Core.Experiments.d695_leon, 250_000.);
+      ("p93791_leon", Core.Experiments.p93791_leon, 1_000_000.);
+    ]
+
 (* --- table fallback paths ------------------------------------------ *)
 
 (* The same modules as [small_soc] under ids no table of the standard
@@ -293,4 +429,9 @@ let suite =
     Alcotest.test_case "sweep ignores mismatched table" `Quick
       test_sweep_ignores_mismatched_table;
     prop_cost_well_formed;
+    Alcotest.test_case "table allocation budget" `Quick
+      test_table_allocation_budget;
+    prop_table_matches_cost;
+    prop_corpus_table_matches_cost;
+    prop_fault_free_detour_table_is_xy;
   ]

@@ -5,30 +5,54 @@ module Noc = Nocplan_noc
 let version = 1
 let max_mesh_tiles = 4096
 
-type op = Plan | Sweep | Validate | Anneal | Replan | Preempt | Metrics | Prometheus
+let fields =
+  [
+    "v"; "id"; "op"; "system"; "soc"; "width"; "height"; "leons"; "plasmas";
+    "policy"; "application"; "backend"; "power_pct"; "reuse"; "max_reuse";
+    "iterations"; "seed"; "chains"; "placement_moves"; "warm"; "max_sessions";
+    "at"; "failed_routers"; "failed_links"; "deadline_ms";
+  ]
 
 type backend = Solo of Core.Backend.t | Race
+
+type anneal = {
+  iterations : int;
+  seed : int;
+  chains : int;
+  placement_moves : float;
+  warm : bool;
+}
+
+type fault = {
+  at : int;
+  failed_routers : Noc.Coord.t list;
+  failed_links : Noc.Link.t list;
+}
+
+type run =
+  | Plan of backend
+  | Validate of backend
+  | Anneal of anneal
+  | Replan of fault
+  | Preempt of int
+
+type work = Sweep of int option | Run of int option * run
+
+type planning = {
+  spec : Sysbuild.spec;
+  policy : Core.Scheduler.policy;
+  application : Proc.Processor.application;
+  power_pct : float option;
+  work : work;
+}
+
+type op = Metrics | Prometheus | Planning of planning
 
 type request = {
   id : Json.t;
   op : op;
-  spec : Sysbuild.spec option;
-  policy : Core.Scheduler.policy;
-  application : Proc.Processor.application;
-  backend : backend option;
-  power_pct : float option;
-  reuse : int option;
-  max_reuse : int option;
-  iterations : int option;
-  seed : int option;
-  chains : int option;
-  placement_moves : float option;
-  warm : bool option;
-  max_sessions : int option;
-  at : int option;
-  fault_routers : Noc.Coord.t list;
-  fault_links : Noc.Link.t list;
   deadline_ms : float option;
+  members : (string * Json.t) list;
 }
 
 type error_kind =
@@ -41,14 +65,14 @@ type error_kind =
   | Internal
 
 let op_label = function
-  | Plan -> "plan"
-  | Sweep -> "sweep"
-  | Validate -> "validate"
-  | Anneal -> "anneal"
-  | Replan -> "replan"
-  | Preempt -> "preempt"
   | Metrics -> "metrics"
   | Prometheus -> "prometheus"
+  | Planning { work = Sweep _; _ } -> "sweep"
+  | Planning { work = Run (_, Plan _); _ } -> "plan"
+  | Planning { work = Run (_, Validate _); _ } -> "validate"
+  | Planning { work = Run (_, Anneal _); _ } -> "anneal"
+  | Planning { work = Run (_, Replan _); _ } -> "replan"
+  | Planning { work = Run (_, Preempt _); _ } -> "preempt"
 
 let error_kind_label = function
   | Parse -> "parse"
@@ -104,8 +128,16 @@ let parse_fault_link s =
                 \"eject:x,y\")"
                s))
 
-let parse_fields ~id json =
-  let invalid_err r = Result.map_error (fun msg -> (Invalid, msg)) r in
+(* [members] sorted by name, so a repeated name sits next to itself. *)
+let rec check_names = function
+  | (a, _) :: (b, _) :: _ when String.equal a b ->
+      Error (Invalid, Printf.sprintf "duplicate field %S" a)
+  | (name, _) :: rest ->
+      if List.mem name fields then check_names rest
+      else Error (Invalid, Printf.sprintf "unknown field %S" name)
+  | [] -> Ok ()
+
+let parse_fields json members =
   let* () =
     match Json.member "v" json with
     | None | Some (Json.Int 1) -> Ok ()
@@ -115,98 +147,92 @@ let parse_fields ~id json =
             Printf.sprintf "unsupported protocol version %s (this server: %d)"
               (Json.to_string v) version )
   in
+  let* () = check_names members in
   let* op =
     match Json.str_field "op" json with
-    | Some "plan" -> Ok Plan
-    | Some "sweep" -> Ok Sweep
-    | Some "validate" -> Ok Validate
-    | Some "anneal" -> Ok Anneal
-    | Some "replan" -> Ok Replan
-    | Some "preempt" -> Ok Preempt
-    | Some "metrics" -> Ok Metrics
-    | Some "prometheus" -> Ok Prometheus
+    | Some "plan" -> Ok `Plan
+    | Some "sweep" -> Ok `Sweep
+    | Some "validate" -> Ok `Validate
+    | Some "anneal" -> Ok `Anneal
+    | Some "replan" -> Ok `Replan
+    | Some "preempt" -> Ok `Preempt
+    | Some "metrics" -> Ok `Metrics
+    | Some "prometheus" -> Ok `Prometheus
     | Some other -> Error (Parse, Printf.sprintf "unknown op %S" other)
     | None -> Error (Parse, "missing op field")
   in
   let* policy =
     match Json.str_field "policy" json with
-    | None -> Ok Core.Scheduler.Greedy
-    | Some "greedy" -> Ok Core.Scheduler.Greedy
+    | None | Some "greedy" -> Ok Core.Scheduler.Greedy
     | Some "lookahead" -> Ok Core.Scheduler.Lookahead
-    | Some other -> Error (Parse, Printf.sprintf "unknown policy %S" other)
+    | Some other ->
+        Error
+          ( Parse,
+            Printf.sprintf
+              "field \"policy\" must be \"greedy\" or \"lookahead\", not %S"
+              other )
   in
   let* application =
     match Json.str_field "application" json with
-    | None -> Ok Proc.Processor.Bist
-    | Some "bist" -> Ok Proc.Processor.Bist
+    | None | Some "bist" -> Ok Proc.Processor.Bist
     | Some "decompress" -> Ok Proc.Processor.Decompression
     | Some other ->
-        Error (Parse, Printf.sprintf "unknown application %S" other)
+        Error
+          ( Parse,
+            Printf.sprintf
+              "field \"application\" must be \"bist\" or \"decompress\", not %S"
+              other )
   in
   let* backend =
-    match Json.str_field "backend" json with
-    | None -> Ok None
-    | Some name -> (
-        match op with
-        | Plan | Validate -> (
-            match Core.Backend.find name with
-            | Some b -> Ok (Some (Solo b))
-            | None when name = "race" -> Ok (Some Race)
-            | None ->
-                Error
-                  ( Invalid,
-                    Printf.sprintf "unknown backend %S (known: %s, race)" name
-                      (String.concat ", "
-                         (List.map
-                            (fun b -> b.Core.Backend.name)
-                            Core.Backend.builtins)) ))
-        | _ ->
+    match (Json.str_field "backend" json, op) with
+    | None, _ -> Ok (Solo Core.Backend.greedy)
+    | Some "race", (`Plan | `Validate) -> Ok Race
+    | Some name, (`Plan | `Validate) -> (
+        match Core.Backend.find name with
+        | Some b -> Ok (Solo b)
+        | None ->
             Error
               ( Invalid,
-                "field \"backend\" only applies to plan and validate requests"
-              ))
+                Printf.sprintf
+                  "field \"backend\": unknown backend %S (known: %s, race)" name
+                  (String.concat ", "
+                     (List.map
+                        (fun b -> b.Core.Backend.name)
+                        Core.Backend.builtins)) ))
+    | Some _, _ ->
+        Error
+          ( Invalid,
+            "field \"backend\" only applies to plan and validate requests" )
+  in
+  let typed name expected cast =
+    match Json.member name json with
+    | None | Some Json.Null -> Ok None
+    | Some v -> (
+        match cast v with
+        | Some x -> Ok (Some x)
+        | None ->
+            Error (Parse, Printf.sprintf "field %S must be %s" name expected))
   in
   let int_opt name =
-    match Json.member name json with
-    | None | Some Json.Null -> Ok None
-    | Some (Json.Int i) -> Ok (Some i)
-    | Some _ ->
-        Error (Parse, Printf.sprintf "field %S must be an integer" name)
+    typed name "an integer" (function Json.Int i -> Some i | _ -> None)
   in
   let float_opt name =
-    match Json.member name json with
-    | None | Some Json.Null -> Ok None
-    | Some (Json.Int i) -> Ok (Some (float_of_int i))
-    | Some (Json.Float f) -> Ok (Some f)
-    | Some _ -> Error (Parse, Printf.sprintf "field %S must be a number" name)
-  in
-  let str_list name =
-    match Json.member name json with
-    | None | Some Json.Null -> Ok []
-    | Some (Json.List items) ->
-        List.fold_right
-          (fun item acc ->
-            let* acc = acc in
-            match item with
-            | Json.String s -> Ok (s :: acc)
-            | _ ->
-                Error
-                  (Parse, Printf.sprintf "field %S must be a list of strings" name))
-          items (Ok [])
-    | Some _ ->
-        Error (Parse, Printf.sprintf "field %S must be a list of strings" name)
+    typed name "a number" (function
+      | Json.Int i -> Some (float_of_int i)
+      | Json.Float f -> Some f
+      | _ -> None)
   in
   (* Out-of-domain numbers are refused here, naming the field, rather
      than reaching the library as an [Invalid_argument] it raises. *)
-  let at_least name lo = function
+  let int_from name lo =
+    let* v = int_opt name in
+    match v with
     | Some n when n < lo ->
         Error (Invalid, Printf.sprintf "field %S must be >= %d" name lo)
-    | _ -> Ok ()
+    | v -> Ok v
   in
-  let* width = int_opt "width" in
-  let* () = at_least "width" 1 width in
-  let* height = int_opt "height" in
-  let* () = at_least "height" 1 height in
+  let* width = int_from "width" 1 in
+  let* height = int_from "height" 1 in
   let* () =
     match (width, height) with
     | Some w, Some h when w > max_mesh_tiles / h ->
@@ -214,21 +240,17 @@ let parse_fields ~id json =
           ( Invalid,
             Printf.sprintf "mesh \"width\" x \"height\" must be <= %d tiles"
               max_mesh_tiles )
+    | Some _, None -> Error (Invalid, "field \"width\" requires \"height\"")
+    | None, Some _ -> Error (Invalid, "field \"height\" requires \"width\"")
     | _ -> Ok ()
   in
-  let* leons = int_opt "leons" in
-  let* () = at_least "leons" 0 leons in
-  let* plasmas = int_opt "plasmas" in
-  let* () = at_least "plasmas" 0 plasmas in
-  let* reuse = int_opt "reuse" in
-  let* () = at_least "reuse" 0 reuse in
-  let* max_reuse = int_opt "max_reuse" in
-  let* () = at_least "max_reuse" 0 max_reuse in
-  let* iterations = int_opt "iterations" in
-  let* () = at_least "iterations" 1 iterations in
+  let* leons = int_from "leons" 0 in
+  let* plasmas = int_from "plasmas" 0 in
+  let* reuse = int_from "reuse" 0 in
+  let* max_reuse = int_from "max_reuse" 0 in
+  let* iterations = int_from "iterations" 1 in
   let* seed = int_opt "seed" in
-  let* chains = int_opt "chains" in
-  let* () = at_least "chains" 1 chains in
+  let* chains = int_from "chains" 1 in
   let* power_pct = float_opt "power_pct" in
   let* () =
     match power_pct with
@@ -243,159 +265,149 @@ let parse_fields ~id json =
         Error (Invalid, "field \"placement_moves\" must be within [0, 1]")
     | _ -> Ok ()
   in
-  let bool_opt name =
-    match Json.member name json with
-    | None | Some Json.Null -> Ok None
-    | Some (Json.Bool v) -> Ok (Some v)
-    | Some _ ->
-        Error (Parse, Printf.sprintf "field %S must be a boolean" name)
+  let* warm =
+    typed "warm" "a boolean" (function Json.Bool v -> Some v | _ -> None)
   in
-  let* warm = bool_opt "warm" in
-  let* max_sessions = int_opt "max_sessions" in
-  let* () = at_least "max_sessions" 1 max_sessions in
-  let* at = int_opt "at" in
-  let* () = at_least "at" 0 at in
-  let* router_strs = str_list "failed_routers" in
-  let* fault_routers =
-    invalid_err
-      (List.fold_right
-         (fun s acc ->
-           Result.bind acc (fun acc ->
-               Result.map (fun c -> c :: acc) (parse_coord s)))
-         router_strs (Ok []))
+  let* max_sessions = int_from "max_sessions" 1 in
+  let* at = int_from "at" 0 in
+  (* A fault target list: every item a string [parse] accepts. *)
+  let targets name parse compare =
+    let* items =
+      typed name "a list of strings" (function
+        | Json.List items ->
+            List.fold_right
+              (fun item acc ->
+                match (item, acc) with
+                | Json.String s, Some acc -> Some (s :: acc)
+                | _ -> None)
+              items (Some [])
+        | _ -> None)
+    in
+    List.fold_right
+      (fun s acc ->
+        let* acc = acc in
+        match parse s with
+        | Ok x -> Ok (x :: acc)
+        | Error msg -> Error (Invalid, Printf.sprintf "field %S: %s" name msg))
+      (Option.value items ~default:[])
+      (Ok [])
+    |> Result.map (List.sort_uniq compare)
   in
-  let* link_strs = str_list "failed_links" in
-  let* fault_links =
-    invalid_err
-      (List.fold_right
-         (fun s acc ->
-           Result.bind acc (fun acc ->
-               Result.map (fun l -> l :: acc) (parse_fault_link s)))
-         link_strs (Ok []))
+  let* failed_routers =
+    targets "failed_routers" parse_coord Noc.Coord.compare
   in
-  let fault_routers = List.sort_uniq Noc.Coord.compare fault_routers in
-  let fault_links = List.sort_uniq Noc.Link.compare fault_links in
+  let* failed_links =
+    targets "failed_links" parse_fault_link Noc.Link.compare
+  in
   let* deadline_ms = float_opt "deadline_ms" in
-  let soc_text = Json.str_field "soc" json in
-  let system = Json.str_field "system" json in
-  let* spec =
-    match (op, system, soc_text) with
-    | (Metrics | Prometheus), _, _ -> Ok None
-    | _, None, None -> Error (Parse, "missing system (or inline soc) field")
-    | _, system, soc_text ->
-        Ok
-          (Some
-             {
-               Sysbuild.system = Option.value system ~default:"";
-               soc_text;
-               width;
-               height;
-               leons = Option.value leons ~default:0;
-               plasmas = Option.value plasmas ~default:0;
-             })
+  let planning work =
+    let* spec =
+      match (Json.str_field "system" json, Json.str_field "soc" json) with
+      | None, None -> Error (Parse, "missing system (or inline soc) field")
+      | Some name, None when List.mem_assoc name Core.Experiments.builders -> (
+          (* A builtin system fixes its own mesh and processors. *)
+          match
+            List.find_opt
+              (fun (_, set) -> set)
+              [
+                ("width", Option.is_some width);
+                ("height", Option.is_some height);
+                ("leons", Option.is_some leons);
+                ("plasmas", Option.is_some plasmas);
+              ]
+          with
+          | Some (field, _) ->
+              Error
+                ( Invalid,
+                  Printf.sprintf "field %S does not apply to builtin system %s"
+                    field name )
+          | None -> Ok (Sysbuild.spec name))
+      | system, soc_text ->
+          Ok
+            (Sysbuild.spec ?soc_text ?width ?height ?leons ?plasmas
+               (Option.value system ~default:""))
+    in
+    Ok (Planning { spec; policy; application; power_pct; work })
   in
-  Ok
-    {
-      id;
-      op;
-      spec;
-      policy;
-      application;
-      backend;
-      power_pct;
-      reuse;
-      max_reuse;
-      iterations;
-      seed;
-      chains;
-      placement_moves;
-      warm;
-      max_sessions;
-      at;
-      fault_routers;
-      fault_links;
-      deadline_ms;
-    }
+  let run r = planning (Run (reuse, r)) in
+  let* op =
+    match op with
+    | `Metrics -> Ok Metrics
+    | `Prometheus -> Ok Prometheus
+    | `Sweep -> planning (Sweep max_reuse)
+    | `Plan -> run (Plan backend)
+    | `Validate -> run (Validate backend)
+    | `Anneal ->
+        run
+          (Anneal
+             {
+               iterations = Option.value iterations ~default:400;
+               seed = Option.value seed ~default:0x5A;
+               chains = Option.value chains ~default:1;
+               placement_moves = Option.value placement_moves ~default:0.0;
+               warm = Option.value warm ~default:true;
+             })
+    | `Replan ->
+        run
+          (Replan
+             { at = Option.value at ~default:0; failed_routers; failed_links })
+    | `Preempt -> run (Preempt (Option.value max_sessions ~default:3))
+  in
+  Ok (op, deadline_ms)
 
 let parse_request line =
   match Json.parse line with
   | Error msg -> Error ((Json.Null, Parse), msg)
-  | Ok (Json.Obj _ as json) ->
+  | Ok (Json.Obj members as json) -> (
       let id = Option.value (Json.member "id" json) ~default:Json.Null in
-      Result.map_error
-        (fun (kind, msg) -> ((id, kind), msg))
-        (parse_fields ~id json)
+      let members =
+        List.sort (fun (a, _) (b, _) -> String.compare a b) members
+      in
+      match parse_fields json members with
+      | Ok (op, deadline_ms) ->
+          let members =
+            List.filter (fun (name, _) -> not (String.equal name "id")) members
+          in
+          Ok { id; op; deadline_ms; members }
+      | Error (kind, msg) -> Error ((id, kind), msg))
   | Ok _ -> Error ((Json.Null, Parse), "request must be a JSON object")
 
-(* Requests that may coalesce hash to a canonical signature covering
-   every result-shaping field — the op, the full system spec and all
-   solver parameters — but not the client-chosen [id].  Observability
-   ops are answered inline (nothing to coalesce), and a request
-   carrying a deadline never coalesces: attaching it to another
+(* Every value prefixed by its JSON type and closed (numbers by [;],
+   strings by their length up front), so distinct member lists render
+   distinctly.  Floats print exactly ([%h]): [Json.to_string]'s
+   [%.12g] renders 25.0000000000001 and 25 alike. *)
+let rec canonical b = function
+  | Json.Null -> Buffer.add_char b 'n'
+  | Json.Bool v -> Buffer.add_char b (if v then 't' else 'f')
+  | Json.Int i -> Printf.bprintf b "i%d;" i
+  | Json.Float f -> Printf.bprintf b "f%h;" f
+  | Json.String s | Json.Raw s -> Printf.bprintf b "s%d:%s" (String.length s) s
+  | Json.List items ->
+      Buffer.add_char b '[';
+      List.iter (canonical b) items;
+      Buffer.add_char b ']'
+  | Json.Obj members ->
+      Buffer.add_char b '{';
+      List.iter
+        (fun (name, v) ->
+          canonical b (Json.String name);
+          canonical b v)
+        members;
+      Buffer.add_char b '}'
+
+(* The key covers every member the client sent but [id], so two
+   requests share a solve only when they are the same request.
+   Observability ops are answered inline (nothing to coalesce), and a
+   request carrying a deadline never coalesces: attaching it to another
    request's solve would let a leader's timeout fail followers that
    asked for a different (or no) deadline. *)
 let coalesce_key req =
-  match req.op with
-  | Metrics | Prometheus -> None
-  | Plan | Sweep | Validate | Anneal | Replan | Preempt -> (
-      match req.deadline_ms with
-      | Some _ -> None
-      | None ->
-          let b = Buffer.create 256 in
-          let add s =
-            Buffer.add_string b s;
-            Buffer.add_char b '\x00'
-          in
-          let add_int_opt v =
-            add (match v with None -> "-" | Some i -> string_of_int i)
-          in
-          add (op_label req.op);
-          (match req.spec with
-          | None -> add "-"
-          | Some s ->
-              add s.Sysbuild.system;
-              add (Option.value s.Sysbuild.soc_text ~default:"");
-              add_int_opt s.Sysbuild.width;
-              add_int_opt s.Sysbuild.height;
-              add (string_of_int s.Sysbuild.leons);
-              add (string_of_int s.Sysbuild.plasmas));
-          add
-            (match req.policy with
-            | Core.Scheduler.Greedy -> "greedy"
-            | Core.Scheduler.Lookahead -> "lookahead");
-          add
-            (match req.application with
-            | Proc.Processor.Bist -> "bist"
-            | Proc.Processor.Decompression -> "decompress");
-          (* [backend] shapes the plan itself, so requests asking
-             different backends must never share a solve. *)
-          add
-            (match req.backend with
-            | None -> "-"
-            | Some (Solo b) -> b.Core.Backend.name
-            | Some Race -> "race");
-          add
-            (match req.power_pct with
-            | None -> "-"
-            | Some f -> Printf.sprintf "%h" f);
-          add_int_opt req.reuse;
-          add_int_opt req.max_reuse;
-          add_int_opt req.iterations;
-          add_int_opt req.seed;
-          add_int_opt req.chains;
-          (match req.placement_moves with
-          | None -> add "-"
-          | Some f -> add (Printf.sprintf "%h" f));
-          (* [warm] shapes the anneal result (a warm-started search
-             follows a different trajectory), so requests differing
-             only in it must never coalesce. *)
-          add (match req.warm with None -> "-" | Some v -> string_of_bool v);
-          add_int_opt req.max_sessions;
-          add_int_opt req.at;
-          List.iter (fun c -> add (Fmt.str "%a" Noc.Coord.pp c)) req.fault_routers;
-          add "|";
-          List.iter (fun l -> add (Fmt.str "%a" Noc.Link.pp l)) req.fault_links;
-          Some (Digest.to_hex (Digest.string (Buffer.contents b))))
+  match (req.op, req.deadline_ms) with
+  | (Metrics | Prometheus), _ | Planning _, Some _ -> None
+  | Planning _, None ->
+      let b = Buffer.create 256 in
+      canonical b (Json.Obj req.members);
+      Some (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* The response is delivered as chunks whose concatenation is the
    line: the (small) envelope head, the result payload, and the
@@ -409,7 +421,7 @@ let ok_response ~id ~op ~cache ?(coalesced = false) ?backend ~elapsed_ms
       ("v", Json.Int version);
       ("id", id);
       ("ok", Json.Bool true);
-      ("op", Json.String (op_label op));
+      ("op", Json.String op);
     ]
     @ (match cache with
       | `Hit -> [ ("cache", Json.String "hit") ]

@@ -71,7 +71,9 @@
     is not a JSON object.
 
     Error kinds: [parse] (malformed request or system description),
-    [invalid] (a well-formed request carrying an out-of-domain value:
+    [invalid] (a well-formed request carrying a field not in {!fields}
+    or a field twice, [width] without [height] or the reverse, a mesh
+    field on a builtin system, or an out-of-domain value:
     [iterations], [chains] or [max_sessions] below 1, a negative
     [reuse], [max_reuse] or [at], [power_pct <= 0], [placement_moves]
     outside [0, 1], [width] or [height] below 1, negative [leons] or
@@ -99,7 +101,7 @@
     time are solved once: later arrivals attach to the running job and
     receive its verdict under their own [id] and [elapsed_ms], marked
     with ["coalesced": true].  Identity is the {!coalesce_key} digest —
-    every result-shaping field, not the [id] — and requests carrying a
+    every member the client sent, not the [id] — and requests carrying a
     [deadline_ms] are exempt (they always get their own job).
 
     {b Observability ops.}  [metrics] and [prometheus] are answered
@@ -121,50 +123,65 @@ val max_mesh_tiles : int
     system is built (the largest builtin mesh is 4x4, corpus meshes are
     smaller still). *)
 
-type op =
-  | Plan
-  | Sweep
-  | Validate
-  | Anneal
-  | Replan
-  | Preempt
-  | Metrics
-  | Prometheus
+val fields : string list
+(** Every request field name, ["v"] and ["id"] included.  A request
+    member not on this list, or a name sent twice, is refused as
+    [invalid] naming it.  Every field is type- and domain-checked on
+    every op, also where the op does not read it. *)
 
 (** A [backend] field, resolved against {!Nocplan_core.Backend.builtins}. *)
 type backend = Solo of Nocplan_core.Backend.t | Race
 
+(** [anneal]'s search parameters, defaults resolved. *)
+type anneal = {
+  iterations : int;  (** per-chain iteration budget (default 400) *)
+  seed : int;  (** RNG seed (default 0x5A) *)
+  chains : int;  (** tempering chains (default 1) *)
+  placement_moves : float;
+      (** probability in [0, 1] that a move swaps two module tiles
+          instead of two order positions (default 0: order-only) *)
+  warm : bool;
+      (** [false] searches cold, ignoring the best trace the server
+          keeps for the instance (the result is still offered for later
+          requests).  Default: warm. *)
+}
+
+(** [replan]'s fault event. *)
+type fault = {
+  at : int;  (** event instant (default 0) *)
+  failed_routers : Nocplan_noc.Coord.t list;  (** sorted, deduplicated *)
+  failed_links : Nocplan_noc.Link.t list;  (** sorted, deduplicated *)
+}
+
+(** An op that plans at one reuse count, with the fields only it reads. *)
+type run =
+  | Plan of backend  (** default: greedy *)
+  | Validate of backend
+  | Anneal of anneal
+  | Replan of fault
+  | Preempt of int  (** per-core session bound [max_sessions] (default 3) *)
+
+type work =
+  | Sweep of int option  (** [max_reuse]; [None]: every processor *)
+  | Run of int option * run  (** [reuse] ([None]: every processor) *)
+
+type planning = {
+  spec : Sysbuild.spec;
+  policy : Nocplan_core.Scheduler.policy;
+  application : Nocplan_proc.Processor.application;
+  power_pct : float option;
+  work : work;
+}
+
+type op = Metrics | Prometheus | Planning of planning
+
 type request = {
   id : Json.t;  (** echoed verbatim; [Null] when absent *)
   op : op;
-  spec : Sysbuild.spec option;
-      (** [None] only for [Metrics] and [Prometheus] *)
-  policy : Nocplan_core.Scheduler.policy;
-  application : Nocplan_proc.Processor.application;
-  backend : backend option;
-      (** [Plan]/[Validate] planning backend; [None] means the default
-          greedy path *)
-  power_pct : float option;
-  reuse : int option;
-  max_reuse : int option;
-  iterations : int option;  (** [Anneal] per-chain iteration budget *)
-  seed : int option;  (** [Anneal] RNG seed *)
-  chains : int option;  (** [Anneal] tempering chains *)
-  placement_moves : float option;
-      (** [Anneal] probability in [0, 1] that a move swaps two module
-          tiles instead of two order positions (default 0: order-only) *)
-  warm : bool option;
-      (** [Anneal] warm-start opt-out: [Some false] searches cold,
-          ignoring the best trace the server keeps for the instance
-          (the result is still offered for later requests).  Default:
-          warm. *)
-  max_sessions : int option;
-      (** [Preempt] per-core session bound, [>= 1] (default 3) *)
-  at : int option;  (** [Replan] fault event instant (default 0) *)
-  fault_routers : Nocplan_noc.Coord.t list;
-      (** [Replan] dead routers — parsed, sorted, deduplicated *)
-  fault_links : Nocplan_noc.Link.t list;  (** [Replan] dead channels *)
   deadline_ms : float option;
+  members : (string * Json.t) list;
+      (** every member of the line but [id], sorted by name — what
+          {!coalesce_key} digests *)
 }
 
 type error_kind =
@@ -180,23 +197,23 @@ type error_kind =
 
 val parse_request :
   string -> (request, (Json.t * error_kind) * string) result
-(** Parse and validate one request line.  Unknown fields are ignored
-    (minor protocol evolutions stay compatible); an unsupported ["v"]
-    is an error.  Structural problems are [Parse] errors;
-    out-of-domain values are [Invalid].  An error carries the
+(** Parse and validate one request line.  An unsupported ["v"] is a
+    [Parse] error; a member not in {!fields}, or one sent twice, is
+    [Invalid].  Structural problems are [Parse] errors; out-of-domain
+    values are [Invalid].  An error carries the
     request's [id] for the error envelope: [Null] only when the line
     is not a JSON object (or has no [id]). *)
 
 val coalesce_key : request -> string option
-(** The request's coalescing signature: a digest of the op, system
-    spec and every solver parameter (not the [id]).  Two requests with
-    equal keys are guaranteed the same verdict, so one solve can serve
-    both.  [None] for observability ops and for requests carrying a
+(** The request's coalescing signature: a digest of its
+    {!request.members} — every member the client sent but [id], in name
+    order, floats rendered exactly.  Two requests with equal keys are
+    the same request, so one solve can serve both.  [None] for observability ops and for requests carrying a
     [deadline_ms]. *)
 
 val ok_response :
   id:Json.t ->
-  op:op ->
+  op:string ->
   cache:[ `Hit | `Miss | `None ] ->
   ?coalesced:bool ->
   ?backend:string ->
@@ -207,7 +224,7 @@ val ok_response :
     whose concatenation is the line.  A [Json.Raw] result is passed
     through as its own chunk, so a multi-megabyte payload is never
     copied into an envelope-sized buffer; transports write the chunks
-    back-to-back.  [backend] names the solver whose plan the response
+    back-to-back.  [op] is the {!op_label}.  [backend] names the solver whose plan the response
     carries (set for every plan/validate response, coalesced ones
     included). *)
 

@@ -14,7 +14,9 @@ exception Expired
    [run_job]. *)
 
 type job = {
-  req : Protocol.request;
+  id : Json.t;
+  label : string;  (* the op, for responses, logs and stats *)
+  planning : Protocol.planning;
   respond : string list -> unit;
   enqueued_at : float;
   deadline : float option;  (* absolute, Unix.gettimeofday clock *)
@@ -193,10 +195,12 @@ let with_eval_cache t entry config f =
    [Priority.order] — so repeats of a configuration across requests
    become exact cache hits that skip the run entirely, at no
    observable difference in the response. *)
-let heuristic_schedule t entry config ~reuse =
+let heuristic_schedule t entry config =
   with_eval_cache t entry config (fun cache ->
       let order =
-        Array.of_list (Core.Priority.order (Table_cache.system entry) ~reuse)
+        Array.of_list
+          (Core.Priority.order (Table_cache.system entry)
+             ~reuse:config.Core.Scheduler.reuse)
       in
       Core.Eval_cache.schedule cache order)
 
@@ -208,7 +212,7 @@ let heuristic_schedule t entry config ~reuse =
    plan.
    Every attempt is recorded per backend (a race records one per
    racer); the win counter tracks whose plan clients actually get. *)
-let backend_schedule t entry config ~reuse backend =
+let backend_schedule t entry config backend =
   let system = Table_cache.system entry
   and access = Table_cache.table entry in
   let timed name f =
@@ -218,15 +222,14 @@ let backend_schedule t entry config ~reuse backend =
       ~latency_ms:((Unix.gettimeofday () -. t0) *. 1e3);
     sched
   in
-  match (backend : Protocol.backend option) with
-  | None | Some (Solo { Core.Backend.name = "greedy"; _ }) ->
+  match (backend : Protocol.backend) with
+  | Solo { Core.Backend.name = "greedy"; _ } ->
       let sched =
-        timed "greedy" (fun () ->
-            heuristic_schedule t entry config ~reuse)
+        timed "greedy" (fun () -> heuristic_schedule t entry config)
       in
       Stats.record_backend_win t.stats ~backend:"greedy";
       (sched, "greedy")
-  | Some Race ->
+  | Race ->
       let outcome =
         Core.Backend.race ~clock:Unix.gettimeofday ~access system config
       in
@@ -238,7 +241,7 @@ let backend_schedule t entry config ~reuse backend =
       Stats.record_backend_win t.stats
         ~backend:outcome.Core.Backend.winner;
       (outcome.Core.Backend.schedule, outcome.Core.Backend.winner)
-  | Some (Solo b) ->
+  | Solo b ->
       let name = b.Core.Backend.name in
       let sched =
         timed name (fun () -> Core.Backend.solve b ~access system config)
@@ -250,308 +253,260 @@ let backend_schedule t entry config ~reuse backend =
    access-table cache verdict, and — for plan/validate — the name of
    the planning backend that produced the plan, threaded all the way
    into the response envelope (coalesced deliveries included). *)
-let execute t (req : Protocol.request) ~check =
-  match req.op with
-  | Protocol.Metrics -> Ok (Stats.snapshot_json (snapshot t), `None, None)
-  | Protocol.Prometheus -> Ok (Json.String (prometheus_text t), `None, None)
-  | Protocol.Plan | Protocol.Validate | Protocol.Sweep | Protocol.Anneal
-  | Protocol.Replan | Protocol.Preempt -> (
-      let spec =
-        match req.spec with
-        | Some s -> s
-        | None -> invalid_arg "Service.execute: planning request without spec"
-      in
+let execute t (p : Protocol.planning) ~check =
+  check ();
+  match Trace.span "serve.build" (fun () -> Sysbuild.build p.spec) with
+  | Error msg -> Error (Protocol.Parse, msg)
+  | Ok system -> (
       check ();
-      match Trace.span "serve.build" (fun () -> Sysbuild.build spec) with
-      | Error msg -> Error (Protocol.Parse, msg)
-      | Ok system -> (
-          check ();
-          let entry, hit =
-            Trace.span "serve.table" (fun () ->
-                Table_cache.find_or_build t.cache system
-                  ~application:req.application)
+      let entry, hit =
+        Trace.span "serve.table" (fun () ->
+            Table_cache.find_or_build t.cache system
+              ~application:p.application)
+      in
+      let system = Table_cache.system entry
+      and access = Table_cache.table entry in
+      let cache = if hit then `Hit else `Miss in
+      if Trace.enabled () then
+        Trace.instant "serve.cache" ~attrs:[ ("hit", Trace.Bool hit) ];
+      check ();
+      let power_limit =
+        Option.map
+          (fun pct -> Core.System.power_limit_of_pct system ~pct)
+          p.power_pct
+      in
+      let all = List.length system.Core.System.processors in
+      let policy = p.policy and application = p.application in
+      let solve f =
+        Trace.span "serve.solve"
+          ~attrs:
+            [ ("op", Trace.String (Protocol.op_label (Protocol.Planning p))) ]
+          f
+      in
+      match p.work with
+      | Protocol.Sweep max_reuse ->
+          solve @@ fun () ->
+          let max_reuse = min all (Option.value max_reuse ~default:all) in
+          let points =
+            List.init (max_reuse + 1) (fun reuse ->
+                check ();
+                fst
+                  (Core.Planner.run_point ~access system ~policy ~application
+                     ~power_limit ~reuse))
           in
-          let system = Table_cache.system entry
-          and access = Table_cache.table entry in
-          let cache = if hit then `Hit else `Miss in
-          if Trace.enabled () then
-            Trace.instant "serve.cache"
-              ~attrs:[ ("hit", Trace.Bool hit) ];
-          check ();
-          let power_limit =
-            Option.map
-              (fun pct -> Core.System.power_limit_of_pct system ~pct)
-              req.power_pct
+          let sweep =
+            {
+              Core.Planner.system_name =
+                system.Core.System.soc.Nocplan_itc02.Soc.name;
+              policy;
+              power_limit_pct = p.power_pct;
+              points;
+            }
           in
-          let all = List.length system.Core.System.processors in
-          let policy = req.policy and application = req.application in
-          let reuse = Option.value req.reuse ~default:all in
-          (* Sweep reads [max_reuse] (clamped to [all]), never [reuse]. *)
-          if reuse > all && req.op <> Protocol.Sweep then
+          Ok
+            ( Json.Raw (String.trim (Core.Export.sweep_json sweep)),
+              cache,
+              None )
+      | Protocol.Run (reuse, run) -> (
+          let reuse = Option.value reuse ~default:all in
+          if reuse > all then
             Error
               ( Protocol.Invalid,
                 Printf.sprintf
                   "field \"reuse\" (%d) is out of range: %s has %d processors"
                   reuse system.Core.System.soc.Nocplan_itc02.Soc.name all )
           else
-          Trace.span "serve.solve"
-            ~attrs:[ ("op", Trace.String (Protocol.op_label req.op)) ]
-          @@ fun () ->
-          match req.op with
-          | Protocol.Metrics | Protocol.Prometheus -> assert false
-          | Protocol.Plan ->
-              let config =
-                Core.Scheduler.config ~policy ~application ~power_limit ~reuse
-                  ()
-              in
-              let sched, backend =
-                backend_schedule t entry config ~reuse req.backend
-              in
-              (* Export documents end in a newline; the protocol is
-                 one line per response, so splice them trimmed. *)
-              Ok
-                ( Json.Raw (String.trim (Core.Export.schedule_json system sched)),
-                  cache,
-                  Some backend )
-          | Protocol.Validate ->
-              let config =
-                Core.Scheduler.config ~policy ~application ~power_limit ~reuse
-                  ()
-              in
-              let sched, backend =
-                backend_schedule t entry config ~reuse req.backend
-              in
-              check ();
-              let valid, violations =
+            let config =
+              Core.Scheduler.config ~policy ~application ~power_limit ~reuse ()
+            in
+            solve @@ fun () ->
+            match run with
+            | Protocol.Plan backend ->
+                let sched, backend = backend_schedule t entry config backend in
+                (* Export documents end in a newline; the protocol is
+                   one line per response, so splice them trimmed. *)
+                Ok
+                  ( Json.Raw
+                      (String.trim (Core.Export.schedule_json system sched)),
+                    cache,
+                    Some backend )
+            | Protocol.Validate backend ->
+                let sched, backend = backend_schedule t entry config backend in
+                check ();
+                let valid, violations =
+                  match
+                    Core.Schedule.validate ~access system ~application
+                      ~power_limit ~reuse sched
+                  with
+                  | Ok () -> (true, [])
+                  | Error vs ->
+                      ( false,
+                        List.map
+                          (fun v ->
+                            Json.String
+                              (Fmt.str "%a" Core.Schedule.pp_violation v))
+                          vs )
+                in
+                Ok
+                  ( Json.Obj
+                      [
+                        ("valid", Json.Bool valid);
+                        ("makespan", Json.Int sched.Core.Schedule.makespan);
+                        ("violations", Json.List violations);
+                      ],
+                    cache,
+                    Some backend )
+            | Protocol.Anneal a ->
+                let r =
+                  (* Chain 0 borrows the evaluation cache for the
+                     search: prefix traces left by earlier requests on
+                     this instance serve its evaluations, and this
+                     search's traces stay behind for the next one.
+                     Results are unaffected (cached evaluation is
+                     byte-identical).  The cache's best trace is the
+                     warm start, skipped on "warm": false; the result is
+                     offered back either way.  A placement-mutated
+                     winner is ignored by [offer] or dropped with its
+                     rebased cache: no later request holds that system
+                     physically. *)
+                  with_eval_cache t entry config (fun eval_cache ->
+                      let warm_start =
+                        if a.warm then Core.Eval_cache.best eval_cache
+                        else None
+                      in
+                      let r =
+                        Core.Annealing.schedule ~policy ~application
+                          ~power_limit ~iterations:a.iterations
+                          ~seed:(Int64.of_int a.seed) ~chains:a.chains
+                          ~placement_moves:a.placement_moves ~access
+                          ?warm_start ~eval_cache ~reuse system
+                      in
+                      Core.Eval_cache.offer eval_cache
+                        r.Core.Annealing.best_trace;
+                      r)
+                in
+                if a.warm then
+                  Stats.record_warm t.stats ~hit:r.Core.Annealing.warm_started;
+                Ok
+                  ( Json.Obj
+                      [
+                        ( "makespan",
+                          Json.Int
+                            r.Core.Annealing.schedule.Core.Schedule.makespan );
+                        ( "initial_makespan",
+                          Json.Int r.Core.Annealing.initial_makespan );
+                        ( "improvement_pct",
+                          Json.Float
+                            (Float.round
+                               (Core.Annealing.improvement_pct r *. 100.)
+                            /. 100.) );
+                        ("warm_start", Json.Bool r.Core.Annealing.warm_started);
+                        ("evaluations", Json.Int r.Core.Annealing.evaluations);
+                        ("accepted", Json.Int r.Core.Annealing.accepted);
+                        ( "placement_evals",
+                          Json.Int r.Core.Annealing.placement_evals );
+                        ( "placement_accepted",
+                          Json.Int r.Core.Annealing.placement_accepted );
+                        ("chains", Json.Int r.Core.Annealing.chains);
+                        ("exchanges", Json.Int r.Core.Annealing.exchanges);
+                      ],
+                    cache,
+                    None )
+            | Protocol.Preempt max_sessions ->
+                let plan =
+                  Core.Preemptive.schedule system
+                    (Core.Preemptive.config ~application ~power_limit
+                       ~max_sessions ~reuse ())
+                in
+                check ();
+                let valid =
+                  Result.is_ok
+                    (Core.Preemptive.validate system ~application ~power_limit
+                       ~reuse plan)
+                in
+                Ok
+                  ( Json.Obj
+                      [
+                        ("makespan", Json.Int plan.Core.Preemptive.makespan);
+                        ( "sessions",
+                          Json.Int (List.length plan.Core.Preemptive.sessions)
+                        );
+                        ( "modules",
+                          Json.Int
+                            (List.length (Core.System.module_ids system)) );
+                        ("max_sessions", Json.Int max_sessions);
+                        ("valid", Json.Bool valid);
+                      ],
+                    cache,
+                    None )
+            | Protocol.Replan f -> (
+                let topology = system.Core.System.topology in
+                let outside c = not (Noc.Topology.in_bounds topology c) in
                 match
-                  Core.Schedule.validate ~access system ~application
-                    ~power_limit ~reuse sched
+                  ( List.find_opt outside f.failed_routers,
+                    List.find_opt
+                      (fun l -> List.exists outside (Noc.Link.routers l))
+                      f.failed_links )
                 with
-                | Ok () -> (true, [])
-                | Error vs ->
-                    ( false,
-                      List.map
-                        (fun v ->
-                          Json.String
-                            (Fmt.str "%a" Core.Schedule.pp_violation v))
-                        vs )
-              in
-              Ok
-                ( Json.Obj
-                    [
-                      ("valid", Json.Bool valid);
-                      ("makespan", Json.Int sched.Core.Schedule.makespan);
-                      ("violations", Json.List violations);
-                    ],
-                  cache,
-                  Some backend )
-          | Protocol.Anneal ->
-              let iterations = Option.value req.iterations ~default:400 in
-              let seed =
-                Int64.of_int (Option.value req.seed ~default:0x5A)
-              in
-              let chains = Option.value req.chains ~default:1 in
-              let placement_moves =
-                Option.value req.placement_moves ~default:0.0
-              in
-              let config =
-                Core.Scheduler.config ~policy ~application ~power_limit ~reuse
-                  ()
-              in
-              let warm = Option.value req.warm ~default:true in
-              let r =
-                (* Chain 0 borrows the evaluation cache for the
-                   search: prefix traces left by earlier requests on
-                   this instance serve its evaluations, and this
-                   search's traces stay behind for the next one.
-                   Results are unaffected (cached evaluation is
-                   byte-identical).  The cache's best trace is the warm
-                   start, skipped on "warm": false; the result is
-                   offered back either way.  A placement-mutated winner
-                   is ignored by [offer] or dropped with its rebased
-                   cache: no later request holds that system
-                   physically. *)
-                with_eval_cache t entry config (fun eval_cache ->
-                    let warm_start =
-                      if warm then Core.Eval_cache.best eval_cache else None
-                    in
-                    let r =
-                      Core.Annealing.schedule ~policy ~application
-                        ~power_limit ~iterations ~seed ~chains
-                        ~placement_moves ~access ?warm_start ~eval_cache
-                        ~reuse system
-                    in
-                    Core.Eval_cache.offer eval_cache
-                      r.Core.Annealing.best_trace;
-                    r)
-              in
-              if warm then
-                Stats.record_warm t.stats ~hit:r.Core.Annealing.warm_started;
-              Ok
-                ( Json.Obj
-                    [
-                      ( "makespan",
-                        Json.Int
-                          r.Core.Annealing.schedule.Core.Schedule.makespan );
-                      ( "initial_makespan",
-                        Json.Int r.Core.Annealing.initial_makespan );
-                      ( "improvement_pct",
-                        Json.Float
-                          (Float.round
-                             (Core.Annealing.improvement_pct r *. 100.)
-                          /. 100.) );
-                      ( "warm_start",
-                        Json.Bool r.Core.Annealing.warm_started );
-                      ("evaluations", Json.Int r.Core.Annealing.evaluations);
-                      ("accepted", Json.Int r.Core.Annealing.accepted);
-                      ( "placement_evals",
-                        Json.Int r.Core.Annealing.placement_evals );
-                      ( "placement_accepted",
-                        Json.Int r.Core.Annealing.placement_accepted );
-                      ("chains", Json.Int r.Core.Annealing.chains);
-                      ("exchanges", Json.Int r.Core.Annealing.exchanges);
-                    ],
-                  cache,
-                  None )
-          | Protocol.Preempt -> (
-              let max_sessions = Option.value req.max_sessions ~default:3 in
-              let pconfig =
-                Core.Preemptive.config ~application ~power_limit ~max_sessions
-                  ~reuse ()
-              in
-              match Core.Preemptive.schedule system pconfig with
-              | plan ->
-                  check ();
-                  let valid =
-                    match
-                      Core.Preemptive.validate system ~application ~power_limit
-                        ~reuse plan
-                    with
-                    | Ok () -> true
-                    | Error _ -> false
-                  in
-                  Ok
-                    ( Json.Obj
-                        [
-                          ( "makespan",
-                            Json.Int plan.Core.Preemptive.makespan );
-                          ( "sessions",
-                            Json.Int
-                              (List.length plan.Core.Preemptive.sessions) );
-                          ( "modules",
-                            Json.Int
-                              (List.length (Core.System.module_ids system)) );
-                          ("max_sessions", Json.Int max_sessions);
-                          ("valid", Json.Bool valid);
-                        ],
-                      cache,
-                      None )
-              | exception Invalid_argument msg ->
-                  Error (Protocol.Invalid, msg))
-          | Protocol.Replan -> (
-              let at = Option.value req.at ~default:0 in
-              let topology = system.Core.System.topology in
-              let router_ob =
-                List.find_opt
-                  (fun c -> not (Noc.Topology.in_bounds topology c))
-                  req.fault_routers
-              in
-              let link_ob =
-                List.find_opt
-                  (fun l ->
-                    List.exists
-                      (fun c -> not (Noc.Topology.in_bounds topology c))
-                      (Noc.Link.routers l))
-                  req.fault_links
-              in
-              match (router_ob, link_ob) with
-              | Some c, _ ->
-                  Error
-                    ( Protocol.Invalid,
-                      Fmt.str "failed router %a is outside the mesh"
-                        Noc.Coord.pp c )
-              | None, Some l ->
-                  Error
-                    ( Protocol.Invalid,
-                      Fmt.str "failed link %a is outside the mesh" Noc.Link.pp
-                        l )
-              | None, None ->
-                  let config =
-                    Core.Scheduler.config ~policy ~application ~power_limit
-                      ~reuse ()
-                  in
-                  let baseline = Core.Scheduler.run ~access system config in
-                  check ();
-                  let faults =
-                    Fault.Detour.fault_set ~routers:req.fault_routers
-                      ~links:req.fault_links ()
-                  in
-                  let outcome =
-                    Fault.Recover.after ~policy ~application ~power_limit
-                      ~reuse ~at ~faults system baseline
-                  in
-                  Stats.record_fault t.stats
-                    ~events:(Fault.Detour.fault_count faults)
-                    ~abandoned:(List.length outcome.Fault.Recover.abandoned);
-                  check ();
-                  let valid =
-                    match
-                      Fault.Recover.validate ~application ~power_limit ~reuse
-                        ~at ~faults system outcome
-                    with
-                    | Ok () -> true
-                    | Error _ -> false
-                  in
-                  Ok
-                    ( Json.Obj
-                        [
-                          ( "baseline_makespan",
-                            Json.Int baseline.Core.Schedule.makespan );
-                          ("makespan", Json.Int outcome.Fault.Recover.makespan);
-                          ( "kept",
-                            Json.Int (List.length outcome.Fault.Recover.kept)
-                          );
-                          ( "voided",
-                            Json.Int
-                              (List.length outcome.Fault.Recover.voided) );
-                          ( "replanned",
-                            Json.Int
-                              (List.length outcome.Fault.Recover.replanned) );
-                          ( "abandoned",
-                            Json.List
-                              (List.map
-                                 (fun id -> Json.Int id)
-                                 outcome.Fault.Recover.abandoned) );
-                          ( "availability",
-                            Json.Float outcome.Fault.Recover.availability );
-                          ("valid", Json.Bool valid);
-                        ],
-                      cache,
-                      None ))
-          | Protocol.Sweep ->
-              let max_reuse =
-                min all (Option.value req.max_reuse ~default:all)
-              in
-              let points =
-                List.init (max_reuse + 1) (fun reuse ->
+                | Some c, _ ->
+                    Error
+                      ( Protocol.Invalid,
+                        Fmt.str
+                          "field \"failed_routers\": %a is outside the mesh"
+                          Noc.Coord.pp c )
+                | None, Some l ->
+                    Error
+                      ( Protocol.Invalid,
+                        Fmt.str "field \"failed_links\": %a is outside the mesh"
+                          Noc.Link.pp l )
+                | None, None ->
+                    let baseline = Core.Scheduler.run ~access system config in
                     check ();
-                    fst
-                      (Core.Planner.run_point ~access system ~policy
-                         ~application ~power_limit ~reuse))
-              in
-              let sweep =
-                {
-                  Core.Planner.system_name =
-                    system.Core.System.soc.Nocplan_itc02.Soc.name;
-                  policy;
-                  power_limit_pct = req.power_pct;
-                  points;
-                }
-              in
-              Ok
-                ( Json.Raw (String.trim (Core.Export.sweep_json sweep)),
-                  cache,
-                  None )))
+                    let faults =
+                      Fault.Detour.fault_set ~routers:f.failed_routers
+                        ~links:f.failed_links ()
+                    in
+                    let outcome =
+                      Fault.Recover.after ~policy ~application ~power_limit
+                        ~reuse ~at:f.at ~faults system baseline
+                    in
+                    Stats.record_fault t.stats
+                      ~events:(Fault.Detour.fault_count faults)
+                      ~abandoned:(List.length outcome.Fault.Recover.abandoned);
+                    check ();
+                    let valid =
+                      Result.is_ok
+                        (Fault.Recover.validate ~application ~power_limit
+                           ~reuse ~at:f.at ~faults system outcome)
+                    in
+                    Ok
+                      ( Json.Obj
+                          [
+                            ( "baseline_makespan",
+                              Json.Int baseline.Core.Schedule.makespan );
+                            ( "makespan",
+                              Json.Int outcome.Fault.Recover.makespan );
+                            ( "kept",
+                              Json.Int
+                                (List.length outcome.Fault.Recover.kept) );
+                            ( "voided",
+                              Json.Int
+                                (List.length outcome.Fault.Recover.voided) );
+                            ( "replanned",
+                              Json.Int
+                                (List.length outcome.Fault.Recover.replanned)
+                            );
+                            ( "abandoned",
+                              Json.List
+                                (List.map
+                                   (fun id -> Json.Int id)
+                                   outcome.Fault.Recover.abandoned) );
+                            ( "availability",
+                              Json.Float outcome.Fault.Recover.availability );
+                            ("valid", Json.Bool valid);
+                          ],
+                        cache,
+                        None ))))
 
 (* ------------------------------------------------------------------ *)
 (* Workers                                                            *)
@@ -567,13 +522,12 @@ let finish_pending t =
    answer it.  Called once for the job that ran the solve and once per
    request that coalesced onto it. *)
 let deliver t ~coalesced job verdict =
-  let req = job.req in
   let outcome, response =
     match verdict with
     | `Good (result, cache, backend) ->
         let elapsed_ms = (Unix.gettimeofday () -. job.enqueued_at) *. 1e3 in
         ( Stats.Served,
-          Protocol.ok_response ~id:req.id ~op:req.op ~cache ~coalesced
+          Protocol.ok_response ~id:job.id ~op:job.label ~cache ~coalesced
             ?backend ~elapsed_ms result )
     | `Bad (kind, msg) ->
         let outcome =
@@ -581,14 +535,14 @@ let deliver t ~coalesced job verdict =
           | Protocol.Timeout -> Stats.Timed_out
           | _ -> Stats.Failed
         in
-        (outcome, [ Protocol.error_response ~id:req.id kind msg ])
+        (outcome, [ Protocol.error_response ~id:job.id kind msg ])
   in
   let latency_ms = (Unix.gettimeofday () -. job.enqueued_at) *. 1e3 in
   Stats.record t.stats outcome ~latency_ms;
   if coalesced then
-    Stats.record_coalesced t.stats ~op:(Protocol.op_label req.op);
+    Stats.record_coalesced t.stats ~op:job.label;
   Log.info (fun m ->
-      m "%s %s%s in %.1f ms" (Protocol.op_label req.op)
+      m "%s %s%s in %.1f ms" job.label
         (match outcome with
         | Stats.Served -> "served"
         | Stats.Failed -> "failed"
@@ -603,7 +557,6 @@ let deliver t ~coalesced job verdict =
   finish_pending t
 
 let run_job t ~worker job =
-  let req = job.req in
   let started_at = Unix.gettimeofday () in
   let check () =
     match job.deadline with
@@ -614,18 +567,17 @@ let run_job t ~worker job =
     Trace.begin_span "serve.request"
       ~attrs:
         [
-          ("op", Trace.String (Protocol.op_label req.op));
+          ("op", Trace.String job.label);
           ("worker", Trace.Int worker);
           ("queue_wait_ms", Trace.Float ((started_at -. job.enqueued_at) *. 1e3));
         ];
   let verdict =
-    match execute t req ~check with
+    match execute t job.planning ~check with
     | Ok (result, cache, backend) -> `Good (result, cache, backend)
     | Error (kind, msg) -> `Bad (kind, msg)
     | exception Expired -> `Bad (Protocol.Timeout, "deadline exceeded")
     | exception Core.Scheduler.Unschedulable msg ->
         `Bad (Protocol.Unschedulable, msg)
-    | exception Invalid_argument msg -> `Bad (Protocol.Parse, msg)
     | exception exn -> `Bad (Protocol.Internal, Printexc.to_string exn)
   in
   let now = Unix.gettimeofday () in
@@ -710,46 +662,54 @@ let handle_line ?(read_only = false) t line respond =
       Log.warn (fun m -> m "bad request: %s" msg);
       respond [ Protocol.error_response ~id kind msg ]
   | Ok req -> (
+      let label = Protocol.op_label req.op in
       if Trace.enabled () then
         Trace.instant "serve.admit"
           ~attrs:
             [
-              ("op", Trace.String (Protocol.op_label req.Protocol.op));
+              ("op", Trace.String label);
               ("queue_depth", Trace.Int (Job_queue.depth t.queue));
             ];
-      match req.Protocol.op with
-      | (Protocol.Metrics | Protocol.Prometheus) as op ->
-          (* Served inline so observability survives planner overload
-             — and read-only listeners: scraping never needs write
-             access.  Recorded first so the snapshot being rendered
-             already counts this request. *)
-          Stats.record_inline t.stats
-            ~latency_ms:((Unix.gettimeofday () -. now) *. 1e3);
-          let result =
-            match op with
-            | Protocol.Metrics -> Stats.snapshot_json (snapshot t)
-            | _ -> Json.String (prometheus_text t)
-          in
-          let elapsed_ms = (Unix.gettimeofday () -. now) *. 1e3 in
-          respond
-            (Protocol.ok_response ~id:req.Protocol.id ~op ~cache:`None
-               ~elapsed_ms result)
-      | _ when read_only ->
+      (* Observability is served inline so it survives planner overload
+         — and read-only listeners: scraping never needs write access.
+         Recorded first so the snapshot being rendered already counts
+         this request. *)
+      let inline render =
+        Stats.record_inline t.stats
+          ~latency_ms:((Unix.gettimeofday () -. now) *. 1e3);
+        let result = render () in
+        let elapsed_ms = (Unix.gettimeofday () -. now) *. 1e3 in
+        respond
+          (Protocol.ok_response ~id:req.id ~op:label ~cache:`None ~elapsed_ms
+             result)
+      in
+      match req.op with
+      | Protocol.Metrics -> inline (fun () -> Stats.snapshot_json (snapshot t))
+      | Protocol.Prometheus -> inline (fun () -> Json.String (prometheus_text t))
+      | Protocol.Planning _ when read_only ->
           Stats.record t.stats Stats.Rejected ~latency_ms:0.0;
-          Log.warn (fun m ->
-              m "rejecting %s: read-only listener"
-                (Protocol.op_label req.Protocol.op));
+          Log.warn (fun m -> m "rejecting %s: read-only listener" label);
           respond
             [
-              Protocol.error_response ~id:req.Protocol.id Protocol.Readonly
+              Protocol.error_response ~id:req.id Protocol.Readonly
                 "read-only listener: planning ops are not accepted here";
             ]
-      | _ -> (
+      | Protocol.Planning planning -> (
           let deadline =
-            Option.map (fun ms -> now +. (ms /. 1e3)) req.Protocol.deadline_ms
+            Option.map (fun ms -> now +. (ms /. 1e3)) req.deadline_ms
           in
           let coalesce_key = Protocol.coalesce_key req in
-          let job = { req; respond; enqueued_at = now; deadline; coalesce_key } in
+          let job =
+            {
+              id = req.id;
+              label;
+              planning;
+              respond;
+              enqueued_at = now;
+              deadline;
+              coalesce_key;
+            }
+          in
           Mutex.lock t.pending_mutex;
           t.pending <- t.pending + 1;
           Mutex.unlock t.pending_mutex;
@@ -764,8 +724,7 @@ let handle_line ?(read_only = false) t line respond =
                 | Some key -> job :: Inflight.release t.inflight ~key
               in
               Log.warn (fun m ->
-                  m "rejecting %s: queue full (depth %d, %d bounced)"
-                    (Protocol.op_label req.Protocol.op)
+                  m "rejecting %s: queue full (depth %d, %d bounced)" label
                     (Job_queue.depth t.queue)
                     (List.length bounced));
               List.iter
@@ -774,8 +733,8 @@ let handle_line ?(read_only = false) t line respond =
                   (try
                      j.respond
                        [
-                         Protocol.error_response ~id:j.req.Protocol.id
-                           Protocol.Overload "queue full, retry later";
+                         Protocol.error_response ~id:j.id Protocol.Overload
+                           "queue full, retry later";
                        ]
                    with exn ->
                      Log.warn (fun m ->
@@ -795,11 +754,7 @@ let handle_line ?(read_only = false) t line respond =
                      leader's worker will answer us. *)
                   if Trace.enabled () then
                     Trace.instant "serve.coalesce"
-                      ~attrs:
-                        [
-                          ( "op",
-                            Trace.String (Protocol.op_label req.Protocol.op) );
-                        ])))
+                      ~attrs:[ ("op", Trace.String label) ])))
 
 let request ?read_only t line =
   let result = ref None in

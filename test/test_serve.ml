@@ -189,19 +189,38 @@ let test_protocol_validation () =
   ignore (parse_err "{\"op\": \"plan\"}");
   ignore (parse_err "{\"v\": 2, \"op\": \"metrics\"}");
   ignore (parse_err "{\"op\": \"plan\", \"system\": \"d695_leon\", \"reuse\": \"three\"}");
+  (* A misspelt or repeated name is refused, not ignored. *)
+  List.iter
+    (fun (msg, line) ->
+      match Serve.Protocol.parse_request line with
+      | Error ((_, Serve.Protocol.Invalid), got) ->
+          Alcotest.(check string) line msg got
+      | _ -> Alcotest.failf "%S not refused as invalid" line)
+    [
+      ( {|unknown field "power"|},
+        {|{"op": "plan", "system": "d695_leon", "power": 25}|} );
+      ( {|duplicate field "op"|},
+        {|{"op": "plan", "op": "sweep", "system": "d695_leon"}|} );
+    ];
   match
     Serve.Protocol.parse_request
       "{\"id\": \"r1\", \"op\": \"plan\", \"system\": \"d695_leon\", \
        \"reuse\": 2, \"power_pct\": 25, \"deadline_ms\": 100}"
   with
   | Error (_, msg) -> Alcotest.failf "rejected valid request: %s" msg
-  | Ok req ->
-      Alcotest.(check string) "op" "plan" (Serve.Protocol.op_label req.Serve.Protocol.op);
-      Alcotest.(check (option int)) "reuse" (Some 2) req.Serve.Protocol.reuse;
+  | Ok { Serve.Protocol.op = Planning p; deadline_ms; _ } ->
+      Alcotest.(check string) "op" "plan"
+        (Serve.Protocol.op_label (Planning p));
+      (match p.work with
+      | Run (reuse, Plan (Solo { Core.Backend.name; _ })) ->
+          Alcotest.(check (option int)) "reuse" (Some 2) reuse;
+          Alcotest.(check string) "default backend" "greedy" name
+      | _ -> Alcotest.fail "not a greedy plan");
       Alcotest.(check (option (float 1e-9))) "power_pct (int accepted)"
-        (Some 25.0) req.Serve.Protocol.power_pct;
+        (Some 25.0) p.power_pct;
       Alcotest.(check (option (float 1e-9))) "deadline" (Some 100.0)
-        req.Serve.Protocol.deadline_ms
+        deadline_ms
+  | Ok _ -> Alcotest.fail "plan parsed as an observability op"
 
 let test_protocol_fault_fields () =
   (* Structural breakage is [parse]; well-formed requests carrying
@@ -239,19 +258,18 @@ let test_protocol_fault_fields () =
        \"inject:0,0\", \"eject:3,3\"]}"
   with
   | Error (_, msg) -> Alcotest.failf "rejected valid replan: %s" msg
-  | Ok req ->
-      Alcotest.(check string) "op" "replan"
-        (Serve.Protocol.op_label req.Serve.Protocol.op);
-      Alcotest.(check (option int)) "at" (Some 500) req.Serve.Protocol.at;
-      Alcotest.(check int) "one failed router" 1
-        (List.length req.Serve.Protocol.fault_routers);
-      Alcotest.(check int) "three failed links" 3
-        (List.length req.Serve.Protocol.fault_links)
+  | Ok { Serve.Protocol.op = Planning { work = Run (Some 2, Replan f); _ }; _ }
+    ->
+      Alcotest.(check int) "at" 500 f.at;
+      Alcotest.(check int) "one failed router" 1 (List.length f.failed_routers);
+      Alcotest.(check int) "three failed links" 3 (List.length f.failed_links)
+  | Ok _ -> Alcotest.fail "not a replan at reuse 2"
 
 let test_protocol_mesh_fields () =
   (* Mesh dimensions and processor counts out of domain are refused at
      parse time, naming the field, instead of reaching Sysbuild; a mesh
-     above the area bound is refused before anything is built. *)
+     above the area bound is refused before anything is built.  The
+     domain checks run first, so their messages win. *)
   let refused msg line =
     match Serve.Protocol.parse_request line with
     | Error ((_, Serve.Protocol.Invalid), got) ->
@@ -273,6 +291,15 @@ let test_protocol_mesh_fields () =
   refused area
     {|{"op":"plan","system":"d695","width":1000000,"height":100000,"leons":1}|};
   refused area {|{"op": "plan", "system": "d695", "width": 1, "height": 4097}|};
+  (* A mesh field nothing would read is refused too. *)
+  refused {|field "width" requires "height"|}
+    {|{"op": "plan", "system": "d695", "width": 5}|};
+  refused {|field "height" requires "width"|}
+    {|{"op": "plan", "system": "d695", "height": 5}|};
+  refused {|field "leons" does not apply to builtin system d695_leon|}
+    {|{"op": "plan", "system": "d695_leon", "leons": 3}|};
+  refused {|field "width" does not apply to builtin system p22810_mixed|}
+    {|{"op": "sweep", "system": "p22810_mixed", "width": 5, "height": 6}|};
   Alcotest.(check int) "bound" 4096 Serve.Protocol.max_mesh_tiles;
   match
     Serve.Protocol.parse_request
@@ -635,7 +662,8 @@ let test_coalesce_key_semantics () =
       {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "power_pct": 50}|};
       {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "application": "decompress"}|};
       {|{"op": "anneal", "system": "d695", "leons": 2, "reuse": 2}|};
-      {|{"op": "anneal", "system": "d695", "leons": 2, "width": 5, "reuse": 2}|};
+      {|{"op": "anneal", "system": "d695", "leons": 2, "width": 5, "height": 5,
+         "reuse": 2}|};
     ];
   (* Deadlines opt out: a leader's timeout must never fail followers. *)
   Alcotest.(check bool) "deadline exempt" true
@@ -643,6 +671,266 @@ let test_coalesce_key_semantics () =
     = None);
   Alcotest.(check bool) "observability ops exempt" true
     (key {|{"op": "metrics"}|} = None)
+
+(* --- the request protocol, property-checked ------------------------ *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
+(* Values for every field but [id], [op], [system] and [soc], in and
+   out of its domain (wrong JSON types included), on d695_leon (4x4,
+   six processors).  Anneal budgets stay small.  The mesh fields are
+   refused on a builtin system whatever their value. *)
+let field_values =
+  let strs l = Json.List (List.map (fun s -> Json.String s) l) in
+  Json.
+    [
+      ("v", [ Int 1 ], []);
+      ("width", [ Int 4 ], [ Int 0; Int 5000; String "4" ]);
+      ("height", [ Int 4 ], [ Int (-1) ]);
+      ("leons", [ Int 2 ], [ Int (-1) ]);
+      ("plasmas", [ Int 0 ], [ Int (-3) ]);
+      ( "policy",
+        [ String "greedy"; String "lookahead" ],
+        [ String "sideways" ] );
+      ("application", [ String "bist"; String "decompress" ], [ String "x" ]);
+      ( "backend",
+        [ String "greedy"; String "binpack"; String "race" ],
+        [ String "nope" ] );
+      ( "power_pct",
+        [ Float 50.0; Int 25 ],
+        [ Float 0.0; Int (-5); String "low" ] );
+      ("reuse", [ Int 0; Int 3; Int 6 ], [ Int 9; Int (-1); Float 1.5 ]);
+      ("max_reuse", [ Int 2; Int 8 ], [ Int (-2) ]);
+      ("iterations", [ Int 1; Int 20; Int 50 ], [ Int 0 ]);
+      ("seed", [ Int 7; Int (-3) ], [ String "x" ]);
+      ("chains", [ Int 1; Int 3 ], [ Int 0 ]);
+      ("placement_moves", [ Float 0.0; Float 0.4; Int 1 ], [ Float 1.5 ]);
+      ("warm", [ Bool true; Bool false ], [ Int 1 ]);
+      ("max_sessions", [ Int 1; Int 4 ], [ Int 0 ]);
+      ("at", [ Int 0; Int 200_000 ], [ Int (-1) ]);
+      ( "failed_routers",
+        [ strs [ "1,1" ]; strs [ "0,0"; "3,3" ] ],
+        [ strs [ "9,9" ]; strs [ "a,b" ]; Int 3 ] );
+      ( "failed_links",
+        [ strs [ "1,0>2,0"; "inject:0,0" ]; strs [ "eject:3,3" ] ],
+        [ strs [ "0,0>9,0" ]; strs [ "1-2" ] ] );
+      ("deadline_ms", [ Float 60000.0 ], [ String "now" ]);
+    ]
+
+(* Floats print with every digit (and stay floats), so a one-ulp change
+   survives the trip through text. *)
+let rec render = function
+  | Json.Float f ->
+      let s = Printf.sprintf "%.17g" f in
+      if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+  | Json.List items -> "[" ^ String.concat ", " (List.map render items) ^ "]"
+  | Json.Obj members ->
+      "{"
+      ^ String.concat ", "
+          (List.map
+             (fun (k, v) -> "\"" ^ Json.escape k ^ "\": " ^ render v)
+             members)
+      ^ "}"
+  | v -> Json.to_string v
+
+(* A planning request on d695_leon: a random subset of the known
+   fields, sometimes an unknown name, sometimes a name sent twice, in
+   random member order.  Returns the members and whether an unknown or
+   repeated name is among them. *)
+let request_gen =
+  let open QCheck2.Gen in
+  let* op =
+    oneofl [ "plan"; "validate"; "sweep"; "anneal"; "replan"; "preempt" ]
+  in
+  let* id = int_bound 1000 in
+  (* Half the requests draw only values that should answer ok. *)
+  let* clean = bool in
+  let applies name =
+    match name with
+    | "width" | "height" | "leons" | "plasmas" -> false
+    | "backend" -> op = "plan" || op = "validate"
+    | _ -> true
+  in
+  let* known =
+    flatten_l
+      (List.map
+         (fun (name, good, bad) ->
+           let values = if clean then good else good @ bad in
+           if clean && not (applies name) then return None
+           else
+             frequency
+               [
+                 (2, return None);
+                 (1, map (fun v -> Some (name, v)) (oneofl values));
+               ])
+         field_values)
+  in
+  let base =
+    [ ("id", Json.Int id); ("op", Json.String op);
+      ("system", Json.String "d695_leon") ]
+    @ List.filter_map Fun.id known
+  in
+  let* unknown =
+    if clean then return []
+    else
+      frequency
+        [
+          (4, return []);
+          ( 1,
+            map
+              (fun name -> [ (name, Json.Int 1) ])
+              (oneof
+                 [
+                   oneofl [ "power"; "iteration"; "failed_link"; "Reuse" ];
+                   string_size ~gen:(char_range 'a' 'z') (int_range 1 12);
+                 ]) );
+        ]
+  in
+  let unknown =
+    List.filter (fun (n, _) -> not (List.mem n Serve.Protocol.fields)) unknown
+  in
+  let* repeated =
+    if clean then return []
+    else frequency [ (4, return []); (1, map (fun m -> [ m ]) (oneofl base)) ]
+  in
+  let+ members = shuffle_l (base @ unknown @ repeated) in
+  (members, unknown <> [] || repeated <> [])
+
+(* The same member with a different value that is usually still in
+   domain: the next integer or float, the other enum value, the list
+   doubled. *)
+let changed (name, v) =
+  let v =
+    match (name, v) with
+    | "op", Json.String "plan" -> Json.String "validate"
+    | "op", _ -> Json.String "plan"
+    | "system", _ -> Json.String "p22810_leon"
+    | "policy", Json.String "greedy" -> Json.String "lookahead"
+    | "application", Json.String "bist" -> Json.String "decompress"
+    | "backend", Json.String "greedy" -> Json.String "binpack"
+    | _, Json.Int i -> Json.Int (i + 1)
+    | _, Json.Float f -> Json.Float (Float.succ f)
+    | _, Json.Bool b -> Json.Bool (not b)
+    | _, Json.String s -> Json.String (s ^ "x")
+    | _, Json.List [] -> Json.List [ Json.String "0,0" ]
+    | _, Json.List items -> Json.List (items @ items)
+    | _, v -> v
+  in
+  (name, v)
+
+let prop_request service (members, refused) =
+  let line = render (Json.Obj members) in
+  let resp = parse_response (Serve.Service.request service line) in
+  (match (field "ok" resp, Json.member "error" resp) with
+  | Json.Bool true, _ ->
+      if refused then
+        QCheck2.Test.fail_reportf "unknown or repeated name accepted: %s" line
+  | _, Some err ->
+      let kind = Json.str_field "kind" err
+      and msg = Option.value (Json.str_field "message" err) ~default:"" in
+      if kind = Some "internal" then
+        QCheck2.Test.fail_reportf "internal error on %s: %s" line msg;
+      if refused && kind <> Some "invalid" then
+        QCheck2.Test.fail_reportf "unknown or repeated name not invalid: %s"
+          line;
+      if
+        not
+          (List.exists
+             (fun (name, _) -> contains msg ("\"" ^ name ^ "\""))
+             members)
+      then QCheck2.Test.fail_reportf "%S names no field of %s" msg line
+  | _ -> QCheck2.Test.fail_reportf "odd response to %s" line);
+  (* The coalesce key: blind to [id] and member order, and changed by
+     any one member's value. *)
+  let key members =
+    match Serve.Protocol.parse_request (render (Json.Obj members)) with
+    | Ok req -> Serve.Protocol.coalesce_key req
+    | Error _ -> None
+  in
+  match key members with
+  | None -> true
+  | Some k ->
+      let others = List.filter (fun (n, _) -> n <> "id") members in
+      if key (List.rev (("id", Json.String "other") :: others)) <> Some k then
+        QCheck2.Test.fail_reportf "id or member order changed the key of %s"
+          line;
+      List.iteri
+        (fun i _ ->
+          let variant =
+            List.mapi (fun j m -> if i = j then changed m else m) others
+          in
+          match key variant with
+          | Some k' when k' = k ->
+              QCheck2.Test.fail_reportf "%s and %s share a key" line
+                (render (Json.Obj variant))
+          | _ -> ())
+        others;
+      true
+
+let test_protocol_property () =
+  (* Every known field is drawn (bar the four fixed ones), so a field
+     added to the protocol must be added here too. *)
+  Alcotest.(check (list string))
+    "every field drawn"
+    (List.sort compare Serve.Protocol.fields)
+    (List.sort compare
+       ([ "id"; "op"; "system"; "soc" ]
+       @ List.map (fun (name, _, _) -> name) field_values));
+  let service = Serve.Service.create ~workers:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 22 |])
+    (QCheck2.Test.make ~count:300 ~name:"protocol"
+       ~print:(fun (members, _) -> render (Json.Obj members))
+       request_gen (prop_request service))
+
+(* README's "Request fields" table names exactly {!Protocol.fields}. *)
+let test_readme_request_fields () =
+  let path =
+    if Sys.file_exists "../README.md" then "../README.md" else "README.md"
+  in
+  let lines =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let is_row = String.starts_with ~prefix:"|" in
+  let rec from_heading = function
+    | [] -> []
+    | l :: rest ->
+        if String.starts_with ~prefix:"Request fields" l then rest
+        else from_heading rest
+  in
+  let rec to_table = function
+    | l :: rest when not (is_row l) -> to_table rest
+    | rows -> rows
+  in
+  let rec take_rows = function
+    | l :: rest when is_row l -> l :: take_rows rest
+    | _ -> []
+  in
+  let rows =
+    match take_rows (to_table (from_heading lines)) with
+    | _header :: _rule :: rows -> rows
+    | _ -> Alcotest.fail "README has no \"Request fields\" table"
+  in
+  (* The backticked names in each row's first cell. *)
+  let names =
+    List.concat_map
+      (fun row ->
+        match String.split_on_char '|' row with
+        | _ :: cell :: _ -> (
+            match String.split_on_char '`' cell with
+            | _ :: parts -> List.filteri (fun i _ -> i mod 2 = 0) parts
+            | [] -> [])
+        | _ -> [])
+      rows
+  in
+  Alcotest.(check (list string))
+    "README table = Protocol.fields"
+    (List.sort compare Serve.Protocol.fields)
+    (List.sort compare names)
 
 let test_inflight_registry () =
   let r = Serve.Inflight.create () in
@@ -1330,6 +1618,10 @@ let suite =
       test_socket_deadline_does_not_kill_server;
     Alcotest.test_case "coalesce key semantics" `Quick
       test_coalesce_key_semantics;
+    Alcotest.test_case "protocol property: fields, errors and keys" `Quick
+      test_protocol_property;
+    Alcotest.test_case "README request fields = Protocol.fields" `Quick
+      test_readme_request_fields;
     Alcotest.test_case "inflight registry" `Quick test_inflight_registry;
     Alcotest.test_case "eval cache checkout and checkin" `Quick
       test_eval_checkout_checkin;

@@ -132,7 +132,7 @@ let test_burst_all_carry_backend () =
 let test_ok_response_rendering () =
   let line =
     String.concat ""
-      (Protocol.ok_response ~id:(Json.String "x") ~op:Protocol.Plan
+      (Protocol.ok_response ~id:(Json.String "x") ~op:"plan"
          ~cache:`Miss ~backend:"binpack" ~elapsed_ms:1.25
          (Json.Raw "{\"makespan\": 7}"))
   in

@@ -50,7 +50,8 @@ let well_formed_error line =
       | _ -> Error (Printf.sprintf "not an error response: %s" line))
 
 (* Hand-written corpus: every field of the protocol with a wrong type,
-   truncated JSON, protocol-version and op abuse. *)
+   truncated JSON, protocol-version and op abuse, misspelt and repeated
+   field names. *)
 (* Blank lines are deliberately absent: the transport skips them
    without responding (keep-alive friendly), so they are not part of
    the one-request/one-response contract fuzzed here. *)
@@ -99,6 +100,13 @@ let corpus =
     "{\"op\": \"plan\", \"system\": \"d695\", \"plasmas\": -4}";
     "{\"op\": \"plan\", \"system\": \"d695\", \"width\": 1000000, \
      \"height\": 100000, \"leons\": 1}";
+    "{\"op\": \"plan\", \"system\": \"d695_leon\", \"power\": 25}";
+    "{\"op\": \"anneal\", \"system\": \"d695_leon\", \"iteration\": 5}";
+    "{\"op\": \"replan\", \"system\": \"d695_leon\", \"failed_link\": \
+     [\"1,0>2,0\"]}";
+    "{\"op\": \"plan\", \"op\": \"sweep\", \"system\": \"d695_leon\"}";
+    "{\"op\": \"plan\", \"system\": \"d695_leon\", \"leons\": 3}";
+    "{\"op\": \"plan\", \"system\": \"d695\", \"width\": 5}";
     "{\"op\": \"plan\", \"soc\": 42}";
     "{\"op\": \"plan\", \"soc\": \"not a soc description\"}";
   ]

@@ -75,14 +75,13 @@ type sink_leg = {
   drain : int;
 }
 
-let source_leg system ~application ~flits_in source route_in =
+let source_leg system ~application ~flits_in source ~hops:hops_in =
   let latency = system.System.latency in
   let flow = Latency.stream_cycle_per_flit latency in
   let routing = latency.Latency.routing_latency in
   let gen_overhead, src_setup, src_power =
     source_profile system ~application source
   in
-  let hops_in = List.length route_in - 1 in
   {
     gen_overhead;
     src_setup;
@@ -91,12 +90,11 @@ let source_leg system ~application ~flits_in source route_in =
     transport_in = ((hops_in + 2) * routing) + (flits_in * flow);
   }
 
-let sink_leg system ~flits_out sink route_out =
+let sink_leg system ~flits_out sink ~hops:hops_out =
   let latency = system.System.latency in
   let flow = Latency.stream_cycle_per_flit latency in
   let routing = latency.Latency.routing_latency in
   let sink_overhead, sink_setup, sink_power = sink_profile system sink in
-  let hops_out = List.length route_out - 1 in
   {
     sink_overhead;
     sink_setup;
@@ -163,9 +161,10 @@ let cost ?patterns system ~application ~module_id ~source ~sink =
     ~pattern_count
     (source_leg system ~application
        ~flits_in:(wrapper.Wrapper.scan_in_max + 1)
-       source route_in)
+       source
+       ~hops:(List.length route_in - 1))
     (sink_leg system ~flits_out:(wrapper.Wrapper.scan_out_max + 1) sink
-       route_out)
+       ~hops:(List.length route_out - 1))
     ~shared:(not (Link.Set.disjoint links_in links_out))
     ~links:(Link.Set.elements (Link.Set.union links_in links_out))
     ~routers:
@@ -251,6 +250,28 @@ let feasible system ~application ~module_id ~source ~sink =
 
 type route_fn = src:Coord.t -> dst:Coord.t -> Coord.t list option
 
+(* One leg's path in the form a cell merges, built once per (module,
+   endpoint): its distinct links in [Link.compare] order with an int
+   key per link that sorts the same way, their dense channel ids ([-1]
+   until a cell first numbers them), its distinct routers as sorted
+   tile ranks, and its hop count. *)
+type path = {
+  links : Link.t array;
+  keys : int array;
+  chans : int array;
+  tiles : int array;
+  hops : int;
+}
+
+(* The per-module invariants every cell of a row shares. *)
+type shape = {
+  def : Module_def.t;
+  cut : Coord.t;
+  flits_in : int;
+  flits_out : int;
+  shift_cycles : int;
+}
+
 type table = {
   table_system : System.t;
   table_application : Processor.application;
@@ -263,6 +284,12 @@ type table = {
   endpoint_ids : (Resource.endpoint, int) Hashtbl.t;
   module_rows : (int, int) Hashtbl.t;
   width : int;  (** endpoint count — stride of one (module, source) row *)
+  shapes : shape array;  (** per row *)
+  in_legs : path option array;
+      (** row-major [module][endpoint]: the path endpoint -> cut,
+          [None] when the route function found none *)
+  out_legs : path option array;
+      (** row-major [module][endpoint]: the path cut -> endpoint *)
   feasible_bits : bool array;  (** row-major [module][source][sink] *)
   route_bits : bool array;  (** row-major [module][source][sink] *)
   memory_bits : bool array;  (** row-major [module][source] *)
@@ -273,42 +300,36 @@ type table = {
           per table for the {!Nocplan_noc.Reservation} calendar *)
   channel_ids : (Link.t, int) Hashtbl.t;
       (** the dense numbering itself, link -> channel id in first-use
-          order.  Kept so {!table_rebuild} can extend the numbering of
-          its base table: the rows it copies keep their ids, so the
-          rows it refills must number the same links the same way. *)
+          order.  Kept so {!table_rebuild} and {!table_degrade} can
+          extend the numbering of their base table: the rows they copy
+          keep their ids, so the cells they refill must number the same
+          links the same way. *)
 }
 
-(* One leg's path in the form a cell merges, built once per (module,
-   endpoint): its distinct links in [Link.compare] order with an int
-   key per link that sorts the same way, their dense channel ids ([-1]
-   until a cell first numbers them), and its distinct routers as sorted
-   tile ranks. *)
-type path = {
-  links : Link.t array;
-  keys : int array;
-  chans : int array;
-  tiles : int array;
-}
+(* A tile's rank in [Coord.compare] order, and a link's key in
+   [Link.compare] order: the tag, then its tiles' ranks as digits. *)
+let tile_rank topology (c : Coord.t) =
+  (c.Coord.x * topology.Topology.height) + c.Coord.y
+
+let link_key topology l =
+  let n = Topology.router_count topology in
+  match l with
+  | Link.Inject c -> tile_rank topology c
+  | Link.Channel (a, b) -> n + (tile_rank topology a * n) + tile_rank topology b
+  | Link.Eject c -> n + (n * n) + tile_rank topology c
 
 let path_of_route topology route =
-  (* A tile's rank in [Coord.compare] order, and a link's key in
-     [Link.compare] order: the tag, then its tiles' ranks as digits. *)
-  let height = topology.Topology.height in
-  let n = topology.Topology.width * height in
-  let rank (c : Coord.t) = (c.Coord.x * height) + c.Coord.y in
-  let key = function
-    | Link.Inject c -> rank c
-    | Link.Channel (a, b) -> n + (rank a * n) + rank b
-    | Link.Eject c -> n + (n * n) + rank c
-  in
   let links =
     Array.of_list (List.sort_uniq Link.compare (Xy.links_of_route route))
   in
   {
     links;
-    keys = Array.map key links;
+    keys = Array.map (link_key topology) links;
     chans = Array.make (Array.length links) (-1);
-    tiles = Array.of_list (List.sort_uniq Int.compare (List.map rank route));
+    tiles =
+      Array.of_list
+        (List.sort_uniq Int.compare (List.map (tile_rank topology) route));
+    hops = List.length route - 1;
   }
 
 (* Dense per-table channel numbering: every distinct link routed over
@@ -336,7 +357,8 @@ let channel t p i =
    in order, with its channel ids, into [links]/[chans] and returns its
    length.  Links are numbered as the walk meets them, so first use
    follows union order cell by cell.  The paths share a channel iff the
-   union is shorter than the two legs together. *)
+   union is shorter than the two legs together.  A leg whose ids are
+   all known is only read, never written. *)
 let merge_links t a b ~links ~chans =
   let la = Array.length a.links and lb = Array.length b.links in
   let i = ref 0 and j = ref 0 and k = ref 0 in
@@ -350,7 +372,7 @@ let merge_links t a b ~links ~chans =
       links.(!k) <- a.links.(!i);
       chans.(!k) <- channel t a !i;
       if c = 0 then begin
-        b.chans.(!j) <- chans.(!k);
+        if b.chans.(!j) < 0 then b.chans.(!j) <- chans.(!k);
         incr j
       end;
       incr i
@@ -376,62 +398,42 @@ let distinct_tiles a b =
   done;
   !n + (la - !i) + (lb - !j)
 
-(* Fill one module's row of the table — every (source, sink) cell plus
-   the per-source memory bits.  Shared by {!table} (every row, in order)
-   and {!table_rebuild} (affected rows only). *)
-let fill_row t row module_id =
+let resolve t ~src ~dst =
+  match t.table_route with
+  | None -> Some (Xy.route t.table_system.System.topology ~src ~dst)
+  | Some f -> f ~src ~dst
+
+(* Refill the cells of one row that draw on a recomputed leg: cell
+   (source [si], sink [ki]) iff [redo_in.(si) || redo_out.(ki)].  A full
+   build passes all-true masks.  Reads the row's shape and legs, which
+   the caller has stored. *)
+let fill_cells t row ~redo_in ~redo_out =
   let system = t.table_system in
   let application = t.table_application in
   let endpoints = t.endpoints in
   let n = t.width in
-  let m = Soc.find system.System.soc module_id in
-  (* The expensive per-module invariants, computed once. *)
-  let wrapper = Wrapper.design ~width:system.System.flit_width m in
-  let footprint =
-    match application with
-    | Processor.Bist -> 0
-    | Processor.Decompression -> decompression_footprint_of_wrapper m wrapper
-  in
-  let cut = System.coord_of_module system module_id in
-  let flits_in = wrapper.Wrapper.scan_in_max + 1 in
-  let flits_out = wrapper.Wrapper.scan_out_max + 1 in
-  let shift_cycles = Wrapper.pattern_cycles wrapper in
-  let pattern_count = m.Module_def.patterns in
-  (* Per-endpoint path legs, computed once per (module, endpoint)
-     instead of once per (module, source, sink) triple. *)
-  let topology = system.System.topology in
-  let resolve ~src ~dst =
-    match t.table_route with
-    | None -> Some (Xy.route topology ~src ~dst)
-    | Some f -> f ~src ~dst
-  in
-  let in_routes =
-    Array.map
-      (fun e -> resolve ~src:(Resource.coord system e) ~dst:cut)
-      endpoints
-  in
-  let out_routes =
-    Array.map
-      (fun e -> resolve ~src:cut ~dst:(Resource.coord system e))
-      endpoints
-  in
-  let in_paths = Array.map (Option.map (path_of_route topology)) in_routes in
-  let out_paths = Array.map (Option.map (path_of_route topology)) out_routes in
+  let s = t.shapes.(row) in
+  let pattern_count = s.def.Module_def.patterns in
+  let in_paths = Array.sub t.in_legs (row * n) n in
+  let out_paths = Array.sub t.out_legs (row * n) n in
   let source_legs =
     Array.mapi
       (fun i e ->
-        match (in_routes.(i), in_paths.(i)) with
-        | Some r, Some p when Resource.can_source e ->
-            Some (source_leg system ~application ~flits_in e r, p)
+        match in_paths.(i) with
+        | Some p when Resource.can_source e ->
+            Some
+              ( source_leg system ~application ~flits_in:s.flits_in e
+                  ~hops:p.hops,
+                p )
         | _ -> None)
       endpoints
   in
   let sink_legs =
     Array.mapi
       (fun i e ->
-        match (out_routes.(i), out_paths.(i)) with
-        | Some r, Some p when Resource.can_sink e ->
-            Some (sink_leg system ~flits_out e r, p)
+        match out_paths.(i) with
+        | Some p when Resource.can_sink e ->
+            Some (sink_leg system ~flits_out:s.flits_out e ~hops:p.hops, p)
         | _ -> None)
       endpoints
   in
@@ -455,47 +457,92 @@ let fill_row t row module_id =
       0 paths
   in
   let room = longest in_paths + longest out_paths in
-  let links = Array.make room (Link.Inject cut) in
+  let links = Array.make room (Link.Inject s.cut) in
   let chans = Array.make room 0 in
   let base = row * n * n in
   for si = 0 to n - 1 do
     let source = endpoints.(si) in
-    let memory_ok =
-      memory_feasible_of_footprint system ~application ~footprint ~source
-    in
-    t.memory_bits.((row * n) + si) <- memory_ok;
     for ki = 0 to n - 1 do
-      let sink = endpoints.(ki) in
-      let idx = base + (si * n) + ki in
-      let route_ok = in_route_ok.(si) && out_route_ok.(ki) in
-      t.route_bits.(idx) <- route_ok;
-      if Resource.valid_pair ~source ~sink then begin
-        match (source_legs.(si), sink_legs.(ki)) with
-        | Some (sleg, pin), Some (kleg, pout) ->
-            let u = merge_links t pin pout ~links ~chans in
-            let union = ref [] in
-            for k = u - 1 downto 0 do
-              union := links.(k) :: !union
-            done;
-            t.costs.(idx) <-
-              Some
-                (combine_legs system ~m ~shift_cycles ~pattern_count sleg
-                   kleg
-                   ~shared:(u < Array.length pin.links + Array.length pout.links)
-                   ~links:!union
-                   ~routers:(distinct_tiles pin.tiles pout.tiles));
-            t.channels.(idx) <- Array.sub chans 0 u;
-            t.feasible_bits.(idx) <- route_ok && memory_ok
-        | _ ->
-            (* A leg is unreachable under the custom router: the
-               pair has no path, hence no cost.  Explicit resets so
-               {!table_rebuild} rows forget their previous state. *)
-            t.costs.(idx) <- None;
-            t.channels.(idx) <- [||];
-            t.feasible_bits.(idx) <- false
+      if redo_in.(si) || redo_out.(ki) then begin
+        let sink = endpoints.(ki) in
+        let idx = base + (si * n) + ki in
+        let route_ok = in_route_ok.(si) && out_route_ok.(ki) in
+        t.route_bits.(idx) <- route_ok;
+        if Resource.valid_pair ~source ~sink then begin
+          match (source_legs.(si), sink_legs.(ki)) with
+          | Some (sleg, pin), Some (kleg, pout) ->
+              let u = merge_links t pin pout ~links ~chans in
+              let union = ref [] in
+              for k = u - 1 downto 0 do
+                union := links.(k) :: !union
+              done;
+              t.costs.(idx) <-
+                Some
+                  (combine_legs system ~m:s.def ~shift_cycles:s.shift_cycles
+                     ~pattern_count sleg kleg
+                     ~shared:
+                       (u < Array.length pin.links + Array.length pout.links)
+                     ~links:!union
+                     ~routers:(distinct_tiles pin.tiles pout.tiles));
+              t.channels.(idx) <- Array.sub chans 0 u;
+              t.feasible_bits.(idx) <-
+                route_ok && t.memory_bits.((row * n) + si)
+          | _ ->
+              (* A leg is unreachable under the custom router: the
+                 pair has no path, hence no cost.  Explicit resets so
+                 refilled rows forget their previous state. *)
+              t.costs.(idx) <- None;
+              t.channels.(idx) <- [||];
+              t.feasible_bits.(idx) <- false
+        end
       end
     done
   done
+
+(* A row's shape and the memory footprint of its module's test set
+   under the table's application: the expensive per-module invariants,
+   computed once per row. *)
+let shape_of system ~application module_id =
+  let m = Soc.find system.System.soc module_id in
+  let wrapper = Wrapper.design ~width:system.System.flit_width m in
+  let footprint =
+    match application with
+    | Processor.Bist -> 0
+    | Processor.Decompression -> decompression_footprint_of_wrapper m wrapper
+  in
+  ( {
+      def = m;
+      cut = System.coord_of_module system module_id;
+      flits_in = wrapper.Wrapper.scan_in_max + 1;
+      flits_out = wrapper.Wrapper.scan_out_max + 1;
+      shift_cycles = Wrapper.pattern_cycles wrapper;
+    },
+    footprint )
+
+(* Fill one module's row of the table — its shape, its legs, the
+   per-source memory bits and every (source, sink) cell.  Shared by
+   {!table} (every row, in order) and {!table_rebuild} (affected rows
+   only). *)
+let fill_row t row (s, footprint) =
+  let system = t.table_system in
+  let n = t.width in
+  t.shapes.(row) <- s;
+  (* Per-endpoint path legs, computed once per (module, endpoint)
+     instead of once per (module, source, sink) triple. *)
+  let topology = system.System.topology in
+  Array.iteri
+    (fun i e ->
+      let at = Resource.coord system e in
+      t.in_legs.((row * n) + i) <-
+        Option.map (path_of_route topology) (resolve t ~src:at ~dst:s.cut);
+      t.out_legs.((row * n) + i) <-
+        Option.map (path_of_route topology) (resolve t ~src:s.cut ~dst:at);
+      t.memory_bits.((row * n) + i) <-
+        memory_feasible_of_footprint system
+          ~application:t.table_application ~footprint ~source:e)
+    t.endpoints;
+  let all = Array.make n true in
+  fill_cells t row ~redo_in:all ~redo_out:all
 
 let table ?(application = Processor.Bist) ?route system =
   Nocplan_obs.Trace.span "access.table"
@@ -516,9 +563,11 @@ let table ?(application = Processor.Bist) ?route system =
   let endpoint_ids = Hashtbl.create (max 1 n) in
   Array.iteri (fun i e -> Hashtbl.replace endpoint_ids e i) endpoints;
   let module_ids = System.module_ids system in
-  let module_rows = Hashtbl.create (List.length module_ids) in
+  let rows = List.length module_ids in
+  let module_rows = Hashtbl.create rows in
   List.iteri (fun row id -> Hashtbl.replace module_rows id row) module_ids;
-  let cells = List.length module_ids * n * n in
+  let cells = rows * n * n in
+  let shaped = List.map (shape_of system ~application) module_ids in
   let t =
     {
       table_system = system;
@@ -528,16 +577,40 @@ let table ?(application = Processor.Bist) ?route system =
       endpoint_ids;
       module_rows;
       width = n;
+      shapes = Array.of_list (List.map fst shaped);
+      in_legs = Array.make (rows * n) None;
+      out_legs = Array.make (rows * n) None;
       feasible_bits = Array.make cells false;
       route_bits = Array.make cells false;
-      memory_bits = Array.make (List.length module_ids * n) false;
+      memory_bits = Array.make (rows * n) false;
       costs = Array.make (max 1 cells) None;
       channels = Array.make (max 1 cells) [||];
       channel_ids = Hashtbl.create 64;
     }
   in
-  List.iteri (fun row module_id -> fill_row t row module_id) module_ids;
+  List.iteri (fun row shape -> fill_row t row shape) shaped;
   t
+
+(* A copy of [base] for [system] whose arrays {!fill_row} and
+   {!fill_cells} may overwrite, and whose channel numbering extends the
+   base's: links already numbered keep their ids, as they do in the
+   copied cells; links first routed over by a refilled cell are
+   appended in first-use order. *)
+let copy_for base ~system ~route =
+  {
+    base with
+    table_system = system;
+    table_route = route;
+    shapes = Array.copy base.shapes;
+    in_legs = Array.copy base.in_legs;
+    out_legs = Array.copy base.out_legs;
+    feasible_bits = Array.copy base.feasible_bits;
+    route_bits = Array.copy base.route_bits;
+    memory_bits = Array.copy base.memory_bits;
+    costs = Array.copy base.costs;
+    channels = Array.copy base.channels;
+    channel_ids = Hashtbl.copy base.channel_ids;
+  }
 
 let table_rebuild base ~system ~affected =
   Nocplan_obs.Trace.span "access.rebuild"
@@ -582,25 +655,110 @@ let table_rebuild base ~system ~affected =
              (System.coord_of_module system p.System.module_id))
       then invalid_arg "Test_access.table_rebuild: a processor moved")
     system.System.processors;
-  let t =
-    {
-      base with
-      table_system = system;
-      feasible_bits = Array.copy base.feasible_bits;
-      route_bits = Array.copy base.route_bits;
-      memory_bits = Array.copy base.memory_bits;
-      costs = Array.copy base.costs;
-      channels = Array.copy base.channels;
-      (* Copy, then extend: links already numbered keep their ids, as
-         they do in the copied rows; genuinely new links (routes
-         touching the new tiles) are appended in first-use order. *)
-      channel_ids = Hashtbl.copy base.channel_ids;
-    }
-  in
+  let t = copy_for base ~system ~route:base.table_route in
   List.iter
-    (fun id -> fill_row t (Hashtbl.find t.module_rows id) id)
+    (fun id ->
+      fill_row t
+        (Hashtbl.find t.module_rows id)
+        (shape_of system ~application:t.table_application id))
     (List.sort_uniq compare affected);
   t
+
+module Int_tbl = Hashtbl.Make (Int)
+
+let table_degrade base ~route ~system =
+  let old = base.table_system in
+  if
+    not
+      (old.System.soc == system.System.soc
+      && old.System.placement == system.System.placement
+      && old.System.processors == system.System.processors
+      && old.System.io_inputs == system.System.io_inputs
+      && old.System.io_outputs == system.System.io_outputs
+      && Topology.equal old.System.topology system.System.topology
+      && old.System.latency = system.System.latency
+      && old.System.noc_power = system.System.noc_power
+      && old.System.flit_width = system.System.flit_width)
+  then
+    invalid_arg
+      "Test_access.table_degrade: system differs from the base's in more \
+       than its failed links";
+  if not (Link.Set.subset old.System.failed_links system.System.failed_links)
+  then
+    invalid_arg
+      "Test_access.table_degrade: a failed link of the base's system is \
+       healthy again";
+  let go () =
+    let topology = system.System.topology in
+    let blocked = Int_tbl.create 64 in
+    Link.Set.iter
+      (fun l -> Int_tbl.replace blocked (link_key topology l) ())
+      system.System.failed_links;
+    let t = copy_for base ~system ~route:(Some route) in
+    let n = t.width in
+    let redo_in = Array.make n false and redo_out = Array.make n false in
+    let legs = ref 0 and cells = ref 0 in
+    (* A leg is routed again iff its path crosses a failed link; an
+       unreachable leg stays unreachable.  The refilled cells share
+       their kept legs' paths with [base] but never write them: a kept
+       leg's partner in a refilled cell was a leg of [base] too, and
+       the base's merge of that pair numbered every link of both. *)
+    let is_blocked key = Int_tbl.mem blocked key in
+    let cut = function
+      | Some p -> Array.exists is_blocked p.keys
+      | None -> false
+    in
+    let reroute ~src ~dst =
+      incr legs;
+      Option.map (path_of_route topology) (route ~src ~dst)
+    in
+    Array.iteri
+      (fun row (s : shape) ->
+        let kept_in = ref n and kept_out = ref n in
+        for i = 0 to n - 1 do
+          let k = (row * n) + i in
+          redo_in.(i) <- cut t.in_legs.(k);
+          redo_out.(i) <- cut t.out_legs.(k);
+          if redo_in.(i) || redo_out.(i) then begin
+            let at = Resource.coord system t.endpoints.(i) in
+            if redo_in.(i) then begin
+              t.in_legs.(k) <- reroute ~src:at ~dst:s.cut;
+              decr kept_in
+            end;
+            if redo_out.(i) then begin
+              t.out_legs.(k) <- reroute ~src:s.cut ~dst:at;
+              decr kept_out
+            end
+          end
+        done;
+        if !kept_in < n || !kept_out < n then begin
+          cells := !cells + (n * n) - (!kept_in * !kept_out);
+          fill_cells t row ~redo_in ~redo_out
+        end)
+      t.shapes;
+    (t, !legs, !cells)
+  in
+  let module Trace = Nocplan_obs.Trace in
+  if not (Trace.enabled ()) then
+    let t, _, _ = go () in
+    t
+  else begin
+    Trace.begin_span "access.degrade"
+      ~attrs:
+        [
+          ("system", Trace.String system.System.soc.Soc.name);
+          ( "failed_links",
+            Trace.Int (Link.Set.cardinal system.System.failed_links) );
+        ];
+    match go () with
+    | t, legs, cells ->
+        Trace.end_span "access.degrade"
+          ~attrs:[ ("legs", Trace.Int legs); ("cells", Trace.Int cells) ];
+        t
+    | exception exn ->
+        Trace.end_span "access.degrade" ~attrs:[ ("raised", Trace.Bool true) ];
+        raise exn
+  end
 
 let table_for t ~system ~application =
   t.table_system == system && t.table_application = application

@@ -156,6 +156,38 @@ val table_rebuild : table -> system:System.t -> affected:int list -> table
     module outside [affected] (or a processor) sits on a different tile
     in [system] than in the base table's system. *)
 
+val table_degrade : table -> route:route_fn -> system:System.t -> table
+(** [table_degrade base ~route ~system] is the access table of [system]
+    under [route] — a copy of [base] with only the legs the new faults
+    cut re-routed, and only the cells that use those legs refilled.
+    A leg is one half-path of a row, (module, endpoint) in either
+    direction.  [system] must be [base]'s system with (possibly) more
+    failed links, as {!System.with_failed_links} derives it: same SoC,
+    placement, processors, ports, mesh and cost parameters, and a
+    superset of the failed links.  Emits an ["access.degrade"] span.
+
+    A kept leg is one that crosses no failed link of [system]; every
+    other leg is routed again with [route].  A leg [base] found no
+    path for stays without one.  This is sound when faults only
+    accumulate and [route] is the detour router of [system]'s faults
+    ({!Nocplan_fault.Detour.route_fn}), and [base] was built with XY
+    routing or with the detour router of a subset of those faults:
+    - the detour router returns the XY path verbatim whenever it is
+      healthy, so a kept XY leg is what [route] returns;
+    - a detour path that avoids the new faults is still a shortest
+      path of the smaller healthy graph, and the first-neighbour
+      tie-break still picks it, hop by hop;
+    - unreachability only grows with the fault set.
+    Every cell (feasibility, route and memory bits, cost) then equals
+    that of [table ~application ~route system]; only the channel ids
+    may differ.  The channel numbering extends the base's, as
+    {!table_rebuild}'s does.  The copy keeps the base's per-row leg
+    paths, so a chain of degrades ([base] itself degraded) never
+    re-routes a leg just to learn whether it was cut.  Cost: a copy of
+    the cell arrays, plus the legs and cells the new faults touch.
+    @raise Invalid_argument if [system] is not derived from [base]'s
+    system as described. *)
+
 val table_for :
   table ->
   system:System.t ->

@@ -47,9 +47,12 @@ type t = {
   faults : fault_set;
   faulty_routers : Coord_set.t;
   faulty_links : Link.Set.t;
-  (* dist.(d).(u): hops from router u to destination d over healthy
-     directed channels; [max_int] when d is unreachable from u. *)
-  dist : int array array;
+  (* dist.(d): once a route first needs it, [dd] with [dd.(u)] the
+     hops from router u to destination d over healthy directed
+     channels ([max_int] when d is unreachable from u); [[||]] until
+     then.  A slot only ever goes from empty to a fully built array,
+     so domains racing on it at worst compute the same array twice. *)
+  dist : int array Atomic.t array;
 }
 
 let topology t = t.topology
@@ -68,45 +71,52 @@ let table topology fs =
         ("links", Trace.Int (List.length fs.links));
       ]
   @@ fun () ->
+  {
+    topology;
+    faults = fs;
+    faulty_routers = Coord_set.of_list fs.routers;
+    faulty_links = Link.Set.of_list fs.links;
+    dist =
+      Array.init (Topology.router_count topology) (fun _ -> Atomic.make [||]);
+  }
+
+(* One backward BFS to destination [d] over the healthy directed graph:
+   u is one hop closer than v whenever the channel u -> v is alive.
+   Distances are unique, so neighbour enumeration order only breaks
+   path-reconstruction ties (deterministically, in [Topology.neighbors]
+   order). *)
+let bfs t d =
+  let topology = t.topology in
   let n = Topology.router_count topology in
-  let t0 =
-    {
-      topology;
-      faults = fs;
-      faulty_routers = Coord_set.of_list fs.routers;
-      faulty_links = Link.Set.of_list fs.links;
-      dist = [||];
-    }
-  in
-  (* One backward BFS per destination over the healthy directed graph:
-     u is one hop closer than v whenever the channel u -> v is alive.
-     Distances are unique, so neighbour enumeration order only breaks
-     path-reconstruction ties (deterministically, in [Topology.neighbors]
-     order). *)
-  let dist =
-    Array.init n (fun d ->
-        let dd = Array.make n max_int in
-        let dc = Topology.of_index topology d in
-        if router_ok t0 dc then begin
-          dd.(d) <- 0;
-          let q = Queue.create () in
-          Queue.push dc q;
-          while not (Queue.is_empty q) do
-            let v = Queue.pop q in
-            let dv = dd.(Topology.index topology v) in
-            List.iter
-              (fun u ->
-                let ui = Topology.index topology u in
-                if dd.(ui) = max_int && channel_ok t0 u v then begin
-                  dd.(ui) <- dv + 1;
-                  Queue.push u q
-                end)
-              (Topology.neighbors topology v)
-          done
-        end;
-        dd)
-  in
-  { t0 with dist }
+  let dd = Array.make n max_int in
+  let dc = Topology.of_index topology d in
+  if router_ok t dc then begin
+    dd.(d) <- 0;
+    let q = Queue.create () in
+    Queue.push dc q;
+    while not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      let dv = dd.(Topology.index topology v) in
+      List.iter
+        (fun u ->
+          let ui = Topology.index topology u in
+          if dd.(ui) = max_int && channel_ok t u v then begin
+            dd.(ui) <- dv + 1;
+            Queue.push u q
+          end)
+        (Topology.neighbors topology v)
+    done
+  end;
+  dd
+
+let distances t d =
+  let slot = t.dist.(d) in
+  match Atomic.get slot with
+  | [||] ->
+      let dd = bfs t d in
+      Atomic.set slot dd;
+      dd
+  | dd -> dd
 
 (* Whether the plain XY path is fully healthy — if so the detour
    router returns it verbatim, so the empty fault set reproduces
@@ -132,7 +142,7 @@ let route t ~src ~dst =
   then None
   else if xy_healthy t ~src ~dst then Some (Xy.route t.topology ~src ~dst)
   else begin
-    let dd = t.dist.(Topology.index t.topology dst) in
+    let dd = distances t (Topology.index t.topology dst) in
     if dd.(Topology.index t.topology src) = max_int then None
     else begin
       let rec go c acc =

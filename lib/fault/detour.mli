@@ -8,10 +8,15 @@
     fault — the routing tables a NoC with per-router fault registers
     would hold.
 
-    Tables are immutable after construction and safe to share across
-    domains.  Construction is one backward BFS per destination over
-    the healthy directed channel graph: O(routers · channels), a few
-    microseconds on the paper-scale meshes. *)
+    Tables are safe to share across domains.  Construction only
+    records the fault set.  The first route to a destination whose XY
+    path is broken runs one backward BFS from it over the healthy
+    directed channel graph (O(channels)) and caches the distances for
+    every later route to that destination; a destination only reached
+    over healthy XY paths never pays one.  A cache slot goes from empty
+    to a fully built array in one atomic write, so two domains racing
+    on it can only compute the same array twice.  Routes do not depend
+    on which destinations were cached before. *)
 
 type fault_set = private {
   routers : Nocplan_noc.Coord.t list;  (** dead routers, sorted *)
@@ -47,7 +52,8 @@ type t
 (** A routing table for one (topology, fault set). *)
 
 val table : Nocplan_noc.Topology.t -> fault_set -> t
-(** Build the table.  Emits a ["fault.detour"] trace span.  The empty
+(** Build the table (no BFS yet, see above).  Emits a ["fault.detour"]
+    trace span.  The empty
     fault set yields a table whose {!route} is extensionally equal to
     {!Nocplan_noc.Xy_routing.route} — and in fact {!route} returns the
     XY path verbatim whenever that path is fully healthy, so access

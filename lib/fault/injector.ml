@@ -4,6 +4,7 @@ module Topology = Nocplan_noc.Topology
 module System = Nocplan_core.System
 module Schedule = Nocplan_core.Schedule
 module Scheduler = Nocplan_core.Scheduler
+module Test_access = Nocplan_core.Test_access
 module Processor = Nocplan_proc.Processor
 module Trace = Nocplan_obs.Trace
 module Rng = Nocplan_itc02.Data_gen.Rng
@@ -74,10 +75,12 @@ type run = {
   replans : int;
 }
 
-(* The campaign from an already computed fault-free [baseline], so a
-   {!sweep} schedules it once for all its rates. *)
-let run_from ~policy ~application ~power_limit ~reuse ~baseline ~events system
-    =
+(* The campaign from an already computed fault-free [baseline] and the
+   XY table [access] it was planned on, so a {!sweep} builds both once
+   for all its rates.  Each step degrades the table the previous step
+   planned on: the fault sets only grow. *)
+let run_from ~policy ~application ~power_limit ~reuse ~access ~baseline
+    ~events system =
   let rec group = function
     | [] -> []
     | (e : event) :: rest ->
@@ -93,25 +96,28 @@ let run_from ~policy ~application ~power_limit ~reuse ~baseline ~events system
          (fun (a : event) (b : event) -> Int.compare a.at b.at)
          events)
   in
-  let step_fold (sched, faults, abandoned, steps) (at, targets) =
+  let step_fold (sched, access, faults, abandoned, steps) (at, targets) =
     let faults = Detour.union faults (fault_set_of targets) in
     Trace.instant "fault.inject"
       ~attrs:
         [ ("at", Trace.Int at); ("targets", Trace.Int (List.length targets)) ];
-    let outcome =
-      Recover.after ~policy ~application ~power_limit ~abandoned ~reuse ~at
-        ~faults system sched
+    let outcome, access =
+      Recover.after_with_table ~policy ~application ~power_limit ~abandoned
+        ~access ~reuse ~at ~faults system sched
     in
     let sched' =
       Schedule.of_entries (outcome.Recover.kept @ outcome.Recover.replanned)
     in
     ( sched',
+      access,
       faults,
       outcome.Recover.abandoned,
       { at; injected = targets; faults; outcome } :: steps )
   in
-  let schedule, faults, abandoned, steps_rev =
-    List.fold_left step_fold (baseline, Detour.no_faults, [], []) groups
+  let schedule, _, faults, abandoned, steps_rev =
+    List.fold_left step_fold
+      (baseline, access, Detour.no_faults, [], [])
+      groups
   in
   {
     baseline;
@@ -124,13 +130,20 @@ let run_from ~policy ~application ~power_limit ~reuse ~baseline ~events system
     replans = List.length groups;
   }
 
+(* The fault-free schedule and the XY table it was planned on. *)
+let fault_free ~policy ~application ~power_limit ~reuse system =
+  let access = Test_access.table ~application system in
+  ( access,
+    Scheduler.run ~access system
+      (Scheduler.config ~policy ~application ~power_limit ~reuse ()) )
+
 let run ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
     ?(power_limit = None) ~reuse ~events system =
-  let baseline =
-    Scheduler.run system
-      (Scheduler.config ~policy ~application ~power_limit ~reuse ())
+  let access, baseline =
+    fault_free ~policy ~application ~power_limit ~reuse system
   in
-  run_from ~policy ~application ~power_limit ~reuse ~baseline ~events system
+  run_from ~policy ~application ~power_limit ~reuse ~access ~baseline ~events
+    system
 
 type point = {
   rate : float;
@@ -143,17 +156,16 @@ type point = {
 
 let sweep ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
     ?(power_limit = None) ~reuse ~seed ~rates system =
-  let baseline =
-    Scheduler.run system
-      (Scheduler.config ~policy ~application ~power_limit ~reuse ())
+  let access, baseline =
+    fault_free ~policy ~application ~power_limit ~reuse system
   in
   let horizon = max 1 baseline.Schedule.makespan in
   List.map
     (fun rate ->
       let events = draw ~seed ~rate ~horizon system.System.topology in
       let r =
-        run_from ~policy ~application ~power_limit ~reuse ~baseline ~events
-          system
+        run_from ~policy ~application ~power_limit ~reuse ~access ~baseline
+          ~events system
       in
       ( {
           rate;

@@ -20,10 +20,15 @@ let availability_of system ~abandoned =
   if total = 0 then 1.0
   else float_of_int (total - List.length abandoned) /. float_of_int total
 
-let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
-    ?(power_limit = None) ?(abandoned = []) ~reuse ~at ~faults system
-    (schedule : Schedule.t) =
+let after_with_table ?(policy = Scheduler.Greedy)
+    ?(application = Processor.Bist) ?(power_limit = None) ?(abandoned = [])
+    ?access ~reuse ~at ~faults system (schedule : Schedule.t) =
   if at < 0 then invalid_arg "Recover.after: negative event time";
+  Option.iter
+    (fun a ->
+      if Test_access.table_application a <> application then
+        invalid_arg "Recover.after: access table of another application")
+    access;
   Trace.span "fault.replan"
     ~attrs:
       [
@@ -49,8 +54,14 @@ let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
   let degraded =
     System.with_failed_links system (Detour.blocked_links topology faults)
   in
+  (* The planning table with only what the new faults cut re-routed:
+     the legs it kept are the detour router's own answers. *)
   let access =
-    Test_access.table ~application ~route:(Detour.route_fn detour) degraded
+    Test_access.table_degrade
+      (match access with
+      | Some a -> a
+      | None -> Test_access.table ~application system)
+      ~route:(Detour.route_fn detour) ~system:degraded
   in
   let endpoints = Resource.all_endpoints degraded ~reuse in
   let pretested =
@@ -120,14 +131,21 @@ let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
       (fun acc (e : Schedule.entry) -> max acc e.Schedule.finish)
       0 (kept @ replanned)
   in
-  {
-    kept;
-    voided;
-    abandoned;
-    replanned;
-    makespan;
-    availability = availability_of system ~abandoned;
-  }
+  ( {
+      kept;
+      voided;
+      abandoned;
+      replanned;
+      makespan;
+      availability = availability_of system ~abandoned;
+    },
+    access )
+
+let after ?policy ?application ?power_limit ?abandoned ?access ~reuse ~at
+    ~faults system schedule =
+  fst
+    (after_with_table ?policy ?application ?power_limit ?abandoned ?access
+       ~reuse ~at ~faults system schedule)
 
 let validate ?(application = Processor.Bist) ~power_limit ~reuse ~at ~faults
     system o =

@@ -26,6 +26,7 @@ val after :
   ?application:Nocplan_proc.Processor.application ->
   ?power_limit:float option ->
   ?abandoned:int list ->
+  ?access:Nocplan_core.Test_access.table ->
   reuse:int ->
   at:int ->
   faults:Detour.fault_set ->
@@ -36,7 +37,16 @@ val after :
     materializing at instant [at] of [schedule].  Entries finished by
     [at] are kept (their processors count as pretested); in-flight and
     future entries are voided; remaining modules are re-planned from
-    [at] on the degraded system with a detour-routed access table.  A
+    [at] on the degraded system with a detour-routed access table.
+
+    [access] is the table [schedule] was planned on: the XY table of
+    [system] (as {!Nocplan_core.Test_access.table} builds it for
+    [application]), or the degraded table an earlier event of the same
+    campaign planned on (see {!after_with_table}).  The detour table is
+    {!Nocplan_core.Test_access.table_degrade} of it, so only the legs
+    and cells the faults cut are recomputed; the cells equal a full
+    detour build's.  Without [access], [after] builds the XY table
+    itself and degrades it — one code path either way.  A
     remaining module none of whose endpoint pairs is feasible over
     healthy routes — directly, or transitively because every usable
     source/sink processor is itself untestable — is abandoned rather
@@ -45,14 +55,34 @@ val after :
     excluded from coverage, unless [schedule] finished them by [at]
     (a kept test is never also abandoned).
 
-    Emits a ["fault.replan"] trace span (the detour table build inside
-    adds its own ["fault.detour"] span).
+    Emits a ["fault.replan"] trace span (nesting a ["fault.detour"]
+    span for the router and an ["access.degrade"] span for the table,
+    plus an ["access.table"] span when [access] is omitted).
 
     @raise Invalid_argument on a negative [at] or out-of-range
-    [reuse].
+    [reuse], and on an [access] of another application or not built
+    for [system] (or a degraded copy of it with a subset of
+    [faults]'s blocked links).
     @raise Nocplan_core.Scheduler.Unschedulable only through the power
     limit: path existence is prefiltered, but a cap no feasible pair
     fits under still surfaces. *)
+
+val after_with_table :
+  ?policy:Nocplan_core.Scheduler.policy ->
+  ?application:Nocplan_proc.Processor.application ->
+  ?power_limit:float option ->
+  ?abandoned:int list ->
+  ?access:Nocplan_core.Test_access.table ->
+  reuse:int ->
+  at:int ->
+  faults:Detour.fault_set ->
+  Nocplan_core.System.t ->
+  Nocplan_core.Schedule.t ->
+  outcome * Nocplan_core.Test_access.table
+(** {!after}, also returning the degraded table it planned on: the
+    [access] for the campaign's next event, whose fault set contains
+    this one.  The table is not part of {!outcome}, so a campaign that
+    keeps every step's outcome does not keep a table per step. *)
 
 val availability_of : Nocplan_core.System.t -> abandoned:int list -> float
 

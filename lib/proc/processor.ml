@@ -14,18 +14,46 @@ type t = {
   memory_capacity_words : int;
 }
 
+(* The three characterizations of every processor model measured so
+   far, keyed on what they depend on: together they take six
+   interpreter runs, and a model is built once per processor of every
+   system.  An atomic list,
+   not a lazy value or a table filled at module init: systems are built
+   on several domains at once, and a CLI start must not pay for models
+   it never uses.  Two domains racing on a new model both measure it
+   and both results stay; they are equal. *)
+let characterized = Atomic.make []
+
+let characterize ~costs ~power =
+  let key = (costs, power) in
+  match List.assoc_opt key (Atomic.get characterized) with
+  | Some c -> c
+  | None ->
+      let c =
+        ( Characterization.of_bist ~costs ~power (),
+          Characterization.of_sink ~costs ~power (),
+          Characterization.of_decompress ~costs ~power () )
+      in
+      let rec publish () =
+        let seen = Atomic.get characterized in
+        if not (Atomic.compare_and_set characterized seen ((key, c) :: seen))
+        then publish ()
+      in
+      publish ();
+      c
+
 let make ?(memory_capacity_words = 16_384) ~name ~isa_family ~costs
     ~power_active ~self_test () =
   if memory_capacity_words < 1 then
     invalid_arg "Processor.make: memory capacity must be >= 1";
+  let bist, sink, decompression = characterize ~costs ~power:power_active in
   {
     name;
     isa_family;
     costs;
-    bist = Characterization.of_bist ~costs ~power:power_active ();
-    sink = Characterization.of_sink ~costs ~power:power_active ();
-    decompression =
-      Characterization.of_decompress ~costs ~power:power_active ();
+    bist;
+    sink;
+    decompression;
     self_test;
     power_active;
     memory_capacity_words;

@@ -36,8 +36,10 @@ val make :
   unit ->
   t
 (** Build a processor description, measuring all three application
-    characterizations on the interpreter.  [memory_capacity_words]
-    defaults to 16384.
+    characterizations on the interpreter.  The measurements depend only
+    on [costs] and [power_active], so they run once per such pair per
+    process and later calls reuse them (domain-safe).
+    [memory_capacity_words] defaults to 16384.
     @raise Invalid_argument if the capacity is [< 1]. *)
 
 val leon : id:int -> t

@@ -148,8 +148,23 @@ let parse_fields json members =
               (Json.to_string v) version )
   in
   let* () = check_names members in
+  (* A member of the wrong type is refused, naming the field, rather
+     than read as absent. *)
+  let typed name expected cast =
+    match Json.member name json with
+    | None | Some Json.Null -> Ok None
+    | Some v -> (
+        match cast v with
+        | Some x -> Ok (Some x)
+        | None ->
+            Error (Parse, Printf.sprintf "field %S must be %s" name expected))
+  in
+  let str_opt name =
+    typed name "a string" (function Json.String s -> Some s | _ -> None)
+  in
+  let* op_name = str_opt "op" in
   let* op =
-    match Json.str_field "op" json with
+    match op_name with
     | Some "plan" -> Ok `Plan
     | Some "sweep" -> Ok `Sweep
     | Some "validate" -> Ok `Validate
@@ -161,8 +176,9 @@ let parse_fields json members =
     | Some other -> Error (Parse, Printf.sprintf "unknown op %S" other)
     | None -> Error (Parse, "missing op field")
   in
+  let* policy_name = str_opt "policy" in
   let* policy =
-    match Json.str_field "policy" json with
+    match policy_name with
     | None | Some "greedy" -> Ok Core.Scheduler.Greedy
     | Some "lookahead" -> Ok Core.Scheduler.Lookahead
     | Some other ->
@@ -172,8 +188,9 @@ let parse_fields json members =
               "field \"policy\" must be \"greedy\" or \"lookahead\", not %S"
               other )
   in
+  let* application_name = str_opt "application" in
   let* application =
-    match Json.str_field "application" json with
+    match application_name with
     | None | Some "bist" -> Ok Proc.Processor.Bist
     | Some "decompress" -> Ok Proc.Processor.Decompression
     | Some other ->
@@ -183,8 +200,9 @@ let parse_fields json members =
               "field \"application\" must be \"bist\" or \"decompress\", not %S"
               other )
   in
+  let* backend_name = str_opt "backend" in
   let* backend =
-    match (Json.str_field "backend" json, op) with
+    match (backend_name, op) with
     | None, _ -> Ok (Solo Core.Backend.greedy)
     | Some "race", (`Plan | `Validate) -> Ok Race
     | Some name, (`Plan | `Validate) -> (
@@ -203,15 +221,6 @@ let parse_fields json members =
         Error
           ( Invalid,
             "field \"backend\" only applies to plan and validate requests" )
-  in
-  let typed name expected cast =
-    match Json.member name json with
-    | None | Some Json.Null -> Ok None
-    | Some v -> (
-        match cast v with
-        | Some x -> Ok (Some x)
-        | None ->
-            Error (Parse, Printf.sprintf "field %S must be %s" name expected))
   in
   let int_opt name =
     typed name "an integer" (function Json.Int i -> Some i | _ -> None)
@@ -300,9 +309,11 @@ let parse_fields json members =
     targets "failed_links" parse_fault_link Noc.Link.compare
   in
   let* deadline_ms = float_opt "deadline_ms" in
+  let* system = str_opt "system" in
+  let* soc = str_opt "soc" in
   let planning work =
     let* spec =
-      match (Json.str_field "system" json, Json.str_field "soc" json) with
+      match (system, soc) with
       | None, None -> Error (Parse, "missing system (or inline soc) field")
       | Some name, None when List.mem_assoc name Core.Experiments.builders -> (
           (* A builtin system fixes its own mesh and processors. *)

@@ -468,7 +468,7 @@ let execute t (p : Protocol.planning) ~check =
                     in
                     let outcome =
                       Fault.Recover.after ~policy ~application ~power_limit
-                        ~reuse ~at:f.at ~faults system baseline
+                        ~access ~reuse ~at:f.at ~faults system baseline
                     in
                     Stats.record_fault t.stats
                       ~events:(Fault.Detour.fault_count faults)

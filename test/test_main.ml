@@ -49,6 +49,7 @@ let () =
       ("detour routing", Test_detour.suite);
       ("network self-test", Test_selftest.suite);
       ("fault injection", Test_fault_inject.suite);
+      ("degraded access tables", Test_degrade.suite);
       ("annealing", Test_annealing.suite);
       ("placement annealing", Test_anneal_placement.suite);
       ("incremental evaluation", Test_incremental.suite);

@@ -69,8 +69,50 @@ let test_decompress_run_length_effect () =
     (long.Characterization.cycles_per_pattern
     < short.Characterization.cycles_per_pattern)
 
+(* The characterizations are measured once per (costs, power) model:
+   the presets must still carry exactly what a fresh measurement
+   gives, also when two domains build them at once. *)
+let test_characterization_memoized () =
+  let fresh costs power =
+    ( Characterization.of_bist ~costs ~power (),
+      Characterization.of_sink ~costs ~power (),
+      Characterization.of_decompress ~costs ~power () )
+  in
+  let measured (p : Processor.t) =
+    (p.Processor.bist, p.Processor.sink, p.Processor.decompression)
+  in
+  let both () = (measured (leon ()), measured (plasma ())) in
+  let other = Domain.spawn both in
+  let here = both () in
+  let there = Domain.join other in
+  let want =
+    ( fresh Nocplan_proc.Leon.costs Nocplan_proc.Leon.power_active,
+      fresh Nocplan_proc.Plasma.costs Nocplan_proc.Plasma.power_active )
+  in
+  Alcotest.(check bool) "equal to fresh measurements" true (here = want);
+  Alcotest.(check bool) "equal across domains" true (there = want);
+  (* A model no other test uses: both domains race on its first
+     measurement. *)
+  let costs =
+    Nocplan_proc.Machine.costs ~alu:2 ~load:3 ~store:3 ~branch_taken:4
+      ~branch_not_taken:2 ~jump:3 ~send:5 ~recv:5
+  in
+  let model () =
+    measured
+      (Processor.make ~name:"racer" ~isa_family:"test" ~costs
+         ~power_active:7.25 ~self_test:(Nocplan_proc.Leon.self_test ~id:1) ())
+  in
+  let other = Domain.spawn model in
+  let here = model () in
+  let want = fresh costs 7.25 in
+  Alcotest.(check bool) "new model, this domain" true (here = want);
+  Alcotest.(check bool) "new model, racing domain" true
+    (Domain.join other = want)
+
 let suite =
   [
+    Alcotest.test_case "characterization measured once per model" `Quick
+      test_characterization_memoized;
     Alcotest.test_case "leon BIST = 10 cycles/pattern" `Quick
       test_leon_bist_is_ten_cycles;
     Alcotest.test_case "plasma slower than leon" `Quick

@@ -265,6 +265,31 @@ let test_protocol_fault_fields () =
       Alcotest.(check int) "three failed links" 3 (List.length f.failed_links)
   | Ok _ -> Alcotest.fail "not a replan at reuse 2"
 
+let test_protocol_string_fields () =
+  (* A string field of another type is refused, naming the field, the
+     way a wrong-typed integer field is — never read as absent. *)
+  let refused msg line =
+    match Serve.Protocol.parse_request line with
+    | Error ((_, Serve.Protocol.Parse), got) ->
+        Alcotest.(check string) line msg got
+    | Error ((_, k), got) ->
+        Alcotest.failf "%S answered %s (%s), not parse" line
+          (Serve.Protocol.error_kind_label k) got
+    | Ok _ -> Alcotest.failf "accepted %S" line
+  in
+  refused {|field "policy" must be a string|}
+    {|{"op":"plan","system":"d695_leon","policy":5,"backend":7,"application":true}|};
+  refused {|field "op" must be a string|} {|{"op":5,"system":"d695_leon"}|};
+  refused {|field "backend" must be a string|}
+    {|{"op":"plan","system":"d695_leon","backend":7}|};
+  refused {|field "application" must be a string|}
+    {|{"op":"plan","system":"d695_leon","application":true}|};
+  refused {|field "system" must be a string|} {|{"op":"plan","system":17}|};
+  refused {|field "soc" must be a string|} {|{"op":"plan","soc":[]}|};
+  refused {|field "reuse" must be an integer|}
+    {|{"op":"plan","system":"d695_leon","reuse":"2"}|};
+  refused "missing op field" {|{"op":null,"system":"d695_leon"}|}
+
 let test_protocol_mesh_fields () =
   (* Mesh dimensions and processor counts out of domain are refused at
      parse time, naming the field, instead of reaching Sysbuild; a mesh
@@ -1596,6 +1621,8 @@ let suite =
       test_queue_drains_after_close;
     Alcotest.test_case "protocol validation" `Quick test_protocol_validation;
     Alcotest.test_case "protocol mesh fields" `Quick test_protocol_mesh_fields;
+    Alcotest.test_case "protocol string fields" `Quick
+      test_protocol_string_fields;
     Alcotest.test_case "protocol fault fields" `Quick
       test_protocol_fault_fields;
     Alcotest.test_case "service preempt and replan" `Quick

@@ -108,6 +108,11 @@ let corpus =
     "{\"op\": \"plan\", \"system\": \"d695_leon\", \"leons\": 3}";
     "{\"op\": \"plan\", \"system\": \"d695\", \"width\": 5}";
     "{\"op\": \"plan\", \"soc\": 42}";
+    "{\"op\": \"plan\", \"system\": \"d695_leon\", \"policy\": 5}";
+    "{\"op\": \"plan\", \"system\": \"d695_leon\", \"backend\": 7}";
+    "{\"op\": \"plan\", \"system\": \"d695_leon\", \"application\": \
+     true}";
+    "{\"op\": [\"plan\"], \"system\": \"d695_leon\"}";
     "{\"op\": \"plan\", \"soc\": \"not a soc description\"}";
   ]
 

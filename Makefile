@@ -53,8 +53,9 @@ coverage:
 # Live-socket smoke: boot the real server on a Unix socket and a TCP
 # port on a free loopback port, replay the committed request script
 # through test/serve_replay.py over each, and check the response shape
-# (14 responses — including the compatible plan/validate tail
-# with distinct seeds and a warm-opt-out anneal — with the two bad
+# (14 responses — including the compatible plan/validate tail,
+# kept from coalescing by a far-off deadline_ms, and a warm-opt-out
+# anneal — with the two bad
 # requests refused and no "internal" error kind).  A pass/fail smoke,
 # no timing.  Skipped with a notice when python3 is missing.
 serve-smoke: build

@@ -123,6 +123,26 @@ let test_torus_strict_improvement () =
      satisfy every safety invariant against it. *)
   assert_schedule_invariants joint.Annealing.system joint.Annealing.schedule
 
+(* The bench's anneal:placement configuration (150 iterations, seed 7,
+   2 chains, placement ratio 0.3) is deterministic: pin its joint
+   makespans, each no worse than its own order-only run. *)
+let test_bench_configuration_makespans () =
+  List.iter
+    (fun (name, sys, pinned) ->
+      let order_only, joint =
+        joint_vs_order_only ~placement_moves:0.3 ~iterations:150 ~seed:7L
+          ~reuse:6 sys
+      in
+      let jm = joint.Annealing.schedule.Schedule.makespan in
+      Alcotest.(check int) (name ^ " joint makespan") pinned jm;
+      if jm > order_only.Annealing.schedule.Schedule.makespan then
+        Alcotest.failf "%s: joint %d worse than order-only %d" name jm
+          order_only.Annealing.schedule.Schedule.makespan)
+    [
+      ("d695_leon", Experiments.d695_leon (), 357796);
+      ("d695_leon_torus", d695_torus (), 344737);
+    ]
+
 (* --- determinism --------------------------------------------------- *)
 
 (* For every chain count the joint anneal is a pure function of its
@@ -292,6 +312,8 @@ let suite =
     prop_joint_never_worse;
     Alcotest.test_case "torus strict improvement" `Slow
       test_torus_strict_improvement;
+    Alcotest.test_case "bench configuration makespans" `Quick
+      test_bench_configuration_makespans;
     Alcotest.test_case "deterministic for chains 1..4" `Slow
       test_deterministic_across_chain_counts;
     prop_joint_results_satisfy_invariants;

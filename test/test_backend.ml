@@ -58,18 +58,28 @@ let test_binpack_invariants =
                 Fmt.(list ~sep:cut Schedule.pp_violation)
                 violations))
 
-let test_binpack_d695 () =
-  (* The big two benchmarks are covered by the bench gate (race must
-     beat-or-match greedy and binpack must validate on all three);
-     here the small one keeps runtest fast. *)
-  let system = Core.Experiments.d695_leon () in
-  let config = config_for system None in
-  let s = Backend.solve Backend.binpack system config in
-  Util.assert_schedule_invariants system s;
-  (match validate system config s with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "binpack d695_leon fails the validator");
-  Alcotest.(check bool) "positive makespan" true (s.Schedule.makespan > 0)
+(* The three paper systems at full reuse: race never returns a worse
+   plan than greedy alone, and every binpack plan passes the naive
+   invariants and the independent validator. *)
+let test_paper_systems () =
+  List.iter
+    (fun (name, system) ->
+      let config = config_for system None in
+      let greedy = Backend.solve Backend.greedy system config in
+      let binpack = Backend.solve Backend.binpack system config in
+      Util.assert_schedule_invariants system binpack;
+      (match validate system config binpack with
+      | Ok () -> ()
+      | Error _ -> Alcotest.failf "binpack %s fails the validator" name);
+      let race = (Backend.race system config).Backend.schedule in
+      if race.Schedule.makespan > greedy.Schedule.makespan then
+        Alcotest.failf "race %s: %d worse than greedy %d" name
+          race.Schedule.makespan greedy.Schedule.makespan)
+    [
+      ("d695_leon", Core.Experiments.d695_leon ());
+      ("p22810_leon", Core.Experiments.p22810_leon ());
+      ("p93791_leon", Core.Experiments.p93791_leon ());
+    ]
 
 (* --- greedy vs binpack differential -------------------------------- *)
 
@@ -203,7 +213,8 @@ let suite =
     test_binpack_invariants;
     test_differential;
     test_race_never_worse;
-    Alcotest.test_case "binpack d695_leon" `Quick test_binpack_d695;
+    Alcotest.test_case "paper systems: race <= greedy, binpack validates"
+      `Quick test_paper_systems;
     Alcotest.test_case "race outcome shape" `Quick test_race_outcome_shape;
     Alcotest.test_case "race single backend" `Quick test_race_single_backend;
     Alcotest.test_case "race checks partial configs" `Quick

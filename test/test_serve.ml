@@ -1274,20 +1274,18 @@ let test_annealing_adopts_matching_cache () =
   Alcotest.(check int) "mismatched cache left empty" 0
     (List.length (Core.Eval_cache.traces mismatched))
 
-(* Distinct compatible plans (seeds differ, so none coalesce) resume
-   one shared evaluation cache: every repeat of the configuration is a
-   cache hit, and the answers stay byte-identical. *)
+(* Compatible plans that cannot coalesce (each carries a far-off
+   deadline) resume one shared evaluation cache: every repeat of the
+   configuration is a cache hit, and the answers stay byte-identical. *)
 let test_service_compatible_requests_share_eval_cache () =
   let service = Serve.Service.create ~workers:1 () in
   Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
   let plans =
-    List.init 4 (fun i ->
+    List.init 4 (fun _ ->
         parse_response
           (Serve.Service.request service
-             (Printf.sprintf
-                "{\"op\": \"plan\", \"system\": \"d695_leon\", \"reuse\": 2, \
-                 \"seed\": %d}"
-                i)))
+             "{\"op\": \"plan\", \"system\": \"d695_leon\", \"reuse\": 2, \
+              \"deadline_ms\": 3600000}"))
   in
   let expected = result_string (List.hd plans) in
   List.iter
@@ -1299,7 +1297,7 @@ let test_service_compatible_requests_share_eval_cache () =
 
 let test_socket_queued_requests_run_in_order () =
   (* One slow anneal occupies the single worker while four compatible
-     plans (distinct seeds, so coalescing cannot merge them) pile up
+     plans (each with a far-off deadline, so none coalesces) pile up
      behind it.  Each runs alone, in arrival order: the responses come
      back in request order with plain envelopes, byte-identical, and
      the repeats still hit the shared evaluation cache. *)
@@ -1312,8 +1310,8 @@ let test_socket_queued_requests_run_in_order () =
             output_string oc
               (Printf.sprintf
                  "{\"id\": %d, \"op\": \"plan\", \"system\": \"d695_leon\", \
-                  \"reuse\": 2, \"seed\": %d}\n"
-                 i i)
+                  \"reuse\": 2, \"deadline_ms\": 3600000}\n"
+                 i)
           done;
           flush oc;
           let responses = List.init 5 (fun _ -> parse_response (input_line ic)) in
@@ -1538,6 +1536,47 @@ let test_tcp_responses_not_held_by_nagle () =
         Alcotest.failf "20 two-request bursts took %.0f ms (limit 400)"
           elapsed_ms)
 
+let test_tcp_hundred_connections () =
+  (* 100 connections open at once, one client thread each, 200 d695
+     plans over the reuse counts: every request is answered ok. *)
+  let clients = 100 and requests = 200 in
+  let service = Serve.Service.create ~queue_capacity:requests () in
+  let listener = Serve.Server.listen_tcp service ~host:"127.0.0.1" ~port:0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop listener;
+      Serve.Server.wait listener;
+      Serve.Service.shutdown service)
+  @@ fun () ->
+  let port = Option.get (Serve.Server.port listener) in
+  let fds =
+    List.init clients (fun _ ->
+        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+        Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+        fd)
+  in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close fds) @@ fun () ->
+  let ok = Atomic.make 0 in
+  let client (c, fd) =
+    let ic = Unix.in_channel_of_descr fd in
+    let oc = Unix.out_channel_of_descr fd in
+    for k = 0 to (requests / clients) - 1 do
+      let i = (c * requests / clients) + k in
+      match
+        roundtrip ic oc
+          (Printf.sprintf
+             "{\"id\": %d, \"op\": \"plan\", \"system\": \"d695_leon\", \
+              \"reuse\": %d}"
+             i (i mod 7))
+      with
+      | resp -> if field "ok" resp = Json.Bool true then Atomic.incr ok
+      | exception End_of_file -> ()
+    done
+  in
+  List.iter Thread.join
+    (List.mapi (fun c fd -> Thread.create client (c, fd)) fds);
+  Alcotest.(check int) "every request ok" requests (Atomic.get ok)
+
 let test_connection_close_waits_only_for_own_work () =
   (* A client that has its answers must get EOF at once, not when
      some other connection's long job finishes. *)
@@ -1682,6 +1721,8 @@ let suite =
       test_tcp_and_read_only_listener;
     Alcotest.test_case "tcp: responses not held by nagle" `Quick
       test_tcp_responses_not_held_by_nagle;
+    Alcotest.test_case "tcp: 100 concurrent connections" `Quick
+      test_tcp_hundred_connections;
     Alcotest.test_case "socket: close waits only for own work" `Quick
       test_connection_close_waits_only_for_own_work;
   ]

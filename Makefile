@@ -14,10 +14,13 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Machine-readable benchmark artefact only (fast): Figure-1 sweeps,
-# timing vs the recorded seed baseline, written to BENCH_nocplan.json.
+# Machine-readable smoke artefact only (fast): Figure-1 sweeps, timing
+# vs the recorded seed baseline, written to _build/BENCH_smoke.json as
+# `make check` does.  The committed full-run baseline BENCH_nocplan.json
+# is regenerated only by an explicit flagless full run:
+#   dune exec bench/main.exe -- --json BENCH_nocplan.json
 bench-json:
-	dune exec bench/main.exe -- --smoke
+	dune exec bench/main.exe -- --smoke --json _build/BENCH_smoke.json
 
 # API docs via odoc when it is installed; skipped with a notice
 # otherwise (the CI image does not ship odoc).

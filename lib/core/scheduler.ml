@@ -136,6 +136,20 @@ let prefix_bound t ~prefix_len =
 (* ------------------------------------------------------------------ *)
 (* Engine state                                                       *)
 
+(* One attempt's candidate (source, sink) slot pairs as parallel int
+   arrays sized n², so an attempt allocates nothing: candidate q sits
+   at index q, in source-major slot order.  [b_key] is the policy's
+   preference (lower first); [b_order] and [b_tmp] sort candidate
+   indices on the rare path where the first choice does not commit. *)
+type cands = {
+  b_src : int array;
+  b_snk : int array;
+  b_ready : int array;  (* when both ends are idle *)
+  b_key : int array;
+  b_order : int array;
+  b_tmp : int array;
+}
+
 (* The full mutable state of one evaluation, snapshotted implicitly by
    the commit log: every field below is a pure function of the commit
    prefix applied so far, which is what makes [resume] possible. *)
@@ -159,6 +173,7 @@ type engine = {
      (value [e_n], outside the slot range) so the loop advances to a
      gate opening even when no endpoint releases. *)
   e_gates : (Nocplan_noc.Link.t, int) Hashtbl.t;
+  e_cands : cands;
   mutable e_now : int;
   mutable e_committed : Schedule.entry list;
   mutable e_commits : commit list;  (* reversed chronological log *)
@@ -226,6 +241,7 @@ type arena = {
   a_pos : (int, int) Hashtbl.t;
   a_releases : Min_heap.t;
   a_calendar : Reservation.t;
+  a_cands : cands;
 }
 
 (* A workspace owns at most one arena (the last configuration it
@@ -242,6 +258,7 @@ let build_arena ~table system config =
   in
   let n = Array.length endpoints in
   let tix = Array.map (Test_access.endpoint_id table) endpoints in
+  let buffer () = Array.make (max 1 (n * n)) 0 in
   let pretested = Hashtbl.create (max 1 (List.length config.pretested)) in
   List.iter (fun id -> Hashtbl.replace pretested id ()) config.pretested;
   let avail0 = Array.make (max 1 n) not_pooled in
@@ -273,6 +290,9 @@ let build_arena ~table system config =
     a_pos = Hashtbl.create 32;
     a_releases = Min_heap.create ();
     a_calendar = Reservation.create ();
+    a_cands =
+      { b_src = buffer (); b_snk = buffer (); b_ready = buffer ();
+        b_key = buffer (); b_order = buffer (); b_tmp = buffer () };
   }
 
 let make_engine ?workspace ~table system config order =
@@ -321,6 +341,7 @@ let make_engine ?workspace ~table system config order =
       e_committed = [];
       e_commits = [];
       e_gates = gates;
+      e_cands = arena.a_cands;
     }
   in
   (* Sentinel wake-ups at every gate opening still ahead of the start
@@ -347,7 +368,7 @@ let gates_open e ~now links =
          | None -> true)
        links
 
-let try_commit e ~now module_id row (i, j, _avail) =
+let try_commit e ~now module_id row i j =
   let src = e.e_tix.(i) and snk = e.e_tix.(j) in
   let c = Test_access.cost_ix e.e_table ~row ~src ~snk in
   let channels = Test_access.channels_ix e.e_table ~row ~src ~snk in
@@ -406,24 +427,137 @@ let try_commit e ~now module_id row (i, j, _avail) =
   end
   else false
 
-(* Candidate (source, sink) slot pairs for one core among the
-   eligible slots [slots.(0 .. k-1)] (ascending slot order), each with
-   the time both ends are idle.  Pairs rejected by the admission table
-   (role compatibility, faulty links on the XY paths, decompression
-   memory) are dropped here.  Built source-major in slot order,
-   matching the visiting order the greedy tie-break depends on. *)
-let pairs_of e ~row slots k =
-  let avail = e.e_avail and tix = e.e_tix in
-  let candidates = ref [] in
-  for a = k - 1 downto 0 do
+(* Fill the candidate buffer for one core with the (source, sink) pairs
+   among the eligible slots [slots.(0 .. k-1)] (ascending slot order),
+   source-major, each with the time both ends are idle and its policy
+   key: the ready time for greedy ("the greedy behavior ... forces it
+   to select the first test interface available"), the estimated
+   finish for lookahead.  Pairs rejected by the admission table (role
+   compatibility, faulty links on the XY paths, decompression memory)
+   are dropped here.  Returns the candidate count. *)
+let fill_candidates e ~row ~now slots k =
+  let b = e.e_cands and avail = e.e_avail and tix = e.e_tix in
+  let lookahead =
+    match e.e_config.policy with Greedy -> false | Lookahead -> true
+  in
+  let m = ref 0 in
+  for a = 0 to k - 1 do
     let i = slots.(a) in
-    for b = k - 1 downto 0 do
-      let j = slots.(b) in
-      if Test_access.feasible_ix e.e_table ~row ~src:tix.(i) ~snk:tix.(j)
-      then candidates := (i, j, max avail.(i) avail.(j)) :: !candidates
+    for c = 0 to k - 1 do
+      let j = slots.(c) in
+      let src = tix.(i) and snk = tix.(j) in
+      if Test_access.feasible_ix e.e_table ~row ~src ~snk then begin
+        let ready = max avail.(i) avail.(j) in
+        b.b_src.(!m) <- i;
+        b.b_snk.(!m) <- j;
+        b.b_ready.(!m) <- ready;
+        b.b_key.(!m) <-
+          (if lookahead then
+             max now ready
+             + (Test_access.cost_ix e.e_table ~row ~src ~snk)
+                 .Test_access.duration
+           else ready);
+        incr m
+      end
     done
   done;
-  !candidates
+  !m
+
+(* Stable sort of the candidate indices [order.(0 .. len-1)] by key,
+   in place through [tmp]: insertion-sorted runs of 8, then bottom-up
+   merges.  Returns whichever of the two arrays holds the result. *)
+let sort_by_key key order tmp len =
+  let run = 8 in
+  let lo = ref 0 in
+  while !lo < len do
+    let hi = min (!lo + run) len in
+    for a = !lo + 1 to hi - 1 do
+      let q = order.(a) in
+      let b = ref (a - 1) in
+      while !b >= !lo && key.(order.(!b)) > key.(q) do
+        order.(!b + 1) <- order.(!b);
+        decr b
+      done;
+      order.(!b + 1) <- q
+    done;
+    lo := hi
+  done;
+  let src = ref order and dst = ref tmp and width = ref run in
+  while !width < len do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < len do
+      let mid = min (!lo + !width) len and hi = min (!lo + (2 * !width)) len in
+      let i = ref !lo and j = ref mid in
+      for o = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || key.(s.(!i)) <= key.(s.(!j))) then begin
+          d.(o) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(o) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  !src
+
+type offer = Committed | Rejected | Busy
+
+(* Offer candidate [q]: a busy pair ends the attempt — for lookahead,
+   waiting for the best remaining pair beats settling for a worse one
+   (greedy only buffers idle slots, so it never sees [Busy]). *)
+let offer e ~now module_id row q =
+  let b = e.e_cands in
+  if b.b_ready.(q) > now then Busy
+  else if try_commit e ~now module_id row b.b_src.(q) b.b_snk.(q) then
+    Committed
+  else Rejected
+
+(* Offer the [m] buffered candidates in (key, index) order — the order
+   a stable sort of the source-major pairs by key visits them — until
+   one commits or one is busy.  The first comes from one min-scan, and
+   most attempts end with it.  Only when it is rejected are the rest
+   sorted, so an attempt that rejects every candidate stays
+   O(m log m).  Returns the committed candidate's index, or -1. *)
+let select e ~now module_id row m =
+  let b = e.e_cands in
+  if m = 0 then -1
+  else begin
+    let first = ref 0 in
+    for q = 1 to m - 1 do
+      if b.b_key.(q) < b.b_key.(!first) then first := q
+    done;
+    match offer e ~now module_id row !first with
+    | Committed -> !first
+    | Busy -> -1
+    | Rejected ->
+        let len = ref 0 in
+        for q = 0 to m - 1 do
+          if q <> !first then begin
+            b.b_order.(!len) <- q;
+            incr len
+          end
+        done;
+        let order = sort_by_key b.b_key b.b_order b.b_tmp !len in
+        let won = ref (-1) and p = ref 0 in
+        while !p < !len do
+          let q = order.(!p) in
+          incr p;
+          match offer e ~now module_id row q with
+          | Committed ->
+              won := q;
+              p := !len
+          | Busy -> p := !len
+          | Rejected -> ()
+        done;
+        !won
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Decision log                                                       *)
@@ -499,66 +633,23 @@ let emit_decision e ~now module_id ~policy cands ~winner:(wi, wj) =
 
 (* One scheduling attempt for one core at time [now].  Returns true
    if the core was started. *)
-let attempt_greedy e ~slots ~k ~now module_id =
+let attempt e ~slots ~k ~now module_id =
   let row = Test_access.module_row e.e_table module_id in
-  (* "The greedy behavior ... forces it to select the first test
-     interface available": order pairs by how early they became
-     idle. *)
-  let candidates =
-    List.stable_sort
-      (fun (_, _, a) (_, _, b) -> Int.compare a b)
-      (pairs_of e ~row slots k)
-  in
+  let m = fill_candidates e ~row ~now slots k in
   (* The decision log needs the pre-commit availability picture. *)
   let shadow = if Trace.decisions () then Some (all_candidates e ~row) else None in
-  let rec pick = function
-    | [] -> None
-    | pair :: rest ->
-        if try_commit e ~now module_id row pair then Some pair else pick rest
-  in
-  match pick candidates with
-  | None -> false
-  | Some (wi, wj, _) ->
-      (match shadow with
-      | Some all ->
-          emit_decision e ~now module_id ~policy:"greedy" all ~winner:(wi, wj)
-      | None -> ());
-      true
-
-let attempt_lookahead e ~slots ~k ~now module_id =
-  let row = Test_access.module_row e.e_table module_id in
-  let estimated_finish (i, j, avail) =
-    let c =
-      Test_access.cost_ix e.e_table ~row ~src:e.e_tix.(i) ~snk:e.e_tix.(j)
-    in
-    max now avail + c.Test_access.duration
-  in
-  let candidates =
-    pairs_of e ~row slots k
-    |> List.map (fun pair -> (estimated_finish pair, pair))
-    |> List.stable_sort (fun (fa, _) (fb, _) -> Int.compare fa fb)
-    |> List.map snd
-  in
-  let shadow = if Trace.decisions () then Some (all_candidates e ~row) else None in
-  (* Take candidates in completion order; commit the first idle one,
-     but stop as soon as the best remaining pair is still busy —
-     waiting for it beats settling for a worse pair. *)
-  let rec go = function
-    | [] -> None
-    | ((_, _, avail) as pair) :: rest ->
-        if avail > now then None
-        else if try_commit e ~now module_id row pair then Some pair
-        else go rest
-  in
-  match go candidates with
-  | None -> false
-  | Some (wi, wj, _) ->
-      (match shadow with
-      | Some all ->
-          emit_decision e ~now module_id ~policy:"lookahead" all
-            ~winner:(wi, wj)
-      | None -> ());
-      true
+  let q = select e ~now module_id row m in
+  if q < 0 then false
+  else begin
+    (match shadow with
+    | Some all ->
+        emit_decision e ~now module_id
+          ~policy:(Fmt.str "%a" pp_policy e.e_config.policy)
+          all
+          ~winner:(e.e_cands.b_src.(q), e.e_cands.b_snk.(q))
+    | None -> ());
+    true
+  end
 
 let event_loop e pending0 =
   (* The eligible-slot set is a function of the availability array and
@@ -584,17 +675,11 @@ let event_loop e pending0 =
     done;
     stale := false
   in
-  let attempt =
-    let go =
-      match e.e_config.policy with
-      | Greedy -> attempt_greedy e
-      | Lookahead -> attempt_lookahead e
-    in
-    fun ~now id ->
-      if !stale then refresh ();
-      let committed = go ~slots ~k:!k ~now id in
-      if committed then stale := true;
-      committed
+  let start ~now id =
+    if !stale then refresh ();
+    let committed = attempt e ~slots ~k:!k ~now id in
+    if committed then stale := true;
+    committed
   in
   let pending = ref pending0 in
   let guard = ref 0 in
@@ -603,7 +688,7 @@ let event_loop e pending0 =
     if !guard > 10_000_000 then
       raise (Unschedulable "scheduler did not converge");
     let scheduled, still_pending =
-      List.partition (fun id -> attempt ~now:e.e_now id) !pending
+      List.partition (fun id -> start ~now:e.e_now id) !pending
     in
     ignore scheduled;
     pending := still_pending;

@@ -99,6 +99,25 @@ let test_reuse_out_of_range () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "reuse beyond processors accepted"
 
+(* A warm run allocates per commit, not per candidate: attempts pick
+   candidates from the arena's buffer instead of building a pair list
+   each (list-based selection allocated 1,573,085 words for this
+   lookahead run, 51,944 for greedy). *)
+let test_run_allocation_budget () =
+  let sys = Core.Experiments.p93791_leon () in
+  let access = Core.Test_access.table sys in
+  List.iter
+    (fun policy ->
+      let config = Scheduler.config ~policy ~reuse:8 () in
+      ignore (Scheduler.run ~access sys config);
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Scheduler.run ~access sys config));
+      let words = Gc.minor_words () -. before in
+      if words > 60_000. then
+        Alcotest.failf "%a run allocated %.0f minor words (budget 60000)"
+          Scheduler.pp_policy policy words)
+    [ Scheduler.Greedy; Scheduler.Lookahead ]
+
 (* The central property: for random systems, any configuration the
    engine accepts yields a schedule the independent validator fully
    approves. *)
@@ -204,6 +223,8 @@ let suite =
     Alcotest.test_case "decompression application" `Quick
       test_decompression_application;
     Alcotest.test_case "reuse out of range" `Quick test_reuse_out_of_range;
+    Alcotest.test_case "warm run allocation budget" `Quick
+      test_run_allocation_budget;
     prop_schedules_always_valid;
     prop_all_modules_tested;
     prop_makespan_lower_bounds;

@@ -1,7 +1,8 @@
 # Convenience targets; dune does the real work.
 
 .PHONY: all build test bench bench-json check examples clean doc doc-lint \
-        coverage serve-smoke fault-smoke corpus-smoke testplan-lint
+        coverage serve-smoke fault-smoke corpus-smoke testplan-lint \
+        figure1-series
 
 all: build
 
@@ -103,6 +104,19 @@ corpus-smoke: testplan-lint
 	dune exec bin/nocplan.exe -- verify --testplan test/testplan.json \
 	  --count 12 --jobs 2 --seed 7
 
+# The paper-sweep oracle: every Figure-1 reuse series (six builtin
+# systems; greedy, greedy at the binding power limit, lookahead) must
+# print exactly the makespans of perfbench/figure1.expected, whose
+# `#` lines are comments.
+figure1-series: build
+	@out=$$(mktemp); \
+	dune exec ./perfbench/bench.exe -- figure1-series > $$out || { rm -f $$out; exit 1; }; \
+	if grep -v '^#' perfbench/figure1.expected | diff - $$out; then \
+	  echo "figure1-series: matches perfbench/figure1.expected"; rm -f $$out; \
+	else \
+	  echo "figure1-series: FAIL (differs from perfbench/figure1.expected)"; rm -f $$out; exit 1; \
+	fi
+
 # The tier-1 gate plus doc lint plus a benchmark smoke run producing
 # the JSON and checking it against the committed baseline (skip the
 # regression gate with NOCPLAN_BENCH_GATE=off on unrelated machines).
@@ -114,6 +128,7 @@ check:
 	$(MAKE) serve-smoke
 	$(MAKE) fault-smoke
 	$(MAKE) corpus-smoke
+	$(MAKE) figure1-series
 	dune exec bench/main.exe -- --smoke --json _build/BENCH_smoke.json --gate BENCH_nocplan.json
 
 examples:

@@ -136,16 +136,16 @@ let prefix_bound t ~prefix_len =
 (* ------------------------------------------------------------------ *)
 (* Engine state                                                       *)
 
-(* One attempt's candidate (source, sink) slot pairs as parallel int
-   arrays sized n², so an attempt allocates nothing: candidate q sits
-   at index q, in source-major slot order.  [b_key] is the policy's
-   preference (lower first); [b_order] and [b_tmp] sort candidate
-   indices on the rare path where the first choice does not commit. *)
+(* One greedy attempt's candidate (source, sink) slot pairs as
+   parallel int arrays sized n², so an attempt allocates nothing:
+   candidate q sits at index q, in source-major slot order, and
+   [b_ready] (when both ends are idle) is greedy's preference, lower
+   first.  [b_order] and [b_tmp] sort candidate indices on the rare
+   path where the first choice does not commit. *)
 type cands = {
   b_src : int array;
   b_snk : int array;
-  b_ready : int array;  (* when both ends are idle *)
-  b_key : int array;
+  b_ready : int array;
   b_order : int array;
   b_tmp : int array;
 }
@@ -174,9 +174,16 @@ type engine = {
      gate opening even when no endpoint releases. *)
   e_gates : (Nocplan_noc.Link.t, int) Hashtbl.t;
   e_cands : cands;
+  e_walks : Pair_walk.t option array;  (* per table row, built on first use *)
   mutable e_now : int;
   mutable e_committed : Schedule.entry list;
   mutable e_commits : commit list;  (* reversed chronological log *)
+  (* Work counters, reported on the [scheduler.run] span: attempts
+     made, attempts skipped because no idle pair existed, and slot
+     pairs visited by the attempts made. *)
+  mutable e_attempts : int;
+  mutable e_skipped : int;
+  mutable e_scanned : int;
 }
 
 let resolve_table ?access ~application system =
@@ -227,7 +234,8 @@ let check_permutation ~wanted order =
    against a single configuration, and rebuilding the endpoint
    resolution, availability array, release heap and — above all — the
    reservation calendar per evaluation dominated the cost of short
-   incremental runs. *)
+   incremental runs.  The lookahead pair orders ([a_walks]) depend only
+   on the table and the slot set, so they too outlive an evaluation. *)
 type arena = {
   a_system : System.t;
   a_table : Test_access.table;
@@ -242,6 +250,7 @@ type arena = {
   a_releases : Min_heap.t;
   a_calendar : Reservation.t;
   a_cands : cands;
+  a_walks : Pair_walk.t option array;
 }
 
 (* A workspace owns at most one arena (the last configuration it
@@ -292,7 +301,8 @@ let build_arena ~table system config =
     a_calendar = Reservation.create ();
     a_cands =
       { b_src = buffer (); b_snk = buffer (); b_ready = buffer ();
-        b_key = buffer (); b_order = buffer (); b_tmp = buffer () };
+        b_order = buffer (); b_tmp = buffer () };
+    a_walks = Array.make (Test_access.row_count table) None;
   }
 
 let make_engine ?workspace ~table system config order =
@@ -342,6 +352,10 @@ let make_engine ?workspace ~table system config order =
       e_commits = [];
       e_gates = gates;
       e_cands = arena.a_cands;
+      e_walks = arena.a_walks;
+      e_attempts = 0;
+      e_skipped = 0;
+      e_scanned = 0;
     }
   in
   (* Sentinel wake-ups at every gate opening still ahead of the start
@@ -427,40 +441,30 @@ let try_commit e ~now module_id row i j =
   end
   else false
 
-(* Fill the candidate buffer for one core with the (source, sink) pairs
-   among the eligible slots [slots.(0 .. k-1)] (ascending slot order),
-   source-major, each with the time both ends are idle and its policy
-   key: the ready time for greedy ("the greedy behavior ... forces it
-   to select the first test interface available"), the estimated
-   finish for lookahead.  Pairs rejected by the admission table (role
-   compatibility, faulty links on the XY paths, decompression memory)
-   are dropped here.  Returns the candidate count. *)
-let fill_candidates e ~row ~now slots k =
+(* Fill the candidate buffer for one greedy attempt with the (source,
+   sink) pairs among the idle slots [slots.(0 .. k-1)] (ascending slot
+   order), source-major, each with the time both ends are idle: greedy
+   "forces it to select the first test interface available".  Pairs
+   rejected by the admission table (role compatibility, faulty links
+   on the XY paths, decompression memory) are dropped here.  Returns
+   the candidate count. *)
+let fill_candidates e ~row slots k =
   let b = e.e_cands and avail = e.e_avail and tix = e.e_tix in
-  let lookahead =
-    match e.e_config.policy with Greedy -> false | Lookahead -> true
-  in
   let m = ref 0 in
   for a = 0 to k - 1 do
     let i = slots.(a) in
     for c = 0 to k - 1 do
       let j = slots.(c) in
-      let src = tix.(i) and snk = tix.(j) in
-      if Test_access.feasible_ix e.e_table ~row ~src ~snk then begin
-        let ready = max avail.(i) avail.(j) in
+      if Test_access.feasible_ix e.e_table ~row ~src:tix.(i) ~snk:tix.(j)
+      then begin
         b.b_src.(!m) <- i;
         b.b_snk.(!m) <- j;
-        b.b_ready.(!m) <- ready;
-        b.b_key.(!m) <-
-          (if lookahead then
-             max now ready
-             + (Test_access.cost_ix e.e_table ~row ~src ~snk)
-                 .Test_access.duration
-           else ready);
+        b.b_ready.(!m) <- max avail.(i) avail.(j);
         incr m
       end
     done
   done;
+  e.e_scanned <- e.e_scanned + (k * k);
   !m
 
 (* Stable sort of the candidate indices [order.(0 .. len-1)] by key,
@@ -507,57 +511,71 @@ let sort_by_key key order tmp len =
   done;
   !src
 
-type offer = Committed | Rejected | Busy
-
-(* Offer candidate [q]: a busy pair ends the attempt — for lookahead,
-   waiting for the best remaining pair beats settling for a worse one
-   (greedy only buffers idle slots, so it never sees [Busy]). *)
+(* Offer greedy candidate [q] to [try_commit]. *)
 let offer e ~now module_id row q =
-  let b = e.e_cands in
-  if b.b_ready.(q) > now then Busy
-  else if try_commit e ~now module_id row b.b_src.(q) b.b_snk.(q) then
-    Committed
-  else Rejected
+  try_commit e ~now module_id row e.e_cands.b_src.(q) e.e_cands.b_snk.(q)
 
-(* Offer the [m] buffered candidates in (key, index) order — the order
-   a stable sort of the source-major pairs by key visits them — until
-   one commits or one is busy.  The first comes from one min-scan, and
-   most attempts end with it.  Only when it is rejected are the rest
-   sorted, so an attempt that rejects every candidate stays
-   O(m log m).  Returns the committed candidate's index, or -1. *)
+(* Offer the [m] buffered greedy candidates in (ready, index) order —
+   the order a stable sort of the source-major pairs by ready time
+   visits them — until one commits.  The first comes from one
+   min-scan, and most attempts end with it.  Only when it is rejected
+   are the rest sorted, so an attempt that rejects every candidate
+   stays O(m log m).  Returns whether one committed. *)
 let select e ~now module_id row m =
   let b = e.e_cands in
-  if m = 0 then -1
+  if m = 0 then false
   else begin
     let first = ref 0 in
     for q = 1 to m - 1 do
-      if b.b_key.(q) < b.b_key.(!first) then first := q
+      if b.b_ready.(q) < b.b_ready.(!first) then first := q
     done;
-    match offer e ~now module_id row !first with
-    | Committed -> !first
-    | Busy -> -1
-    | Rejected ->
-        let len = ref 0 in
-        for q = 0 to m - 1 do
-          if q <> !first then begin
-            b.b_order.(!len) <- q;
-            incr len
-          end
-        done;
-        let order = sort_by_key b.b_key b.b_order b.b_tmp !len in
-        let won = ref (-1) and p = ref 0 in
-        while !p < !len do
-          let q = order.(!p) in
-          incr p;
-          match offer e ~now module_id row q with
-          | Committed ->
-              won := q;
-              p := !len
-          | Busy -> p := !len
-          | Rejected -> ()
-        done;
-        !won
+    offer e ~now module_id row !first
+    || begin
+         let len = ref 0 in
+         for q = 0 to m - 1 do
+           if q <> !first then begin
+             b.b_order.(!len) <- q;
+             incr len
+           end
+         done;
+         let order = sort_by_key b.b_ready b.b_order b.b_tmp !len in
+         let won = ref false and p = ref 0 in
+         while (not !won) && !p < !len do
+           won := offer e ~now module_id row order.(!p);
+           incr p
+         done;
+         !won
+       end
   end
+
+(* One lookahead attempt: walk the row's pairs in lookahead order
+   ({!Pair_walk}), offering idle ones to [try_commit].  Pair
+   feasibility and duration are fixed per (table, slot set), so the
+   arena sorts each row's pairs once, the first time a lookahead
+   attempt needs them.  Returns whether a pair committed. *)
+let walk e ~now module_id row =
+  let w =
+    match e.e_walks.(row) with
+    | Some w -> w
+    | None ->
+        let tix = e.e_tix in
+        let w =
+          Pair_walk.create ~n:e.e_n (fun ~src ~snk ->
+              let src = tix.(src) and snk = tix.(snk) in
+              if Test_access.feasible_ix e.e_table ~row ~src ~snk then
+                (Test_access.cost_ix e.e_table ~row ~src ~snk)
+                  .Test_access.duration
+              else -1)
+        in
+        e.e_walks.(row) <- Some w;
+        w
+  in
+  let before = e.e_commits in
+  e.e_scanned <-
+    e.e_scanned
+    + Pair_walk.walk w ~now ~avail:e.e_avail (fun i j ->
+          try_commit e ~now module_id row i j);
+  e.e_commits != before
 
 (* ------------------------------------------------------------------ *)
 (* Decision log                                                       *)
@@ -631,55 +649,67 @@ let emit_decision e ~now module_id ~policy cands ~winner:(wi, wj) =
           ])
     cands
 
-(* One scheduling attempt for one core at time [now].  Returns true
-   if the core was started. *)
+(* One scheduling attempt for one core at time [now]: greedy picks
+   among the pairs of idle slots [slots.(0 .. k-1)], lookahead walks
+   its row order.  Returns true if the core was started. *)
 let attempt e ~slots ~k ~now module_id =
   let row = Test_access.module_row e.e_table module_id in
-  let m = fill_candidates e ~row ~now slots k in
   (* The decision log needs the pre-commit availability picture. *)
   let shadow = if Trace.decisions () then Some (all_candidates e ~row) else None in
-  let q = select e ~now module_id row m in
-  if q < 0 then false
-  else begin
-    (match shadow with
-    | Some all ->
-        emit_decision e ~now module_id
-          ~policy:(Fmt.str "%a" pp_policy e.e_config.policy)
-          all
-          ~winner:(e.e_cands.b_src.(q), e.e_cands.b_snk.(q))
-    | None -> ());
-    true
-  end
+  let committed =
+    match e.e_config.policy with
+    | Greedy -> select e ~now module_id row (fill_candidates e ~row slots k)
+    | Lookahead -> walk e ~now module_id row
+  in
+  (match (shadow, e.e_commits) with
+  | Some all, c :: _ when committed ->
+      emit_decision e ~now module_id
+        ~policy:(Fmt.str "%a" pp_policy e.e_config.policy)
+        all ~winner:(c.c_src, c.c_snk)
+  | _ -> ());
+  committed
 
 let event_loop e pending0 =
-  (* The eligible-slot set is a function of the availability array and
-     the current time, both of which change only on a commit or an
-     event advance — so it is computed once per quiescent stretch and
-     shared by every pending module's attempt, instead of rescanning
-     all slots (most attempts fail) per attempt. *)
-  let eligible =
-    match e.e_config.policy with
-    | Greedy -> fun a -> a <> not_pooled && a <= e.e_now
-    | Lookahead -> fun a -> a <> not_pooled
-  in
+  (* The idle-slot set is a function of the availability array and the
+     current time, both of which change only on a commit or an event
+     advance — so it is computed once per quiescent stretch and shared
+     by every pending module's attempt, instead of rescanning all slots
+     (most attempts fail) per attempt.  Without an idle source-capable
+     and an idle sink-capable slot no attempt can commit under either
+     policy, so none is made.  Skipping them is exact: a failed attempt
+     has no side effects, and the set is re-derived after every
+     commit. *)
   let slots = Array.make (max 1 e.e_n) 0 in
   let k = ref 0 in
+  let idle_pair = ref false in
   let stale = ref true in
   let refresh () =
     k := 0;
+    let src = ref false and snk = ref false in
     for i = 0 to e.e_n - 1 do
-      if eligible e.e_avail.(i) then begin
+      let a = e.e_avail.(i) in
+      if a <> not_pooled && a <= e.e_now then begin
         slots.(!k) <- i;
-        incr k
+        incr k;
+        if Resource.can_source e.e_endpoints.(i) then src := true;
+        if Resource.can_sink e.e_endpoints.(i) then snk := true
       end
     done;
+    idle_pair := !src && !snk;
     stale := false
   in
   let start ~now id =
     if !stale then refresh ();
-    let committed = attempt e ~slots ~k:!k ~now id in
-    if committed then stale := true;
-    committed
+    if not !idle_pair then begin
+      e.e_skipped <- e.e_skipped + 1;
+      false
+    end
+    else begin
+      e.e_attempts <- e.e_attempts + 1;
+      let committed = attempt e ~slots ~k:!k ~now id in
+      if committed then stale := true;
+      committed
+    end
   in
   let pending = ref pending0 in
   let guard = ref 0 in
@@ -687,11 +717,10 @@ let event_loop e pending0 =
     incr guard;
     if !guard > 10_000_000 then
       raise (Unschedulable "scheduler did not converge");
-    let scheduled, still_pending =
-      List.partition (fun id -> start ~now:e.e_now id) !pending
-    in
-    ignore scheduled;
-    pending := still_pending;
+    if !stale then refresh ();
+    if !idle_pair then
+      pending := List.filter (fun id -> not (start ~now:e.e_now id)) !pending
+    else e.e_skipped <- e.e_skipped + List.length !pending;
     if !pending <> [] then begin
       (* Advance to the next endpoint-release event: pop until a pair
          that still matches its slot's availability (later bookings
@@ -756,9 +785,9 @@ let run_traced ?workspace ?access system config =
       make_engine ?workspace ~table system config (Array.of_list initial_order)
     in
     event_loop e initial_order;
-    finish_trace e
+    e
   in
-  if not (Trace.enabled ()) then go ()
+  if not (Trace.enabled ()) then finish_trace (go ())
   else begin
     Trace.begin_span "scheduler.run"
       ~attrs:
@@ -767,12 +796,16 @@ let run_traced ?workspace ?access system config =
           ("reuse", Trace.Int config.reuse);
         ];
     match go () with
-    | tr ->
+    | e ->
+        let tr = finish_trace e in
         Trace.end_span "scheduler.run"
           ~attrs:
             [
               ("makespan", Trace.Int tr.t_schedule.Schedule.makespan);
               ("commits", Trace.Int (Array.length tr.t_commits));
+              ("attempts", Trace.Int e.e_attempts);
+              ("skipped", Trace.Int e.e_skipped);
+              ("pairs_scanned", Trace.Int e.e_scanned);
             ];
         tr
     | exception exn ->

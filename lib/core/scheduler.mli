@@ -90,7 +90,8 @@ type trace
 type workspace
 (** A reusable evaluation arena: the order-independent engine state
     (endpoint resolution, availability array, release heap,
-    reservation calendar) of the last evaluation it served, reset in
+    reservation calendar, lookahead pair orders) of the last evaluation
+    it served, reset in
     place instead of rebuilt when the next evaluation targets the same
     system, access table and configuration.  Search drivers evaluate
     thousands of orders against one configuration, where the per-run

@@ -781,6 +781,8 @@ let module_row t module_id =
       invalid_arg
         (Printf.sprintf "Test_access.module_row: unknown module %d" module_id)
 
+let row_count t = Array.length t.shapes
+
 let feasible_ix t ~row ~src ~snk =
   t.feasible_bits.((row * t.width * t.width) + (src * t.width) + snk)
 

@@ -251,6 +251,9 @@ val endpoint_id : table -> Resource.endpoint -> int
 val module_row : table -> int -> int
 (** @raise Invalid_argument on an unknown module id. *)
 
+val row_count : table -> int
+(** Number of module rows: {!module_row} ranges over [0 .. row_count - 1]. *)
+
 val feasible_ix : table -> row:int -> src:int -> snk:int -> bool
 val cost_ix : table -> row:int -> src:int -> snk:int -> cost
 

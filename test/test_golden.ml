@@ -7,9 +7,11 @@
 
    The lookahead rows, the corpus digests and the many-endpoint digests
    below were captured from the list-based candidate selection (a
-   fresh pair list per attempt, stable-sorted by policy key) that the
-   scheduler's candidate buffer replaced; the buffer must visit
-   candidates in exactly that order, ties included.
+   fresh pair list per attempt, stable-sorted by policy key).  Greedy's
+   candidate buffer and lookahead's per-row duration walk must offer
+   pairs in exactly that (key, source-major index) order, ties
+   included, and skipping an instant with no idle pair must change
+   nothing.
 
    Any intentional change to scheduling behaviour must re-derive these
    tables and say so in the commit. *)

@@ -115,6 +115,51 @@ let test_structure_identical_across_runs () =
   Alcotest.(check (list string)) "deterministic skeleton" (skeleton (run ()))
     (skeleton (run ()))
 
+(* The [scheduler.run] end event carries the engine's work counters
+   under both policies.  p22810_leon at full reuse has instants with no
+   idle pair, which the loop skips; the decision log rides on the same
+   selection, so [Decisions] tracing reports the same counts. *)
+let test_run_span_counters () =
+  let system = Core.Experiments.p22810_leon () in
+  let access = Core.Test_access.table system in
+  let end_event level config =
+    let sched, events =
+      Trace.with_collector ~level (fun () ->
+          Core.Scheduler.run ~access system config)
+    in
+    let e =
+      List.find
+        (fun e -> e.Trace.name = "scheduler.run" && e.Trace.phase = Trace.End)
+        events
+    in
+    (sched, e)
+  in
+  List.iter
+    (fun policy ->
+      let name = Fmt.str "%a" Core.Scheduler.pp_policy policy in
+      let config = Core.Scheduler.config ~policy ~reuse:8 () in
+      let sched, e = end_event Trace.Spans config in
+      let counter key =
+        match Trace.attr_int e key with
+        | Some v -> v
+        | None -> Alcotest.failf "%s: no %s attribute" name key
+      in
+      let attempts = counter "attempts" and skipped = counter "skipped" in
+      let scanned = counter "pairs_scanned" in
+      Alcotest.(check bool)
+        (name ^ ": commits <= attempts") true
+        (List.length sched.Core.Schedule.entries <= attempts);
+      Alcotest.(check bool) (name ^ ": some instants skipped") true (skipped > 0);
+      Alcotest.(check bool) (name ^ ": pairs scanned") true (scanned >= attempts);
+      let _, d = end_event Trace.Decisions config in
+      List.iter
+        (fun key ->
+          Alcotest.(check (option int))
+            (name ^ ": decisions-level " ^ key)
+            (Trace.attr_int e key) (Trace.attr_int d key))
+        [ "attempts"; "skipped"; "pairs_scanned" ])
+    [ Core.Scheduler.Greedy; Core.Scheduler.Lookahead ]
+
 (* --- chrome export -------------------------------------------------- *)
 
 let test_chrome_export_is_valid_json () =
@@ -482,6 +527,8 @@ let suite =
       test_run_span_structure;
     Alcotest.test_case "trace structure is deterministic" `Quick
       test_structure_identical_across_runs;
+    Alcotest.test_case "scheduler.run work counters" `Quick
+      test_run_span_counters;
     Alcotest.test_case "chrome export is valid trace-event JSON" `Quick
       test_chrome_export_is_valid_json;
     Alcotest.test_case "ring collector keeps newest events" `Quick

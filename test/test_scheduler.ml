@@ -99,24 +99,46 @@ let test_reuse_out_of_range () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "reuse beyond processors accepted"
 
-(* A warm run allocates per commit, not per candidate: attempts pick
-   candidates from the arena's buffer instead of building a pair list
+(* A warm run allocates per commit, not per candidate: greedy attempts
+   pick candidates from the arena's buffer and lookahead attempts walk
+   the arena's per-row duration orders, instead of building a pair list
    each (list-based selection allocated 1,573,085 words for this
-   lookahead run, 51,944 for greedy). *)
+   lookahead run, 51,944 for greedy).  Through a workspace the walk
+   orders are built by the first run only, so a second run allocates no
+   more than the first. *)
 let test_run_allocation_budget () =
   let sys = Core.Experiments.p93791_leon () in
   let access = Core.Test_access.table sys in
+  let budget = 60_000. in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
   List.iter
     (fun policy ->
       let config = Scheduler.config ~policy ~reuse:8 () in
       ignore (Scheduler.run ~access sys config);
-      let before = Gc.minor_words () in
-      ignore (Sys.opaque_identity (Scheduler.run ~access sys config));
-      let words = Gc.minor_words () -. before in
-      if words > 60_000. then
-        Alcotest.failf "%a run allocated %.0f minor words (budget 60000)"
-          Scheduler.pp_policy policy words)
-    [ Scheduler.Greedy; Scheduler.Lookahead ]
+      let w = words (fun () -> Scheduler.run ~access sys config) in
+      if w > budget then
+        Alcotest.failf "%a run allocated %.0f minor words (budget %.0f)"
+          Scheduler.pp_policy policy w budget)
+    [ Scheduler.Greedy; Scheduler.Lookahead ];
+  let config = Scheduler.config ~policy:Scheduler.Lookahead ~reuse:8 () in
+  let workspace = Scheduler.workspace () in
+  let run () = Scheduler.run_traced ~workspace ~access sys config in
+  let first = words run in
+  let second = words run in
+  if first > budget || second > budget then
+    Alcotest.failf
+      "workspace lookahead runs allocated %.0f and %.0f minor words (budget \
+       %.0f)"
+      first second budget;
+  if second > first then
+    Alcotest.failf
+      "second workspace lookahead run allocated %.0f minor words, more than \
+       the first's %.0f"
+      second first
 
 (* The central property: for random systems, any configuration the
    engine accepts yields a schedule the independent validator fully

@@ -86,7 +86,14 @@ let test_cache_hit_returns_cached_instance () =
     (Core.Test_access.table_for tbl2 ~system:sys2
        ~application:Proc.Processor.Bist);
   Alcotest.(check int) "one hit" 1 (Serve.Table_cache.hits cache);
-  Alcotest.(check int) "one miss" 1 (Serve.Table_cache.misses cache)
+  Alcotest.(check int) "one miss" 1 (Serve.Table_cache.misses cache);
+  (* The cached instance itself (what Sysbuild hands every request for
+     a builtin) hits without a fingerprint, on the same entry. *)
+  let sys3, tbl3, hit3 = lookup sys1 in
+  Alcotest.(check bool) "cached instance hits" true hit3;
+  Alcotest.(check bool) "same entry" true (sys3 == sys1 && tbl3 == tbl1);
+  Alcotest.(check int) "two hits" 2 (Serve.Table_cache.hits cache);
+  Alcotest.(check int) "still one miss" 1 (Serve.Table_cache.misses cache)
 
 let test_cache_applications_distinct () =
   let cache = Serve.Table_cache.create ~capacity:4 in

@@ -2,8 +2,36 @@
    [dur.(x)], sorted by (duration, pair). *)
 type t = { n : int; dur : int array; pair : int array }
 
-(* Pairs are packed as [duration * n² + pair] and sorted as plain ints,
-   so the sort allocates nothing beyond the key array it then splits. *)
+(* In-place heap sort of an int array, allocation-free: [Array.sort]
+   raises an exception per sift and [Array.stable_sort] allocates merge
+   buffers, 8k–12k minor words over the rows of one lookahead run of
+   p93791_leon at reuse 8, which takes ~31k with this sort. *)
+let sort (a : int array) =
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let x = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift c len
+      end
+    end
+  in
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 last
+  done
+
+(* Pairs are packed as [duration * n² + pair] and sorted as plain
+   ints. *)
 let create ~n duration =
   let nn = n * n in
   let count = ref 0 in
@@ -25,12 +53,10 @@ let create ~n duration =
       end
     done
   done;
-  Array.sort Int.compare keys;
+  sort keys;
   let dur = Array.map (fun k -> k / nn) keys in
   Array.iteri (fun x k -> keys.(x) <- k - (dur.(x) * nn)) keys;
   { n; dur; pair = keys }
-
-let length t = Array.length t.dur
 
 let walk t ~now ~avail offer =
   let len = Array.length t.dur in

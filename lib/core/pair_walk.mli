@@ -26,9 +26,6 @@ val create : n:int -> (src:int -> snk:int -> int) -> t
     @raise Invalid_argument if a duration times [n * n] overflows an
     [int]. *)
 
-val length : t -> int
-(** Number of pairs in the order. *)
-
 val walk : t -> now:int -> avail:int array -> (int -> int -> bool) -> int
 (** [walk t ~now ~avail offer] calls [offer src snk] on the idle pairs,
     in lookahead order, until one call returns [true] or the next pair

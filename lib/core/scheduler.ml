@@ -41,7 +41,7 @@ let pp_policy ppf = function
 (* Endpoint availability: [not_pooled] marks an endpoint that is not
    in the pool yet (a processor whose own test has not been
    scheduled); otherwise the slot holds the time it is (or will be)
-   idle from. *)
+   idle from.  It is negative, as {!Pair_walk.walk} expects. *)
 let not_pooled = -1
 
 (* ------------------------------------------------------------------ *)
@@ -267,7 +267,9 @@ let build_arena ~table system config =
   in
   let n = Array.length endpoints in
   let tix = Array.map (Test_access.endpoint_id table) endpoints in
-  let buffer () = Array.make (max 1 (n * n)) 0 in
+  (* Only greedy attempts fill the candidate buffer. *)
+  let size = match config.policy with Greedy -> max 1 (n * n) | Lookahead -> 0 in
+  let buffer () = Array.make size 0 in
   let pretested = Hashtbl.create (max 1 (List.length config.pretested)) in
   List.iter (fun id -> Hashtbl.replace pretested id ()) config.pretested;
   let avail0 = Array.make (max 1 n) not_pooled in

@@ -177,8 +177,9 @@ let backend_arg =
        & info [ "backend" ] ~docv:"BACKEND"
          ~doc:"Planning backend: greedy (the paper's event-driven list \
                scheduler), binpack (rectangle bin packing: shelf heuristic, \
-               best-fit decreasing), or race (run both backends \
-               concurrently on Domains and keep the best valid plan).")
+               best-fit decreasing), or race (run both backends in \
+               sequence on one shared access table and keep the best \
+               valid plan).")
 
 (* Traced CLI runs want real time on the trace axis; tests that pin
    event structure use the library's deterministic default clock. *)

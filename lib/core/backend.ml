@@ -28,39 +28,53 @@ type outcome = { winner : string; schedule : Schedule.t; attempts : attempt list
 let race ?(clock = Sys.time) ?(backends = builtins) ?access system
     (config : Scheduler.config) =
   if backends = [] then invalid_arg "Backend.race: no backends";
+  (* One table for every racer: each backend would otherwise build the
+     same full-reuse table for itself.  A build that fails is what each
+     backend's own build would have raised, so it becomes every
+     attempt's error and the race fails with the same aggregated
+     report as when each backend failed on its own. *)
+  let shared =
+    match access with
+    | Some t -> Ok t
+    | None -> (
+        match Test_access.table ~application:config.application system with
+        | t -> Ok t
+        | exception Scheduler.Unschedulable msg -> Error msg
+        | exception Invalid_argument msg -> Error msg)
+  in
   let attempt b =
-    let t0 = clock () in
-    let outcome =
-      match solve b ?access system config with
-      | s -> Ok s
-      | exception Scheduler.Unschedulable msg -> Error msg
-      | exception Invalid_argument msg -> Error msg
-    in
-    let latency_s = clock () -. t0 in
-    let valid =
-      match outcome with
-      | Error _ -> false
-      | Ok s ->
-          Schedule.validate ?access ~start_time:config.start_time
-            ?modules:config.modules ~pretested:config.pretested
-            ~link_ready:config.link_ready system
-            ~application:config.application ~power_limit:config.power_limit
-            ~reuse:config.reuse s
-          = Ok ()
-    in
-    { backend = b.name; outcome; valid; latency_s }
+    match shared with
+    | Error msg ->
+        { backend = b.name; outcome = Error msg; valid = false; latency_s = 0.0 }
+    | Ok table ->
+        let t0 = clock () in
+        let outcome =
+          match solve b ~access:table system config with
+          | s -> Ok s
+          | exception Scheduler.Unschedulable msg -> Error msg
+          | exception Invalid_argument msg -> Error msg
+        in
+        let latency_s = clock () -. t0 in
+        (* Validated against the caller's table, not the shared one: a
+           race given none is checked on the single-pair reference
+           costs, independently of the table the backends planned on. *)
+        let valid =
+          match outcome with
+          | Error _ -> false
+          | Ok s ->
+              Schedule.validate ?access ~start_time:config.start_time
+                ?modules:config.modules ~pretested:config.pretested
+                ~link_ready:config.link_ready system
+                ~application:config.application
+                ~power_limit:config.power_limit ~reuse:config.reuse s
+              = Ok ()
+        in
+        { backend = b.name; outcome; valid; latency_s }
   in
-  let attempts =
-    match backends with
-    | [ b ] -> [ attempt b ]
-    | first :: rest ->
-        (* One spawned domain per extra backend; the first runs here,
-           so a single-backend race costs no spawn at all. *)
-        let domains = List.map (fun b -> Domain.spawn (fun () -> attempt b)) rest in
-        let a0 = attempt first in
-        a0 :: List.map Domain.join domains
-    | [] -> assert false
-  in
+  (* In sequence in the calling domain: a spawned domain per racer
+     costs more than binpack itself and oversubscribes callers that
+     already run one domain per core. *)
+  let attempts = List.map attempt backends in
   let best =
     List.fold_left
       (fun acc a ->

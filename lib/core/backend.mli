@@ -14,11 +14,12 @@
     tagged with the backend name, so traces attribute planning time per
     strategy.
 
-    {!race} runs several backends on the same instance concurrently
-    (one OCaml domain each), validates every produced schedule through
-    the independent {!Schedule.validate}, and returns the best valid
-    result — ties broken by backend list order, so with the default
-    list a race never returns a worse test time than greedy alone. *)
+    {!race} runs several backends on the same instance in sequence in
+    the caller's domain, on one shared access table, validates every
+    produced schedule through the independent {!Schedule.validate},
+    and returns the best valid result — ties broken by backend list
+    order, so with the default list a race never returns a worse test
+    time than greedy alone. *)
 
 type t = {
   name : string;
@@ -75,12 +76,18 @@ val race :
   System.t ->
   Scheduler.config ->
   outcome
-(** Run every backend on its own domain, keep the valid schedule with
-    the smallest makespan (ties: earliest backend in the list).  Every
-    returned schedule is re-checked with {!Schedule.validate} against
-    the configuration's own frontier — its [start_time], [modules],
-    [pretested] processors and [link_ready] gates — so a partial
-    replan is checked like a full plan.
+(** Run every backend in list order, in sequence in the caller's
+    domain, on one shared table: [access] when given, else one
+    {!Test_access.table} built here for [config.application].  Keep
+    the valid schedule with the smallest makespan (ties: earliest
+    backend in the list).  Every returned schedule is re-checked with
+    {!Schedule.validate} against the configuration's own frontier —
+    its [start_time], [modules], [pretested] processors and
+    [link_ready] gates — so a partial replan is checked like a full
+    plan.  Validation receives [access] exactly as given: a race
+    without one is checked against the single-pair reference costs,
+    independently of the table the backends planned on.  If building
+    the shared table raises, its message is every attempt's error.
 
     [clock] times each attempt ([Sys.time] by default — callers with
     access to [Unix.gettimeofday] should pass it; this library does

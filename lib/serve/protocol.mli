@@ -52,13 +52,13 @@
     {b Backends.}  [plan] and [validate] accept a ["backend"] field
     naming a planning backend ([greedy] — the default, [binpack] — the
     rectangle bin-packing formulation, or [race] — both builtin
-    backends run concurrently, each on its own domain, and the best valid
-    plan wins, never worse than greedy alone).  Every plan/validate
-    response — coalesced ones included — names the solver that produced
-    its plan in ["backend"]; per-backend solve counts, win counts and
-    total latency appear in the [metrics] snapshot ([backend_solves],
-    [backend_wins], [backend_latency_ms]) and as
-    [nocplan_backend_*] Prometheus series.  The name is resolved when
+    backends run in sequence in the caller's domain on one shared
+    table, and the best valid plan wins, never worse than greedy
+    alone).  Every plan/validate response — coalesced ones included —
+    names the solver that produced its plan in ["backend"]; per-backend
+    solve counts, win counts and total latency appear in the [metrics]
+    snapshot ([backend_solves], [backend_wins], [backend_latency_ms])
+    and as [nocplan_backend_*] Prometheus series.  The name is resolved when
     the request is parsed: an unknown one, or [backend] on any other
     op, is refused as [invalid].
 

@@ -208,8 +208,8 @@ let heuristic_schedule t entry config =
    the solver that produced the plan.  The default (greedy) path keeps
    going through the evaluation cache — exact repeats skip the
    engine — while "binpack" solves directly and "race" runs both
-   builtin backends, each on its own domain, and keeps the best valid
-   plan.
+   builtin backends in sequence on this worker's domain, on the entry's
+   table, and keeps the best valid plan.
    Every attempt is recorded per backend (a race records one per
    racer); the win counter tracks whose plan clients actually get. *)
 let backend_schedule t entry config backend =

@@ -11,6 +11,8 @@ module Backend = Core.Backend
 module Schedule = Core.Schedule
 module Scheduler = Core.Scheduler
 module System = Core.System
+module Trace = Nocplan_obs.Trace
+module Corpus = Nocplan_corpus.Corpus
 
 let qcheck = Util.qcheck
 
@@ -190,6 +192,82 @@ let test_race_checks_partial_configs () =
   Alcotest.(check bool) "greedy valid" true (valid "greedy");
   Alcotest.(check bool) "bogus invalid" false (valid "bogus")
 
+(* A race given no table builds exactly one and shares it between the
+   racers; a race given one builds none. *)
+let test_race_shares_one_table () =
+  let system = Util.small_system () in
+  let config = config_for system None in
+  let table_spans f =
+    let c = Trace.collector ~capacity:4096 () in
+    Trace.install c;
+    Fun.protect ~finally:Trace.uninstall (fun () -> ignore (f ()));
+    Alcotest.(check int) "ring kept every event" 0 (Trace.dropped c);
+    List.length
+      (List.filter
+         (fun (e : Trace.event) ->
+           e.Trace.name = "access.table" && e.Trace.phase = Trace.Begin)
+         (Trace.events c))
+  in
+  Alcotest.(check int)
+    "no table given: one build" 1
+    (table_spans (fun () -> Backend.race system config));
+  let access = Core.Test_access.table system in
+  Alcotest.(check int)
+    "table given: no build" 0
+    (table_spans (fun () -> Backend.race ~access system config))
+
+(* Racing changes nothing but the cost: over corpus items, the race's
+   winner, makespan and per-attempt verdicts are the min rule applied
+   to each builtin solved and validated on its own. *)
+let test_race_matches_solo_solves () =
+  List.iter
+    (fun (item : Corpus.item) ->
+      let system = item.Corpus.system in
+      let config = Corpus.config item in
+      let solo (b : Backend.t) =
+        match Backend.solve b system config with
+        | exception (Scheduler.Unschedulable _ | Invalid_argument _) ->
+            (b.Backend.name, None)
+        | s ->
+            let valid =
+              Schedule.validate ~start_time:config.start_time
+                ?modules:config.modules ~pretested:config.pretested
+                ~link_ready:config.link_ready system
+                ~application:config.application
+                ~power_limit:config.power_limit ~reuse:config.reuse s
+              = Ok ()
+            in
+            (b.Backend.name, if valid then Some s.Schedule.makespan else None)
+      in
+      let solos = List.map solo Backend.builtins in
+      let expected =
+        List.fold_left
+          (fun acc (name, m) ->
+            match (acc, m) with
+            | None, Some m -> Some (name, m)
+            | Some (_, best), Some m when m < best -> Some (name, m)
+            | _ -> acc)
+          None solos
+      in
+      let what = Fmt.str "item %d" item.Corpus.index in
+      match (Backend.race system config, expected) with
+      | exception Scheduler.Unschedulable _ ->
+          Alcotest.(check bool) (what ^ ": race fails iff no solo validates")
+            true (expected = None)
+      | _, None -> Alcotest.failf "%s: race won where no solo validates" what
+      | outcome, Some (winner, makespan) ->
+          Alcotest.(check string) (what ^ ": winner") winner
+            outcome.Backend.winner;
+          Alcotest.(check int) (what ^ ": makespan") makespan
+            outcome.Backend.schedule.Schedule.makespan;
+          Alcotest.(check (list (pair string bool)))
+            (what ^ ": attempt verdicts")
+            (List.map (fun (name, m) -> (name, m <> None)) solos)
+            (List.map
+               (fun (a : Backend.attempt) -> (a.Backend.backend, a.Backend.valid))
+               outcome.Backend.attempts))
+    (Corpus.generate ~seed:7L ~count:50)
+
 (* --- lookup -------------------------------------------------------- *)
 
 let test_lookup () =
@@ -219,5 +297,9 @@ let suite =
     Alcotest.test_case "race single backend" `Quick test_race_single_backend;
     Alcotest.test_case "race checks partial configs" `Quick
       test_race_checks_partial_configs;
+    Alcotest.test_case "race builds one shared table" `Quick
+      test_race_shares_one_table;
+    Alcotest.test_case "race matches solo solves on corpus seed 7" `Quick
+      test_race_matches_solo_solves;
     Alcotest.test_case "lookup" `Quick test_lookup;
   ]

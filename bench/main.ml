@@ -10,9 +10,9 @@
    2. Emit a machine-readable artefact, BENCH_nocplan.json by default:
       per-experiment wall time, the Figure-1 sweep timing against the
       recorded seed baseline, every Figure-1 makespan series and the
-      service, fault and corpus sections; with [--gate BASELINE],
-      check the numbers that vary between runs against a recorded
-      artefact.
+      service, fault, access-table and corpus sections; with
+      [--gate BASELINE], check the numbers that vary between runs
+      against a recorded artefact.
 
    Flags: [--smoke] skips the ungated paper experiments (CI-sized);
    [--json PATH] redirects the artefact; [--gate BASELINE] checks it. *)
@@ -1044,6 +1044,69 @@ let detour_overhead () =
   }
 
 (* ------------------------------------------------------------------ *)
+(* access_table — build time, allocation and live words per cell      *)
+
+type table_row = {
+  tb_system : string;
+  tb_cells : int;
+  tb_seconds : float;
+  tb_minor_words : float;
+  tb_live_words_per_cell : float;
+}
+
+(* Cells hold four scalars in flat arrays and the legs hold the paths,
+   about 9 live words per cell on d695 with 60 Leons; a cell that held
+   its own record, list and channel array took 89.6.  The gate caps
+   that table, where cells outnumber legs 31 to 1.  The builtin tables
+   have 1-4k cells and 4-5 cells per leg, so their legs set their
+   17-19 words per cell. *)
+let max_live_words_per_cell = 12.0
+let gated_table = "d695+60 leons"
+
+(* One table's build (best of [repeats]), the minor words of one build
+   and its live heap per cell after a full collection. *)
+let access_table_row name system =
+  let seconds, _ = best_of (fun () -> Test_access.table system) in
+  Gc.compact ();
+  let live = (Gc.stat ()).Gc.live_words in
+  let minor = Gc.minor_words () in
+  let t = Test_access.table system in
+  let minor_words = Gc.minor_words () -. minor in
+  Gc.compact ();
+  let live = (Gc.stat ()).Gc.live_words - live in
+  let cells = Test_access.cell_count (Sys.opaque_identity t) in
+  let r =
+    {
+      tb_system = name;
+      tb_cells = cells;
+      tb_seconds = seconds;
+      tb_minor_words = minor_words;
+      tb_live_words_per_cell = float_of_int live /. float_of_int cells;
+    }
+  in
+  Fmt.pr "%-16s %7d cells  build %8.2f ms  %9.0f minor words  %5.2f live \
+          words/cell@."
+    name cells (seconds *. 1000.0) minor_words r.tb_live_words_per_cell;
+  r
+
+let access_table () =
+  section "access_table: build, allocation and live words per cell";
+  let many =
+    match
+      Serve.Sysbuild.build
+        (Serve.Sysbuild.spec ~width:12 ~height:12 ~leons:60 "d695")
+    with
+    | Ok system -> system
+    | Error msg -> failwith msg
+  in
+  let builtins =
+    List.map
+      (fun (name, build) -> access_table_row name (build ()))
+      Experiments.builders
+  in
+  builtins @ [ access_table_row gated_table many ]
+
+(* ------------------------------------------------------------------ *)
 (* corpus:sweep — Domain-parallel testplan verification                *)
 
 module Corpus_lib = Nocplan_corpus
@@ -1176,7 +1239,7 @@ let json_points buf points =
   Buffer.add_char buf ']'
 
 let write_json path ~smoke ~figure1_seconds ~panels ~repeat ~shared
-    ~fault_rows ~detour ~corpus ~anneal ~placement ~backend =
+    ~fault_rows ~detour ~tables ~corpus ~anneal ~placement ~backend =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "{\n  \"schema\": \"nocplan-bench/1\",\n";
   Printf.bprintf buf "  \"smoke\": %b,\n" smoke;
@@ -1251,6 +1314,17 @@ let write_json path ~smoke ~figure1_seconds ~panels ~repeat ~shared
     detour.dc_faults detour.dc_xy_seconds detour.dc_detour_seconds
     detour.dc_degrade_seconds
     (detour.dc_detour_seconds /. detour.dc_xy_seconds);
+  Buffer.add_string buf "  \"access_table\": [\n";
+  List.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      Printf.bprintf buf
+        "    {\"system\": \"%s\", \"cells\": %d, \"build_ms\": %.3f, \
+         \"minor_words\": %.0f, \"live_words_per_cell\": %.2f}"
+        (json_escape r.tb_system) r.tb_cells (r.tb_seconds *. 1000.0)
+        r.tb_minor_words r.tb_live_words_per_cell)
+    tables;
+  Buffer.add_string buf "\n  ],\n";
   (match corpus with
   | Some c ->
       Printf.bprintf buf
@@ -1318,7 +1392,8 @@ let write_json path ~smoke ~figure1_seconds ~panels ~repeat ~shared
    by tier-1 tests.  A gated timing regresses when it exceeds the
    baseline's by BOTH [gate_tolerance_pct] and an absolute 50 ms slack
    (sub-tenth-second kernels jitter).  The in-run ratio floors compare
-   two measurements of the same run, so they need no baseline.
+   two measurements of the same run, and the access-table cap is a
+   live-heap count, so they need no baseline.
    NOCPLAN_BENCH_GATE=off skips the gate (for machines unrelated to
    the one that recorded the baseline). *)
 let gate_tolerance_pct = 25.0
@@ -1331,8 +1406,8 @@ let race_overhead_slack_s = 0.001
 
 let gated_experiments = [ "A7:optimality_gap"; "A12:annealing"; "anneal:placement" ]
 
-let run_gate ~baseline_path ~figure1_seconds ~repeat ~shared ~corpus ~backend
-    =
+let run_gate ~baseline_path ~figure1_seconds ~repeat ~shared ~tables ~corpus
+    ~backend =
   match Sys.getenv_opt "NOCPLAN_BENCH_GATE" with
   | Some "off" ->
       Fmt.pr "@.gate: skipped (NOCPLAN_BENCH_GATE=off)@.";
@@ -1401,6 +1476,16 @@ let run_gate ~baseline_path ~figure1_seconds ~repeat ~shared ~corpus ~backend
                 Fmt.pr "gate: %-24s %.4f s (bound %.4f s) ok@."
                   ("race " ^ r.bk_system) r.bk_race_seconds bound)
             backend;
+          (match List.find_opt (fun r -> r.tb_system = gated_table) tables with
+          | None -> fail "access table: %s was not measured" gated_table
+          | Some r ->
+              if r.tb_live_words_per_cell > max_live_words_per_cell then
+                fail "access table %s: %.2f live words per cell (cap %.0f)"
+                  r.tb_system r.tb_live_words_per_cell max_live_words_per_cell
+              else
+                Fmt.pr "gate: %-24s %.2f live words/cell (cap %.0f) ok@."
+                  ("table " ^ r.tb_system) r.tb_live_words_per_cell
+                  max_live_words_per_cell);
           (* Repeat-traffic floors: coalescing must beat its own
              uncoalesced (deadline-carrying) twin, and throughput must
              hold the 10x margin over the PR-5 request path (18 req/s
@@ -1551,16 +1636,17 @@ let () =
         fault_availability ~smoke:!smoke systems)
   in
   let detour = timed "fault:detour_overhead" detour_overhead in
+  let tables = timed "access_table" access_table in
   let corpus =
     timed "corpus:sweep" (fun () -> corpus_testplan_sweep ~smoke:!smoke)
   in
   write_json !json_path ~smoke:!smoke ~figure1_seconds ~panels ~repeat
-    ~shared ~fault_rows ~detour ~corpus ~anneal ~placement ~backend;
+    ~shared ~fault_rows ~detour ~tables ~corpus ~anneal ~placement ~backend;
   match !gate_path with
   | None -> ()
   | Some baseline_path ->
       if
         not
-          (run_gate ~baseline_path ~figure1_seconds ~repeat ~shared ~corpus
-             ~backend)
+          (run_gate ~baseline_path ~figure1_seconds ~repeat ~shared ~tables
+             ~corpus ~backend)
       then exit 1

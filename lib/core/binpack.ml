@@ -1,17 +1,9 @@
-module Noc = Nocplan_noc
 module Trace = Nocplan_obs.Trace
 
 let log_src =
   Logs.Src.create "nocplan.binpack" ~doc:"Bin-packing scheduler decisions"
 
 module Log = (val Logs.src_log log_src)
-
-(* One packed rectangle candidate: the pair it sits on and its cost. *)
-type candidate = {
-  cd_source : Resource.endpoint;
-  cd_sink : Resource.endpoint;
-  cd_cost : Test_access.cost;
-}
 
 let ensure_table ?access system ~application =
   match access with
@@ -23,16 +15,16 @@ let ensure_table ?access system ~application =
       t
   | None -> Test_access.table ~application system
 
-(* The latest opening time among the candidate's gated channels, or
-   the shelf start when none are gated: the first shelf instant this
-   rectangle may occupy. *)
-let gate_ready gates links ~start =
-  List.fold_left
-    (fun acc l ->
+(* The latest opening time among the gated channels of the cell's
+   path, or the shelf start when none are gated: the first shelf
+   instant this rectangle may occupy. *)
+let gate_ready gates table ~row ~src ~snk ~start =
+  Test_access.fold_path_ix table ~row ~src ~snk
+    (fun acc l _ ->
       match Hashtbl.find_opt gates l with
       | Some t -> max acc t
       | None -> acc)
-    start links
+    start
 
 let pack ?access system (config : Scheduler.config) =
   let application = config.application and reuse = config.reuse in
@@ -41,6 +33,7 @@ let pack ?access system (config : Scheduler.config) =
   let table = ensure_table ?access system ~application in
   let endpoints = Array.of_list (Resource.all_endpoints system ~reuse) in
   let n_ep = Array.length endpoints in
+  let tix = Array.map (Test_access.endpoint_id table) endpoints in
   (* Self-test gates: a channel may not carry test traffic before its
      ready time.  Duplicate listings keep the latest time, matching
      the event-driven engine's conservative reading. *)
@@ -75,17 +68,17 @@ let pack ?access system (config : Scheduler.config) =
      achievable over any feasible pair.  A module with no feasible
      pair at all can never be packed, whatever the shelf. *)
   let min_duration id =
+    let row = Test_access.module_row table id in
     let best = ref max_int in
     for i = 0 to n_ep - 1 do
       for j = 0 to n_ep - 1 do
-        let source = endpoints.(i) and sink = endpoints.(j) in
         if
-          Resource.valid_pair ~source ~sink
-          && Test_access.table_feasible table ~module_id:id ~source ~sink
-        then begin
-          let c = Test_access.table_cost table ~module_id:id ~source ~sink in
-          if c.Test_access.duration < !best then best := c.Test_access.duration
-        end
+          Resource.valid_pair ~source:endpoints.(i) ~sink:endpoints.(j)
+          && Test_access.feasible_ix table ~row ~src:tix.(i) ~snk:tix.(j)
+        then
+          best :=
+            min !best
+              (Test_access.duration_ix table ~row ~src:tix.(i) ~snk:tix.(j))
       done
     done;
     if !best = max_int then
@@ -111,93 +104,87 @@ let pack ?access system (config : Scheduler.config) =
     (* One shelf: every test starts at [!now] on pairwise-disjoint
        endpoints and channels, under the running power sum. *)
     let used_ep = Array.make n_ep false in
-    let used_links = ref Noc.Link.Set.empty in
+    let used_chans = Array.make (Test_access.channel_count table) false in
+    let free chans = Array.for_all (fun c -> not used_chans.(c)) chans in
     let power_used = ref 0.0 in
     let placed = ref [] in
     let rest = ref [] in
     List.iter
       (fun id ->
+        let row = Test_access.module_row table id in
         (* Best-fit within the shelf: the admissible pair minimizing
            the rectangle height, then the narrowest footprint, then
            endpoint indices for determinism. *)
-        let best = ref None in
+        let best_i = ref (-1) and best_j = ref (-1) in
+        let best_duration = ref max_int and best_width = ref max_int in
         for i = 0 to n_ep - 1 do
           for j = 0 to n_ep - 1 do
             if not (used_ep.(i) || used_ep.(j)) then begin
               let source = endpoints.(i) and sink = endpoints.(j) in
+              let src = tix.(i) and snk = tix.(j) in
               if
                 Resource.valid_pair ~source ~sink
                 && endpoint_ready source ~now:!now
                 && endpoint_ready sink ~now:!now
-                && Test_access.table_feasible table ~module_id:id ~source
-                     ~sink
+                && Test_access.feasible_ix table ~row ~src ~snk
+                && (match config.power_limit with
+                   | None -> true
+                   | Some limit ->
+                       !power_used +. Test_access.power_ix table ~row ~src ~snk
+                       <= limit)
+                && free (Test_access.source_channels_ix table ~row ~src)
+                && free (Test_access.sink_channels_ix table ~row ~snk)
+                && (Hashtbl.length gates = 0
+                   || gate_ready gates table ~row ~src ~snk ~start:!now <= !now)
               then begin
-                let c =
-                  Test_access.table_cost table ~module_id:id ~source ~sink
-                in
-                let fits_power =
-                  match config.power_limit with
-                  | None -> true
-                  | Some limit -> !power_used +. c.Test_access.power <= limit
-                in
-                let links_free =
-                  List.for_all
-                    (fun l -> not (Noc.Link.Set.mem l !used_links))
-                    c.Test_access.links
-                in
-                let gates_open =
-                  gate_ready gates c.Test_access.links ~start:!now <= !now
-                in
-                if fits_power && links_free && gates_open then
-                  let width = List.length c.Test_access.links in
-                  let better =
-                    match !best with
-                    | None -> true
-                    | Some (_, bc) ->
-                        c.Test_access.duration < bc.cd_cost.Test_access.duration
-                        || (c.Test_access.duration
-                              = bc.cd_cost.Test_access.duration
-                           && width < List.length bc.cd_cost.Test_access.links)
-                  in
-                  if better then
-                    best :=
-                      Some ((i, j), { cd_source = source; cd_sink = sink;
-                                      cd_cost = c })
+                let duration = Test_access.duration_ix table ~row ~src ~snk in
+                let width = Test_access.link_count_ix table ~row ~src ~snk in
+                if
+                  duration < !best_duration
+                  || (duration = !best_duration && width < !best_width)
+                then begin
+                  best_i := i;
+                  best_j := j;
+                  best_duration := duration;
+                  best_width := width
+                end
               end
             end
           done
         done;
-        match !best with
-        | None -> rest := id :: !rest
-        | Some ((i, j), cd) ->
-            used_ep.(i) <- true;
-            used_ep.(j) <- true;
-            List.iter
-              (fun l -> used_links := Noc.Link.Set.add l !used_links)
-              cd.cd_cost.Test_access.links;
-            power_used := !power_used +. cd.cd_cost.Test_access.power;
-            let finish = !now + cd.cd_cost.Test_access.duration in
-            let entry =
-              {
-                Schedule.module_id = id;
-                source = cd.cd_source;
-                sink = cd.cd_sink;
-                start = !now;
-                finish;
-                power = cd.cd_cost.Test_access.power;
-                links = cd.cd_cost.Test_access.links;
-              }
-            in
-            entries := entry :: !entries;
-            placed := entry :: !placed;
-            (* A packed processor self-test releases its endpoint to
-               every shelf opening at or after its finish. *)
-            if System.processor_of_module system id <> None then
-              Hashtbl.replace proc_ready id finish;
-            Log.debug (fun m ->
-                m "shelf %d (t=%d): module %d on %a -> %a (finish %d)"
-                  !shelves !now id Resource.pp cd.cd_source Resource.pp
-                  cd.cd_sink finish))
+        if !best_i < 0 then rest := id :: !rest
+        else begin
+          let i = !best_i and j = !best_j in
+          let source = endpoints.(i) and sink = endpoints.(j) in
+          let src = tix.(i) and snk = tix.(j) in
+          let links, chans = Test_access.path_ix table ~row ~src ~snk in
+          let power = Test_access.power_ix table ~row ~src ~snk in
+          used_ep.(i) <- true;
+          used_ep.(j) <- true;
+          Array.iter (fun c -> used_chans.(c) <- true) chans;
+          power_used := !power_used +. power;
+          let finish = !now + !best_duration in
+          let entry =
+            {
+              Schedule.module_id = id;
+              source;
+              sink;
+              start = !now;
+              finish;
+              power;
+              links;
+            }
+          in
+          entries := entry :: !entries;
+          placed := entry :: !placed;
+          (* A packed processor self-test releases its endpoint to
+             every shelf opening at or after its finish. *)
+          if System.processor_of_module system id <> None then
+            Hashtbl.replace proc_ready id finish;
+          Log.debug (fun m ->
+              m "shelf %d (t=%d): module %d on %a -> %a (finish %d)"
+                !shelves !now id Resource.pp source Resource.pp sink finish)
+        end)
       !remaining;
     (match !placed with
     | [] ->

@@ -1,4 +1,3 @@
-module Link = Nocplan_noc.Link
 module Processor = Nocplan_proc.Processor
 
 type result = { schedule : Schedule.t; exact : bool; nodes : int }
@@ -84,12 +83,15 @@ let order_search ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
       }
 
 (* Endpoint availability in a search node: [None] means not yet in the
-   pool (untested processor). *)
-type slot = { endpoint : Resource.endpoint; avail : int option }
+   pool (untested processor).  [ix] is the endpoint's table index. *)
+type slot = { endpoint : Resource.endpoint; ix : int; avail : int option }
+
+(* A committed test and the channel ids its path books. *)
+type placed = { entry : Schedule.entry; chans : int array }
 
 type node = {
   time : int;
-  committed : Schedule.entry list;
+  committed : placed list;
   committed_makespan : int;
   pending : int list;
   slots : slot list;
@@ -98,14 +100,13 @@ type node = {
 let overlapping (a : Schedule.entry) ~start ~finish =
   a.Schedule.start < finish && start < a.Schedule.finish
 
-let links_free committed links ~start ~finish =
-  let link_set = Link.Set.of_list links in
+(* No committed test overlapping the window books a channel of the
+   candidate, whose channels are those marked [stamp]. *)
+let links_free committed ~marks ~stamp ~start ~finish =
   List.for_all
-    (fun (e : Schedule.entry) ->
-      (not (overlapping e ~start ~finish))
-      || List.for_all
-           (fun l -> not (Link.Set.mem l link_set))
-           e.Schedule.links)
+    (fun p ->
+      (not (overlapping p.entry ~start ~finish))
+      || Array.for_all (fun c -> marks.(c) <> stamp) p.chans)
     committed
 
 let power_fits committed ~limit ~start ~finish ~power =
@@ -115,7 +116,7 @@ let power_fits committed ~limit ~start ~finish ~power =
       (* The instantaneous sum changes only at entry starts. *)
       let at time =
         List.fold_left
-          (fun acc (e : Schedule.entry) ->
+          (fun acc { entry = e; _ } ->
             if e.Schedule.start <= time && time < e.Schedule.finish then
               acc +. e.Schedule.power
             else acc)
@@ -124,7 +125,7 @@ let power_fits committed ~limit ~start ~finish ~power =
       let candidates =
         start
         :: List.filter_map
-             (fun (e : Schedule.entry) ->
+             (fun { entry = e; _ } ->
                if e.Schedule.start > start && e.Schedule.start < finish then
                  Some e.Schedule.start
                else None)
@@ -138,30 +139,33 @@ let schedule ?(application = Processor.Bist) ?(power_limit = None)
   (* One precomputed access table serves every node of the search (and
      the greedy incumbent seed below). *)
   let access = Test_access.table ~application system in
-  let cost module_id source sink =
-    Test_access.table_cost access ~module_id ~source ~sink
-  in
   (* Cheapest possible duration of each module over all valid pairs:
      the lower-bound ingredient. *)
+  let ids = List.map (Test_access.endpoint_id access) endpoints in
   let best_duration_cache = Hashtbl.create 32 in
   let best_duration module_id =
     match Hashtbl.find_opt best_duration_cache module_id with
     | Some d -> d
     | None ->
+        let row = Test_access.module_row access module_id in
         let d =
           List.fold_left
-            (fun acc source ->
+            (fun acc src ->
               List.fold_left
-                (fun acc sink ->
-                  if Resource.valid_pair ~source ~sink then
-                    min acc (cost module_id source sink).Test_access.duration
-                  else acc)
-                acc endpoints)
-            max_int endpoints
+                (fun acc snk ->
+                  let d = Test_access.duration_ix access ~row ~src ~snk in
+                  if d >= 0 then min acc d else acc)
+                acc ids)
+            max_int ids
         in
         Hashtbl.add best_duration_cache module_id d;
         d
   in
+  (* Channel marks of the candidate being probed: [links_free] compares
+     channel ids, never links. *)
+  let marks = Array.make (Test_access.channel_count access) (-1) in
+  let stamp = ref (-1) in
+  let mark chans = Array.iter (fun c -> marks.(c) <- !stamp) chans in
   (* Seed the incumbent with the greedy solution. *)
   let incumbent =
     ref
@@ -196,7 +200,8 @@ let schedule ?(application = Processor.Bist) ?(power_limit = None)
     if !nodes > max_nodes then exact := false
     else if node.pending = [] then begin
       if node.committed_makespan < !incumbent.Schedule.makespan then
-        incumbent := Schedule.of_entries node.committed
+        incumbent :=
+          Schedule.of_entries (List.map (fun p -> p.entry) node.committed)
     end
     else if lower_bound node < !incumbent.Schedule.makespan then begin
       (* Moves: start any pending core on any feasible idle pair now. *)
@@ -208,34 +213,45 @@ let schedule ?(application = Processor.Bist) ?(power_limit = None)
       let moves =
         List.concat_map
           (fun module_id ->
+            let row = Test_access.module_row access module_id in
             List.concat_map
               (fun src ->
                 List.filter_map
                   (fun snk ->
-                    if
-                      not
-                        (Test_access.table_feasible access ~module_id
-                           ~source:src.endpoint ~sink:snk.endpoint)
+                    let i = src.ix and j = snk.ix in
+                    if not (Test_access.feasible_ix access ~row ~src:i ~snk:j)
                     then None
                     else
-                      let c = cost module_id src.endpoint snk.endpoint in
-                      let finish = node.time + c.Test_access.duration in
+                      let finish =
+                        node.time
+                        + Test_access.duration_ix access ~row ~src:i ~snk:j
+                      in
+                      let power = Test_access.power_ix access ~row ~src:i ~snk:j in
+                      incr stamp;
+                      mark (Test_access.source_channels_ix access ~row ~src:i);
+                      mark (Test_access.sink_channels_ix access ~row ~snk:j);
                       if
-                        links_free node.committed c.Test_access.links
+                        links_free node.committed ~marks ~stamp:!stamp
                           ~start:node.time ~finish
                         && power_fits node.committed ~limit:power_limit
-                             ~start:node.time ~finish
-                             ~power:c.Test_access.power
+                             ~start:node.time ~finish ~power
                       then
+                        let links, chans =
+                          Test_access.path_ix access ~row ~src:i ~snk:j
+                        in
                         Some
                           {
-                            Schedule.module_id;
-                            source = src.endpoint;
-                            sink = snk.endpoint;
-                            start = node.time;
-                            finish;
-                            power = c.Test_access.power;
-                            links = c.Test_access.links;
+                            entry =
+                              {
+                                Schedule.module_id;
+                                source = src.endpoint;
+                                sink = snk.endpoint;
+                                start = node.time;
+                                finish;
+                                power;
+                                links;
+                              };
+                            chans;
                           }
                       else None)
                   idle)
@@ -245,16 +261,16 @@ let schedule ?(application = Processor.Bist) ?(power_limit = None)
       (* Explore promising moves first: shortest completion. *)
       let moves =
         List.sort
-          (fun (a : Schedule.entry) b ->
-            Int.compare a.Schedule.finish b.Schedule.finish)
+          (fun a b -> Int.compare a.entry.Schedule.finish b.entry.Schedule.finish)
           moves
       in
       List.iter
-        (fun (entry : Schedule.entry) ->
+        (fun p ->
+          let entry = p.entry in
           let child =
             {
               time = node.time;
-              committed = entry :: node.committed;
+              committed = p :: node.committed;
               committed_makespan =
                 max node.committed_makespan entry.Schedule.finish;
               pending =
@@ -282,13 +298,13 @@ let schedule ?(application = Processor.Bist) ?(power_limit = None)
     end
   in
   let initial_slots =
-    List.map
-      (fun endpoint ->
+    List.map2
+      (fun endpoint ix ->
         match endpoint with
         | Resource.External_in _ | Resource.External_out _ ->
-            { endpoint; avail = Some 0 }
-        | Resource.Processor _ -> { endpoint; avail = None })
-      endpoints
+            { endpoint; ix; avail = Some 0 }
+        | Resource.Processor _ -> { endpoint; ix; avail = None })
+      endpoints ids
   in
   explore
     {

@@ -76,27 +76,42 @@ let via m lookup direct =
         ->
           direct ())
 
-(* A session is priced directly for its own pattern count; a full test
-   through the model. *)
-let cost_of m e = function
-  | Some patterns ->
-      Test_access.cost ~patterns m.system ~application:m.application
+(* The links of an entry against the model's, as sets: the fallback
+   when they are not in the model's order. *)
+let same_link_set a b = Link.Set.equal (Link.Set.of_list a) (Link.Set.of_list b)
+let same_links a b = List.equal Link.equal a b || same_link_set a b
+
+(* The model's duration and power for one interval, and whether its
+   links are the model's path.  A session is priced directly for its
+   own pattern count; a full test through the model, where a table
+   answers from its cell's scalars and walks the entry's links against
+   the cell's two legs in place. *)
+let priced m e patterns =
+  let direct () =
+    let c =
+      Test_access.cost ?patterns m.system ~application:m.application
         ~module_id:e.module_id ~source:e.source ~sink:e.sink
+    in
+    (c.Test_access.duration, c.Test_access.power,
+     same_links e.links c.Test_access.links)
+  in
+  match patterns with
+  | Some _ -> direct ()
   | None ->
       via m
         (fun tbl ->
-          Test_access.table_cost tbl ~module_id:e.module_id ~source:e.source
-            ~sink:e.sink)
-        (fun () ->
-          Test_access.cost m.system ~application:m.application
-            ~module_id:e.module_id ~source:e.source ~sink:e.sink)
-
-(* Planners copy the model's link list, so physical equality settles
-   almost every entry. *)
-let same_links a b =
-  a == b
-  || List.equal Link.equal a b
-  || Link.Set.equal (Link.Set.of_list a) (Link.Set.of_list b)
+          let row = Test_access.module_row tbl e.module_id
+          and src = Test_access.endpoint_id tbl e.source
+          and snk = Test_access.endpoint_id tbl e.sink in
+          let duration = Test_access.duration_ix tbl ~row ~src ~snk in
+          if duration < 0 then
+            invalid_arg "Schedule.check: invalid source/sink pair";
+          ( duration,
+            Test_access.power_ix tbl ~row ~src ~snk,
+            Test_access.links_match_ix tbl ~row ~src ~snk e.links
+            || same_link_set e.links
+                 (fst (Test_access.path_ix tbl ~row ~src ~snk)) ))
+        direct
 
 (* Every module of the plan is tested exactly once, or — for sessions —
    by intervals whose pattern counts sum to the module's; nothing
@@ -150,16 +165,11 @@ let check_interval add m ~start_time ~gates ~reusable ~ready (e, patterns) =
             add (Link_not_ready { entry = e; link = l; ready })
         | Some _ | None -> ())
       e.links;
-  (match cost_of m e patterns with
-  | c ->
-      if
-        e.finish - e.start <> c.Test_access.duration
-        || not (Float.equal e.power c.Test_access.power)
-      then
-        add
-          (Wrong_cost
-             { entry = e; expected_duration = c.Test_access.duration });
-      if not (same_links e.links c.Test_access.links) then add (Wrong_links e)
+  (match priced m e patterns with
+  | duration, power, links_ok ->
+      if e.finish - e.start <> duration || not (Float.equal e.power power)
+      then add (Wrong_cost { entry = e; expected_duration = duration });
+      if not links_ok then add (Wrong_links e)
   | exception Invalid_argument _ -> add (Invalid_pair e));
   (match
      via m

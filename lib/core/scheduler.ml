@@ -50,8 +50,7 @@ let not_pooled = -1
 (* One committed test, with enough context to replay it without a
    candidate search or an [is_free] revalidation: the slot indices it
    occupied, the position of its module in the evaluated order, and
-   the channel ids it booked (shared with the access table, never
-   mutated). *)
+   the channel ids it booked (built at commit, never mutated). *)
 type commit = {
   c_entry : Schedule.entry;
   c_src : int;
@@ -375,29 +374,41 @@ let set_avail e i time =
 (* Whether every channel of the candidate's path has passed its
    self-test by [now].  Gate times are static, so a closed gate only
    delays the pair — the sentinel events keep the loop advancing. *)
-let gates_open e ~now links =
-  Hashtbl.length e.e_gates = 0
-  || List.for_all
-       (fun l ->
-         match Hashtbl.find_opt e.e_gates l with
-         | Some ready -> ready <= now
-         | None -> true)
-       links
+let gates_open e ~now ~row ~src ~snk =
+  Test_access.fold_path_ix e.e_table ~row ~src ~snk
+    (fun ok l _ ->
+      ok
+      &&
+      match Hashtbl.find_opt e.e_gates l with
+      | Some ready -> ready <= now
+      | None -> true)
+    true
 
+(* The probe reads the cell's scalars and its two legs' channel arrays:
+   the path is free iff both legs are, so the union is built only when
+   the pair commits.  Power is read only under a limit, so an
+   unconstrained probe boxes no float. *)
 let try_commit e ~now module_id row i j =
+  let t = e.e_table in
   let src = e.e_tix.(i) and snk = e.e_tix.(j) in
-  let c = Test_access.cost_ix e.e_table ~row ~src ~snk in
-  let channels = Test_access.channels_ix e.e_table ~row ~src ~snk in
-  let finish = now + c.Test_access.duration in
+  let finish = now + Test_access.duration_ix t ~row ~src ~snk in
   if
-    gates_open e ~now c.Test_access.links
-    && Reservation.is_free e.e_calendar channels ~start:now ~finish
-    && Power_monitor.fits e.e_monitor ~start:now ~finish
-         ~power:c.Test_access.power
+    (Hashtbl.length e.e_gates = 0 || gates_open e ~now ~row ~src ~snk)
+    && Reservation.is_free e.e_calendar
+         (Test_access.source_channels_ix t ~row ~src)
+         ~start:now ~finish
+    && Reservation.is_free e.e_calendar
+         (Test_access.sink_channels_ix t ~row ~snk)
+         ~start:now ~finish
+    && (Option.is_none (Power_monitor.limit e.e_monitor)
+       || Power_monitor.fits e.e_monitor ~start:now ~finish
+            ~power:(Test_access.power_ix t ~row ~src ~snk))
   then begin
+    let power = Test_access.power_ix t ~row ~src ~snk in
+    let links, channels = Test_access.path_ix t ~row ~src ~snk in
     Reservation.reserve e.e_calendar ~owner:module_id channels ~start:now
       ~finish;
-    Power_monitor.add e.e_monitor ~start:now ~finish ~power:c.Test_access.power;
+    Power_monitor.add e.e_monitor ~start:now ~finish ~power;
     set_avail e i finish;
     set_avail e j finish;
     let entry =
@@ -407,8 +418,8 @@ let try_commit e ~now module_id row i j =
         sink = e.e_endpoints.(j);
         start = now;
         finish;
-        power = c.Test_access.power;
-        links = c.Test_access.links;
+        power;
+        links;
       }
     in
     e.e_committed <- entry :: e.e_committed;
@@ -419,7 +430,7 @@ let try_commit e ~now module_id row i j =
     Log.debug (fun m ->
         m "t=%d: start module %d on %a -> %a (finish %d, power %.1f)" now
           module_id Resource.pp e.e_endpoints.(i) Resource.pp e.e_endpoints.(j)
-          finish c.Test_access.power);
+          finish power);
     if Trace.enabled () then
       Trace.instant "scheduler.commit"
         ~attrs:
@@ -429,7 +440,7 @@ let try_commit e ~now module_id row i j =
             ("sink", Trace.String (Fmt.str "%a" Resource.pp e.e_endpoints.(j)));
             ("start", Trace.Int now);
             ("finish", Trace.Int finish);
-            ("power", Trace.Float c.Test_access.power);
+            ("power", Trace.Float power);
           ];
     (* A freshly tested reusable processor joins the pool when its
        test completes. *)
@@ -565,8 +576,7 @@ let walk e ~now module_id row =
           Pair_walk.create ~n:e.e_n (fun ~src ~snk ->
               let src = tix.(src) and snk = tix.(snk) in
               if Test_access.feasible_ix e.e_table ~row ~src ~snk then
-                (Test_access.cost_ix e.e_table ~row ~src ~snk)
-                  .Test_access.duration
+                Test_access.duration_ix e.e_table ~row ~src ~snk
               else -1)
         in
         e.e_walks.(row) <- Some w;
@@ -605,20 +615,17 @@ let all_candidates e ~row =
           e.e_avail.(j) <> not_pooled
           && Test_access.feasible_ix e.e_table ~row ~src:e.e_tix.(i)
                ~snk:e.e_tix.(j)
-        then begin
-          let c =
-            Test_access.cost_ix e.e_table ~row ~src:e.e_tix.(i)
-              ~snk:e.e_tix.(j)
-          in
+        then
           acc :=
             {
               d_i = i;
               d_j = j;
               d_ready = max e.e_avail.(i) e.e_avail.(j);
-              d_dur = c.Test_access.duration;
+              d_dur =
+                Test_access.duration_ix e.e_table ~row ~src:e.e_tix.(i)
+                  ~snk:e.e_tix.(j);
             }
             :: !acc
-        end
       done
   done;
   !acc

@@ -108,28 +108,38 @@ let sink_leg system ~flits_out sink ~hops:hops_out =
 
 (* The cost of one (source, sink) pair from its two legs and the three
    facts about their paths taken together: whether they share a
-   channel, the union of their links and the distinct routers. *)
-let combine_legs system ~m ~shift_cycles ~pattern_count sleg kleg ~shared
-    ~links ~routers =
-  (* If the two paths share a channel, the stimulus and response
-     streams serialize on it and their occupancies add up. *)
+   channel, the union of their links and the distinct routers.  The
+   table stores the three scalars of a cell, so they are computed
+   apart. *)
+
+(* If the two paths share a channel, the stimulus and response streams
+   serialize on it and their occupancies add up. *)
+let per_pattern_of ~shift_cycles sleg kleg ~shared =
   let transport =
     if shared then sleg.transport_in + kleg.transport_out
     else max sleg.transport_in kleg.transport_out
   in
-  let per_pattern =
-    max shift_cycles transport + sleg.gen_overhead + kleg.sink_overhead
-  in
-  let duration =
-    sleg.src_setup + kleg.sink_setup + sleg.fill_in + kleg.fill_out
-    + (pattern_count * per_pattern)
-    + kleg.drain
-  in
-  let power =
-    m.Module_def.test_power +. sleg.src_power +. kleg.sink_power
-    +. Power.stream_power system.System.noc_power ~routers
-  in
-  { duration; power; links; routers; per_pattern }
+  max shift_cycles transport + sleg.gen_overhead + kleg.sink_overhead
+
+let duration_of ~pattern_count sleg kleg ~per_pattern =
+  sleg.src_setup + kleg.sink_setup + sleg.fill_in + kleg.fill_out
+  + (pattern_count * per_pattern)
+  + kleg.drain
+
+let power_of system ~m sleg kleg ~routers =
+  m.Module_def.test_power +. sleg.src_power +. kleg.sink_power
+  +. Power.stream_power system.System.noc_power ~routers
+
+let combine_legs system ~m ~shift_cycles ~pattern_count sleg kleg ~shared
+    ~links ~routers =
+  let per_pattern = per_pattern_of ~shift_cycles sleg kleg ~shared in
+  {
+    duration = duration_of ~pattern_count sleg kleg ~per_pattern;
+    power = power_of system ~m sleg kleg ~routers;
+    links;
+    routers;
+    per_pattern;
+  }
 
 (* The single-pair reference: sets and lists straight from the two XY
    routes, independent of the table's merge walk. *)
@@ -293,11 +303,15 @@ type table = {
   feasible_bits : bool array;  (** row-major [module][source][sink] *)
   route_bits : bool array;  (** row-major [module][source][sink] *)
   memory_bits : bool array;  (** row-major [module][source] *)
-  costs : cost option array;  (** [None] on an invalid source/sink pair *)
-  channels : int array array;
-      (** row-major [module][source][sink]: the dense channel ids of
-          the pair's path links (empty on an invalid pair), numbered
-          per table for the {!Nocplan_noc.Reservation} calendar *)
+  durations : int array;
+      (** row-major [module][source][sink]: the pair's duration, [-1]
+          when it has no cost (an invalid pair, or a leg the route
+          function found no path for).  The three arrays below are
+          meaningful only where it is nonnegative; a cell's links and
+          channels are its two legs' *)
+  powers : Float.Array.t;
+  routers : int array;
+  per_patterns : int array;
   channel_ids : (Link.t, int) Hashtbl.t;
       (** the dense numbering itself, link -> channel id in first-use
           order.  Kept so {!table_rebuild} and {!table_degrade} can
@@ -353,13 +367,13 @@ let channel t p i =
     c
   end
 
-(* One merge walk over a cell's two sorted link arrays: writes the union
-   in order, with its channel ids, into [links]/[chans] and returns its
-   length.  Links are numbered as the walk meets them, so first use
-   follows union order cell by cell.  The paths share a channel iff the
-   union is shorter than the two legs together.  A leg whose ids are
-   all known is only read, never written. *)
-let merge_links t a b ~links ~chans =
+(* The numbering walk of one cell: a merge over its two legs' sorted
+   link arrays that numbers each link as it meets it, so first use
+   follows union order cell by cell, and returns the union's length.
+   The paths share a channel iff the union is shorter than the two legs
+   together.  A leg whose ids are all known is only read, never
+   written. *)
+let number_union t a b =
   let la = Array.length a.links and lb = Array.length b.links in
   let i = ref 0 and j = ref 0 and k = ref 0 in
   while !i < la || !j < lb do
@@ -369,25 +383,24 @@ let merge_links t a b ~links ~chans =
       else Int.compare a.keys.(!i) b.keys.(!j)
     in
     if c <= 0 then begin
-      links.(!k) <- a.links.(!i);
-      chans.(!k) <- channel t a !i;
+      let ch = channel t a !i in
       if c = 0 then begin
-        if b.chans.(!j) < 0 then b.chans.(!j) <- chans.(!k);
+        if b.chans.(!j) < 0 then b.chans.(!j) <- ch;
         incr j
       end;
       incr i
     end
     else begin
-      links.(!k) <- b.links.(!j);
-      chans.(!k) <- channel t b !j;
+      ignore (channel t b !j : int);
       incr j
     end;
     incr k
   done;
   !k
 
-(* Distinct routers across two sorted tile-rank arrays. *)
-let distinct_tiles a b =
+(* Distinct values across two sorted int arrays: a cell's routers from
+   its legs' tile ranks, its links from their keys. *)
+let distinct a b =
   let la = Array.length a and lb = Array.length b in
   let i = ref 0 and j = ref 0 and n = ref 0 in
   while !i < la && !j < lb do
@@ -449,16 +462,6 @@ let fill_cells t row ~redo_in ~redo_out =
   in
   let in_route_ok = Array.map leg_ok in_paths in
   let out_route_ok = Array.map leg_ok out_paths in
-  (* Scratch for one cell's merged links, sized for the longest pair. *)
-  let longest paths =
-    Array.fold_left
-      (fun acc ->
-        Option.fold ~none:acc ~some:(fun p -> max acc (Array.length p.links)))
-      0 paths
-  in
-  let room = longest in_paths + longest out_paths in
-  let links = Array.make room (Link.Inject s.cut) in
-  let chans = Array.make room 0 in
   let base = row * n * n in
   for si = 0 to n - 1 do
     let source = endpoints.(si) in
@@ -471,28 +474,27 @@ let fill_cells t row ~redo_in ~redo_out =
         if Resource.valid_pair ~source ~sink then begin
           match (source_legs.(si), sink_legs.(ki)) with
           | Some (sleg, pin), Some (kleg, pout) ->
-              let u = merge_links t pin pout ~links ~chans in
-              let union = ref [] in
-              for k = u - 1 downto 0 do
-                union := links.(k) :: !union
-              done;
-              t.costs.(idx) <-
-                Some
-                  (combine_legs system ~m:s.def ~shift_cycles:s.shift_cycles
-                     ~pattern_count sleg kleg
-                     ~shared:
-                       (u < Array.length pin.links + Array.length pout.links)
-                     ~links:!union
-                     ~routers:(distinct_tiles pin.tiles pout.tiles));
-              t.channels.(idx) <- Array.sub chans 0 u;
+              let shared =
+                number_union t pin pout
+                < Array.length pin.links + Array.length pout.links
+              in
+              let routers = distinct pin.tiles pout.tiles in
+              let per_pattern =
+                per_pattern_of ~shift_cycles:s.shift_cycles sleg kleg ~shared
+              in
+              t.durations.(idx) <-
+                duration_of ~pattern_count sleg kleg ~per_pattern;
+              Float.Array.set t.powers idx
+                (power_of system ~m:s.def sleg kleg ~routers);
+              t.routers.(idx) <- routers;
+              t.per_patterns.(idx) <- per_pattern;
               t.feasible_bits.(idx) <-
                 route_ok && t.memory_bits.((row * n) + si)
           | _ ->
               (* A leg is unreachable under the custom router: the
                  pair has no path, hence no cost.  Explicit resets so
                  refilled rows forget their previous state. *)
-              t.costs.(idx) <- None;
-              t.channels.(idx) <- [||];
+              t.durations.(idx) <- -1;
               t.feasible_bits.(idx) <- false
         end
       end
@@ -583,8 +585,10 @@ let table ?(application = Processor.Bist) ?route system =
       feasible_bits = Array.make cells false;
       route_bits = Array.make cells false;
       memory_bits = Array.make (rows * n) false;
-      costs = Array.make (max 1 cells) None;
-      channels = Array.make (max 1 cells) [||];
+      durations = Array.make cells (-1);
+      powers = Float.Array.make cells 0.0;
+      routers = Array.make cells 0;
+      per_patterns = Array.make cells 0;
       channel_ids = Hashtbl.create 64;
     }
   in
@@ -607,8 +611,10 @@ let copy_for base ~system ~route =
     feasible_bits = Array.copy base.feasible_bits;
     route_bits = Array.copy base.route_bits;
     memory_bits = Array.copy base.memory_bits;
-    costs = Array.copy base.costs;
-    channels = Array.copy base.channels;
+    durations = Array.copy base.durations;
+    powers = Float.Array.copy base.powers;
+    routers = Array.copy base.routers;
+    per_patterns = Array.copy base.per_patterns;
     channel_ids = Hashtbl.copy base.channel_ids;
   }
 
@@ -782,17 +788,111 @@ let module_row t module_id =
         (Printf.sprintf "Test_access.module_row: unknown module %d" module_id)
 
 let row_count t = Array.length t.shapes
+let cell_count t = Array.length t.durations
+let channel_count t = Hashtbl.length t.channel_ids
+let cell t ~row ~src ~snk = (row * t.width * t.width) + (src * t.width) + snk
+let feasible_ix t ~row ~src ~snk = t.feasible_bits.(cell t ~row ~src ~snk)
+let duration_ix t ~row ~src ~snk = t.durations.(cell t ~row ~src ~snk)
+let power_ix t ~row ~src ~snk = Float.Array.get t.powers (cell t ~row ~src ~snk)
 
-let feasible_ix t ~row ~src ~snk =
-  t.feasible_bits.((row * t.width * t.width) + (src * t.width) + snk)
+(* A row's leg at an endpoint; a leg with no path stands in as the
+   empty one. *)
+let no_path = { links = [||]; keys = [||]; chans = [||]; tiles = [||]; hops = 0 }
+
+let leg t legs ~row i =
+  match legs.((row * t.width) + i) with Some p -> p | None -> no_path
+
+let source_channels_ix t ~row ~src = (leg t t.in_legs ~row src).chans
+let sink_channels_ix t ~row ~snk = (leg t t.out_legs ~row snk).chans
+
+(* Refuse a cell with no cost: its legs make no path. *)
+let check_cost t ~row ~src ~snk =
+  if duration_ix t ~row ~src ~snk < 0 then
+    invalid_arg "Test_access: the source/sink pair has no cost"
+
+(* [f acc link channel] over a cell's path in union order: the two
+   legs' sorted arrays merged, a link both legs cross visited once. *)
+let fold_path_ix t ~row ~src ~snk f init =
+  check_cost t ~row ~src ~snk;
+  let a = leg t t.in_legs ~row src and b = leg t t.out_legs ~row snk in
+  let la = Array.length a.links and lb = Array.length b.links in
+  let acc = ref init and i = ref 0 and j = ref 0 in
+  while !i < la || !j < lb do
+    let c =
+      if !i = la then 1
+      else if !j = lb then -1
+      else Int.compare a.keys.(!i) b.keys.(!j)
+    in
+    if c <= 0 then begin
+      acc := f !acc a.links.(!i) a.chans.(!i);
+      if c = 0 then incr j;
+      incr i
+    end
+    else begin
+      acc := f !acc b.links.(!j) b.chans.(!j);
+      incr j
+    end
+  done;
+  !acc
+
+let link_count_ix t ~row ~src ~snk =
+  check_cost t ~row ~src ~snk;
+  distinct (leg t t.in_legs ~row src).keys (leg t t.out_legs ~row snk).keys
+
+let links_match_ix t ~row ~src ~snk links =
+  match
+    fold_path_ix t ~row ~src ~snk
+      (fun rest l _ ->
+        match rest with
+        | x :: rest when x == l || Link.equal x l -> rest
+        | _ -> raise_notrace Exit)
+      links
+  with
+  | [] -> true
+  | _ :: _ | (exception Exit) -> false
+
+(* The union walked from the top down, so the list is consed in
+   order and the channel array filled from its end. *)
+let path_ix t ~row ~src ~snk =
+  check_cost t ~row ~src ~snk;
+  let a = leg t t.in_legs ~row src and b = leg t t.out_legs ~row snk in
+  let u = distinct a.keys b.keys in
+  let chans = Array.make u 0 and links = ref [] in
+  let i = ref (Array.length a.links - 1) and j = ref (Array.length b.links - 1) in
+  for k = u - 1 downto 0 do
+    let c =
+      if !i < 0 then -1
+      else if !j < 0 then 1
+      else Int.compare a.keys.(!i) b.keys.(!j)
+    in
+    if c >= 0 then begin
+      links := a.links.(!i) :: !links;
+      chans.(k) <- a.chans.(!i);
+      if c = 0 then decr j;
+      decr i
+    end
+    else begin
+      links := b.links.(!j) :: !links;
+      chans.(k) <- b.chans.(!j);
+      decr j
+    end
+  done;
+  (!links, chans)
 
 let cost_ix t ~row ~src ~snk =
-  match t.costs.((row * t.width * t.width) + (src * t.width) + snk) with
-  | Some c -> c
-  | None -> invalid_arg "Test_access.cost_ix: invalid source/sink pair"
+  let links, _ = path_ix t ~row ~src ~snk in
+  let idx = cell t ~row ~src ~snk in
+  {
+    duration = t.durations.(idx);
+    power = Float.Array.get t.powers idx;
+    links;
+    routers = t.routers.(idx);
+    per_pattern = t.per_patterns.(idx);
+  }
 
 let channels_ix t ~row ~src ~snk =
-  t.channels.((row * t.width * t.width) + (src * t.width) + snk)
+  if duration_ix t ~row ~src ~snk < 0 then [||]
+  else snd (path_ix t ~row ~src ~snk)
 
 let table_feasible t ~module_id ~source ~sink =
   feasible_ix t ~row:(module_row t module_id) ~src:(endpoint_id t source)

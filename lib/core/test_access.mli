@@ -106,6 +106,18 @@ val memory_feasible :
     is where reuse sweeps, annealing and branch-and-bound spend their
     time.
 
+    {b Cells hold numbers, legs hold paths.}  A cell (module, source,
+    sink) stores four scalars in flat arrays — duration ([-1] when the
+    pair has no cost), power (unboxed), distinct routers and cycles per
+    pattern — plus its feasibility and route bits.  The paths live
+    once per (module, endpoint) {e leg}: the stimulus leg endpoint ->
+    CUT and the response leg CUT -> endpoint, each with its sorted
+    links and their channel ids.  A cell's links are the union of its
+    two legs, walked in {!Nocplan_noc.Link.compare} order on demand
+    ({!cost_ix}, {!path_ix}, {!fold_path_ix}); nothing per cell holds
+    a list or an array.  On d695 with 60 Leons on a 12×12 mesh (269k
+    cells) a table holds about 9 live words per cell.
+
     A table is immutable after construction, so it is safe to share
     across OCaml domains (e.g. {!Planner.reuse_sweep}'s fan-out). *)
 
@@ -254,14 +266,72 @@ val module_row : table -> int -> int
 val row_count : table -> int
 (** Number of module rows: {!module_row} ranges over [0 .. row_count - 1]. *)
 
+val cell_count : table -> int
+(** Cells in the table: rows × endpoints². *)
+
 val feasible_ix : table -> row:int -> src:int -> snk:int -> bool
+
+val duration_ix : table -> row:int -> src:int -> snk:int -> int
+(** The cell's duration, read from its array: [-1] when the pair has
+    no cost (an invalid pair, or a leg without a path). *)
+
+val power_ix : table -> row:int -> src:int -> snk:int -> float
+(** The cell's power; meaningful only where {!duration_ix} is
+    nonnegative. *)
+
 val cost_ix : table -> row:int -> src:int -> snk:int -> cost
+(** The cell as a {!cost} record, built on demand: its scalars and the
+    union of its legs' links.
+    @raise Invalid_argument on a pair with no cost. *)
+
+val fold_path_ix :
+  table ->
+  row:int ->
+  src:int ->
+  snk:int ->
+  ('a -> Nocplan_noc.Link.t -> int -> 'a) ->
+  'a ->
+  'a
+(** [fold_path_ix t ~row ~src ~snk f init] folds [f acc link channel]
+    over the links of {!cost_ix} in their order, with their channel
+    ids, by a merge walk of the two legs: it builds no list.
+    @raise Invalid_argument on a pair with no cost. *)
+
+val link_count_ix : table -> row:int -> src:int -> snk:int -> int
+(** [List.length (cost_ix ...).links], without building the list.
+    @raise Invalid_argument on a pair with no cost. *)
+
+val links_match_ix :
+  table -> row:int -> src:int -> snk:int -> Nocplan_noc.Link.t list -> bool
+(** Whether the list is the links of {!cost_ix}, in order, checked
+    without allocating.  [false] for the same links in another order.
+    @raise Invalid_argument on a pair with no cost. *)
+
+val path_ix :
+  table -> row:int -> src:int -> snk:int -> Nocplan_noc.Link.t list * int array
+(** The links of {!cost_ix} and their channel ids ({!channels_ix}), in
+    one walk, both freshly allocated — what a committed test keeps.
+    @raise Invalid_argument on a pair with no cost. *)
 
 val channels_ix : table -> row:int -> src:int -> snk:int -> int array
-(** Dense channel ids of the links of [cost_ix] (empty on an invalid
-    pair): the key set the {!Nocplan_noc.Reservation} calendar indexes
-    by.  Ids are assigned per table, so a calendar must only ever be
-    queried with channels of one table — the scheduler ties both to
-    one engine. *)
+(** Dense channel ids of the links of [cost_ix] (empty on a pair with
+    no cost), built on demand: the key set the
+    {!Nocplan_noc.Reservation} calendar indexes by.  Ids are assigned
+    per table in first-use order (cells row-major, each cell's links in
+    order), so a calendar must only ever be queried with channels of
+    one table — the scheduler ties both to one engine. *)
+
+val source_channels_ix : table -> row:int -> src:int -> int array
+val sink_channels_ix : table -> row:int -> snk:int -> int array
+(** The channel ids of one leg: source endpoint -> CUT, and CUT -> sink
+    endpoint.  A cell's channels are the union of its two legs', so
+    its window is free iff both legs' windows are — the scheduler
+    probes with these and never builds the union.  The arrays belong
+    to the table: callers must not mutate them.  Complete only for the
+    legs of cells with a cost ({!duration_ix} nonnegative); empty for
+    a leg with no path. *)
+
+val channel_count : table -> int
+(** Channel ids in use: every id of {!channels_ix} is below it. *)
 
 val pp_cost : cost Fmt.t

@@ -4,6 +4,7 @@ module Noc = Nocplan_noc
 
 let version = 1
 let max_mesh_tiles = 4096
+let max_table_cells = Sysbuild.max_table_cells
 
 let fields =
   [

@@ -78,6 +78,8 @@
     [reuse], [max_reuse] or [at], [power_pct <= 0], [placement_moves]
     outside [0, 1], [width] or [height] below 1, negative [leons] or
     [plasmas], a [width * height] mesh above {!max_mesh_tiles}, a
+    [leons] or [plasmas] count whose access table would exceed
+    {!max_table_cells} (refused before any processor is built), a
     [reuse] above the system's processor count on an op that reads it,
     an unknown [backend], a malformed or out-of-mesh fault target),
     [unschedulable] (the planner proved the instance infeasible),
@@ -122,6 +124,18 @@ val max_mesh_tiles : int
     whose [width * height] exceeds it is refused as [invalid] before any
     system is built (the largest builtin mesh is 4x4, corpus meshes are
     smaller still). *)
+
+val max_table_cells : int
+(** The largest access table a request may call for, in cells:
+    1,000,000 ({!Sysbuild.max_table_cells}).  A system assembled from
+    a corpus benchmark or an inline [soc] has
+    [(modules + leons + plasmas) * (2 + leons + plasmas)^2] cells, and
+    a cell costs about 9 live words, so the cap holds one table to
+    about 75 MB; the table cache keeps up to 8.  A request above it is
+    refused as [invalid] naming [leons] or [plasmas], before any
+    processor, mesh or table is built: ["leons": 1000000] is answered
+    at once.  d695 with 60 Leons needs 269,080 cells and is accepted;
+    roughly 95 Leons is the most a small SoC takes. *)
 
 val fields : string list
 (** Every request field name, ["v"] and ["id"] included.  A request

@@ -255,8 +255,9 @@ let backend_schedule t entry config backend =
    into the response envelope (coalesced deliveries included). *)
 let execute t (p : Protocol.planning) ~check =
   check ();
-  match Trace.span "serve.build" (fun () -> Sysbuild.build p.spec) with
-  | Error msg -> Error (Protocol.Parse, msg)
+  match Trace.span "serve.build" (fun () -> Sysbuild.resolve p.spec) with
+  | Error (Sysbuild.Unresolved msg) -> Error (Protocol.Parse, msg)
+  | Error (Sysbuild.Too_large msg) -> Error (Protocol.Invalid, msg)
   | Ok system -> (
       check ();
       let entry, hit =

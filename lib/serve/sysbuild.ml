@@ -61,20 +61,69 @@ let assemble ~soc ~width ~height ~leons ~plasmas =
   Core.System.build ~soc ~topology ~processors ~io_inputs:[ input ]
     ~io_outputs:[ output ] ()
 
-let build s =
+(* About 75 MB of table at the ~9 live words a cell holds (measured on
+   d695 with 60 Leons, 269k cells). *)
+let max_table_cells = 1_000_000
+
+type error = Unresolved of string | Too_large of string
+
+let error_message = function Unresolved msg | Too_large msg -> msg
+
+(* The access table of an assembled system has one row per module
+   (processors included) and one column per endpoint pair: the two IO
+   ports and every processor.  Negative counts are left to [assemble]'s
+   own error.  A single count above the cap already implies more cells
+   than the cap, so it is refused before the sum; below it the sum
+   cannot overflow, and the integer divisions keep the product from
+   doing so. *)
+let check_size s ~soc =
+  if s.leons < 0 || s.plasmas < 0 then Ok ()
+  else
+    let too_large =
+      s.leons > max_table_cells || s.plasmas > max_table_cells
+      ||
+      let procs = s.leons + s.plasmas in
+      let rows = Itc02.Soc.module_count soc + procs
+      and endpoints = 2 + procs in
+      endpoints > max_table_cells / endpoints
+      || rows > max_table_cells / (endpoints * endpoints)
+    in
+    if not too_large then Ok ()
+    else
+      let field =
+        match (s.leons, s.plasmas) with
+        | _, 0 when s.leons > 0 -> {|field "leons"|}
+        | 0, _ when s.plasmas > 0 -> {|field "plasmas"|}
+        | 0, 0 -> {|field "soc"|}
+        | _ -> {|fields "leons" and "plasmas"|}
+      in
+      Error
+        (Too_large
+           (Printf.sprintf
+              "%s: %d Leons and %d Plasmas need more than %d access-table \
+               cells ((modules + processors) x (2 + processors)^2)"
+              field s.leons s.plasmas max_table_cells))
+
+let resolve s =
   let assemble_soc soc =
-    match
-      assemble ~soc ~width:s.width ~height:s.height ~leons:s.leons
-        ~plasmas:s.plasmas
-    with
-    | system -> Ok system
-    | exception Invalid_argument msg -> Error msg
+    match check_size s ~soc with
+    | Error _ as e -> e
+    | Ok () -> (
+        match
+          assemble ~soc ~width:s.width ~height:s.height ~leons:s.leons
+            ~plasmas:s.plasmas
+        with
+        | system -> Ok system
+        | exception Invalid_argument msg -> Error (Unresolved msg))
   in
   match s.soc_text with
   | Some text -> (
       match Itc02.Parser.parse text with
       | Ok soc -> assemble_soc soc
-      | Error e -> Error (Fmt.str "inline description: %a" Itc02.Parser.pp_error e))
+      | Error e ->
+          Error
+            (Unresolved
+               (Fmt.str "inline description: %a" Itc02.Parser.pp_error e)))
   | None -> (
       match builtin_system s.system with
       | Some system -> Ok system
@@ -83,9 +132,13 @@ let build s =
           | Some soc -> assemble_soc soc
           | None ->
               Error
-                (Fmt.str
-                   "%s is neither a builtin system (%s) nor a corpus \
-                    benchmark (%s)"
-                   s.system
-                   (String.concat ", " (List.map fst Core.Experiments.builders))
-                   (String.concat ", " Itc02.Benchmarks.names))))
+                (Unresolved
+                   (Fmt.str
+                      "%s is neither a builtin system (%s) nor a corpus \
+                       benchmark (%s)"
+                      s.system
+                      (String.concat ", "
+                         (List.map fst Core.Experiments.builders))
+                      (String.concat ", " Itc02.Benchmarks.names)))))
+
+let build s = Result.map_error error_message (resolve s)

@@ -49,7 +49,31 @@ val assemble :
     assembly convention.  @raise Invalid_argument on bad dimensions or
     negative processor counts. *)
 
-val build : spec -> (Nocplan_core.System.t, string) result
+val max_table_cells : int
+(** The largest access table a spec may call for: 1,000,000 cells,
+    about 75 MB at the ~9 live words a cell holds
+    ({!Nocplan_core.Test_access}).  An assembled system's table has
+    [(modules + leons + plasmas) * (2 + leons + plasmas)^2] cells; d695
+    with 60 Leons needs 269,080, and no builtin system more than 4,000. *)
+
+type error =
+  | Unresolved of string
+      (** no builtin system or corpus benchmark by that name, a
+          malformed inline description, or a mesh the processors do
+          not fit *)
+  | Too_large of string
+      (** the system's access table would exceed {!max_table_cells};
+          the message names the processor fields *)
+
+val error_message : error -> string
+
+val resolve : spec -> (Nocplan_core.System.t, error) result
 (** Resolve a spec: inline description if present, else builtin
     system, else corpus benchmark.  All constructor errors are
-    reported as [Error]. *)
+    reported as [Error].  A spec whose table would exceed
+    {!max_table_cells} is refused before any processor, mesh or table
+    is created; a count above the cap on its own is refused before any
+    arithmetic on it, and a negative count is [Unresolved]. *)
+
+val build : spec -> (Nocplan_core.System.t, string) result
+(** {!resolve} with the error as its message. *)

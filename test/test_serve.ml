@@ -389,6 +389,71 @@ let test_service_rejects_bad_capacities () =
       ("cache_capacity -1", fun () -> Serve.Service.create ~cache_capacity:(-1) ());
     ]
 
+(* A processor count whose access table would exceed the cap answers
+   [invalid] naming the field, before any processor or table is built;
+   the largest counts under it still resolve. *)
+let test_service_table_cap () =
+  let service = Serve.Service.create ~workers:1 () in
+  let refused line field_name =
+    let resp = parse_response (Serve.Service.request service line) in
+    let error = field "error" resp in
+    Alcotest.(check bool) (line ^ " kind") true
+      (field "kind" error = Json.String "invalid");
+    match field "message" error with
+    | Json.String msg ->
+        if not (String.starts_with ~prefix:field_name msg) then
+          Alcotest.failf "%s: message %S does not name %s" line msg field_name
+    | _ -> Alcotest.fail "message is not a string"
+  in
+  refused {|{"op": "plan", "system": "d695", "leons": 1000000}|}
+    {|field "leons"|};
+  refused {|{"op": "sweep", "system": "d695", "plasmas": 96}|}
+    {|field "plasmas"|};
+  refused {|{"op": "plan", "system": "d695", "leons": 50, "plasmas": 46}|}
+    {|fields "leons" and "plasmas"|};
+  (* Counts whose sum or square would overflow are refused before any
+     arithmetic on them. *)
+  refused
+    (Printf.sprintf {|{"op": "plan", "system": "d695", "leons": %d}|} max_int)
+    {|field "leons"|};
+  refused
+    (Printf.sprintf
+       {|{"op": "plan", "system": "d695", "leons": %d, "plasmas": %d}|}
+       max_int max_int)
+    {|fields "leons" and "plasmas"|};
+  Serve.Service.shutdown service;
+  Alcotest.(check int) "cap" 1_000_000 Serve.Protocol.max_table_cells;
+  let resolves spec =
+    match Serve.Sysbuild.resolve spec with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Serve.Sysbuild.error_message e)
+  in
+  (* d695 has 10 modules: 60 Leons need 70 x 62^2 = 269,080 cells, 95
+     need 105 x 97^2 = 987,945 and 96 need 1,018,024. *)
+  resolves (Serve.Sysbuild.spec ~width:12 ~height:12 ~leons:60 "d695");
+  resolves (Serve.Sysbuild.spec ~leons:95 "d695");
+  (match Serve.Sysbuild.resolve (Serve.Sysbuild.spec ~leons:96 "d695") with
+  | Error (Serve.Sysbuild.Too_large _) -> ()
+  | Error (Serve.Sysbuild.Unresolved msg) -> Alcotest.failf "unresolved: %s" msg
+  | Ok _ -> Alcotest.fail "96 Leons on d695 accepted");
+  (* Negative counts (the CLI passes them through unchecked) keep
+     [assemble]'s error instead of reaching the size arithmetic. *)
+  List.iter
+    (fun spec ->
+      match Serve.Sysbuild.resolve spec with
+      | Error (Serve.Sysbuild.Unresolved msg) ->
+          Alcotest.(check string)
+            "message" "Sysbuild.assemble: negative processor count" msg
+      | Error (Serve.Sysbuild.Too_large msg) ->
+          Alcotest.failf "too large: %s" msg
+      | Ok _ -> Alcotest.fail "negative count accepted")
+    [
+      Serve.Sysbuild.spec ~leons:(-2) "d695";
+      Serve.Sysbuild.spec ~leons:(-3) "d695";
+      Serve.Sysbuild.spec ~plasmas:(-1) "d695";
+      Serve.Sysbuild.spec ~leons:max_int ~plasmas:(-1) "d695";
+    ]
+
 let test_service_unschedulable_kind () =
   let service = Serve.Service.create ~workers:1 () in
   let resp =
@@ -1667,6 +1732,7 @@ let suite =
       test_queue_drains_after_close;
     Alcotest.test_case "protocol validation" `Quick test_protocol_validation;
     Alcotest.test_case "protocol mesh fields" `Quick test_protocol_mesh_fields;
+    Alcotest.test_case "service table cap" `Quick test_service_table_cap;
     Alcotest.test_case "protocol string fields" `Quick
       test_protocol_string_fields;
     Alcotest.test_case "protocol fault fields" `Quick

@@ -298,6 +298,29 @@ let test_table_allocation_budget () =
       ("p93791_leon", Core.Experiments.p93791_leon, 1_000_000.);
     ]
 
+let test_table_live_words_per_cell () =
+  (* Live heap of one many-endpoint table after a full collection, per
+     cell: the cells hold scalars in flat arrays and only the
+     per-(module, endpoint) legs hold paths.  A cell holding an option
+     record, a boxed power, a links list and a channel array came to
+     89.6 words here; the flat layout measures 9.2. *)
+  let sys =
+    Result.get_ok
+      (Nocplan_serve.Sysbuild.build
+         (Nocplan_serve.Sysbuild.spec ~width:12 ~height:12 ~leons:60 "d695"))
+  in
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let t = Test_access.table sys in
+  Gc.compact ();
+  let after = (Gc.stat ()).Gc.live_words in
+  let cells = Test_access.cell_count t in
+  Alcotest.(check int) "cells" (70 * 62 * 62) cells;
+  let per_cell = float_of_int (after - before) /. float_of_int cells in
+  if per_cell > 12.0 then
+    Alcotest.failf "table holds %.1f live words per cell, budget 12" per_cell;
+  ignore (Sys.opaque_identity t)
+
 (* --- table fallback paths ------------------------------------------ *)
 
 (* The same modules as [small_soc] under ids no table of the standard
@@ -431,6 +454,8 @@ let suite =
     prop_cost_well_formed;
     Alcotest.test_case "table allocation budget" `Quick
       test_table_allocation_budget;
+    Alcotest.test_case "table live words per cell" `Slow
+      test_table_live_words_per_cell;
     prop_table_matches_cost;
     prop_corpus_table_matches_cost;
     prop_fault_free_detour_table_is_xy;

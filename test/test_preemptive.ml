@@ -7,6 +7,7 @@ module System = Core.System
 module Soc = Nocplan_itc02.Soc
 module Module_def = Nocplan_itc02.Module_def
 module Proc = Nocplan_proc
+module Corpus = Nocplan_corpus.Corpus
 
 let validate ?(application = Proc.Processor.Bist) ?(power_limit = None)
     ~reuse sys plan =
@@ -20,19 +21,66 @@ let assert_valid ?application ?power_limit ~reuse sys plan =
         (Fmt.list ~sep:Fmt.comma Schedule.pp_violation)
         vs
 
-let test_one_session_equals_greedy () =
-  (* With max_sessions = 1 the preemptive engine degenerates to the
-     paper's greedy scheduler. *)
-  let sys = small_system () in
-  let greedy = Scheduler.run sys (Scheduler.config ~reuse:1 ()) in
-  let plan =
-    Preemptive.schedule sys (Preemptive.config ~max_sessions:1 ~reuse:1 ())
+(* With max_sessions = 1 the preemptive engine degenerates to the
+   paper's greedy scheduler: the same entries, field for field — module,
+   pair, start, finish, power and links — each session applying the
+   module's whole pattern set. *)
+let check_one_session_equals_greedy ~label ?(power_limit = None) ~reuse sys =
+  let greedy =
+    match Scheduler.run sys (Scheduler.config ~power_limit ~reuse ()) with
+    | s -> Some s
+    | exception Scheduler.Unschedulable _ -> None
   in
-  Alcotest.(check int) "same makespan" greedy.Schedule.makespan
-    plan.Preemptive.makespan;
-  Alcotest.(check int) "one session per module"
-    (List.length greedy.Schedule.entries)
-    (List.length plan.Preemptive.sessions)
+  let plan =
+    match
+      Preemptive.schedule sys
+        (Preemptive.config ~power_limit ~max_sessions:1 ~reuse ())
+    with
+    | p -> Some p
+    | exception Scheduler.Unschedulable _ -> None
+  in
+  match (greedy, plan) with
+  | None, None -> ()
+  | Some _, None | None, Some _ ->
+      Alcotest.failf "%s: only one of the two is unschedulable" label
+  | Some greedy, Some plan ->
+      Alcotest.(check int) (label ^ ": makespan") greedy.Schedule.makespan
+        plan.Preemptive.makespan;
+      let entry (s : Preemptive.session) =
+        let m = Soc.find sys.System.soc s.Preemptive.module_id in
+        Alcotest.(check int)
+          (Printf.sprintf "%s: module %d whole pattern set" label
+             s.Preemptive.module_id)
+          m.Module_def.patterns s.Preemptive.patterns;
+        {
+          Schedule.module_id = s.Preemptive.module_id;
+          source = s.Preemptive.source;
+          sink = s.Preemptive.sink;
+          start = s.Preemptive.start;
+          finish = s.Preemptive.finish;
+          power = s.Preemptive.power;
+          links = s.Preemptive.links;
+        }
+      in
+      Alcotest.(check bool) (label ^ ": entries equal") true
+        (greedy.Schedule.entries = List.map entry plan.Preemptive.sessions)
+
+let test_one_session_equals_greedy () =
+  check_one_session_equals_greedy ~label:"small" ~reuse:1 (small_system ());
+  List.iter
+    (fun (item : Corpus.item) ->
+      check_one_session_equals_greedy ~label:item.Corpus.name
+        ~power_limit:item.Corpus.power_limit ~reuse:item.Corpus.reuse
+        item.Corpus.system)
+    (Corpus.generate ~seed:7L ~count:100);
+  List.iter
+    (fun (name, sys) ->
+      for reuse = 0 to List.length sys.System.processors do
+        check_one_session_equals_greedy
+          ~label:(Printf.sprintf "%s reuse %d" name reuse)
+          ~reuse sys
+      done)
+    (Core.Experiments.all ())
 
 let test_sessions_validate () =
   let sys = small_system () in

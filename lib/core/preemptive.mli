@@ -48,12 +48,13 @@ val config :
 (** Defaults: BIST, no power limit, [max_sessions = 3].
     @raise Invalid_argument if [max_sessions < 1]. *)
 
-val schedule : System.t -> config -> plan
-(** Greedy list scheduling over session chunks: each core's pattern
-    set is divided into up to [max_sessions] near-equal chunks; chunk
-    [k+1] becomes available when chunk [k] completes; each chunk picks
-    the first available feasible pair, exactly like the non-preemptive
-    greedy engine.
+val schedule : ?access:Test_access.table -> System.t -> config -> plan
+(** Greedy list scheduling over session chunks, on the greedy engine
+    ({!Scheduler.run_sessions}): each core's pattern set is divided
+    into up to [max_sessions] near-equal chunks; chunk [k+1] becomes
+    available when chunk [k] completes; each chunk picks the first
+    available feasible pair, exactly like the non-preemptive greedy
+    engine.  [access] is shared as in {!Scheduler.run}.
     @raise Scheduler.Unschedulable when no progress is possible. *)
 
 val validate :

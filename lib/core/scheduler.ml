@@ -149,6 +149,14 @@ type cands = {
   b_tmp : int array;
 }
 
+(* The preemptive session chunks of one module ({!run_sessions}). *)
+type chunk = {
+  k_patterns : int;  (* the module's whole pattern set *)
+  mutable k_left : int list;  (* pattern counts of the chunks still to run *)
+  mutable k_ready : int;  (* finish of the last committed chunk *)
+  mutable k_done : (Schedule.entry * int) list;  (* with pattern counts *)
+}
+
 (* The full mutable state of one evaluation, snapshotted implicitly by
    the commit log: every field below is a pure function of the commit
    prefix applied so far, which is what makes [resume] possible. *)
@@ -174,6 +182,7 @@ type engine = {
   e_gates : (Nocplan_noc.Link.t, int) Hashtbl.t;
   e_cands : cands;
   e_walks : Pair_walk.t option array;  (* per table row, built on first use *)
+  e_chunks : (int, chunk) Hashtbl.t option;  (* by module; [None]: plain run *)
   mutable e_now : int;
   mutable e_committed : Schedule.entry list;
   mutable e_commits : commit list;  (* reversed chronological log *)
@@ -306,7 +315,7 @@ let build_arena ~table system config =
     a_walks = Array.make (Test_access.row_count table) None;
   }
 
-let make_engine ?workspace ~table system config order =
+let make_engine ?workspace ?chunks ~table system config order =
   let cfg = { config with order = None } in
   let arena =
     match workspace with
@@ -354,6 +363,7 @@ let make_engine ?workspace ~table system config order =
       e_gates = gates;
       e_cands = arena.a_cands;
       e_walks = arena.a_walks;
+      e_chunks = chunks;
       e_attempts = 0;
       e_skipped = 0;
       e_scanned = 0;
@@ -384,6 +394,31 @@ let gates_open e ~now ~row ~src ~snk =
       | None -> true)
     true
 
+(* A test's duration on the pair: the cell's, or that of its module's
+   next session chunk of [p] patterns, which pays setup, fills and
+   drain in full and [p] of the cell's patterns.  [try_commit] and the
+   decision log both read it here. *)
+let duration e module_id ~row ~src ~snk =
+  let d = Test_access.duration_ix e.e_table ~row ~src ~snk in
+  match e.e_chunks with
+  | None -> d
+  | Some chunks ->
+      let c = Hashtbl.find chunks module_id in
+      let cut = c.k_patterns - List.hd c.k_left in
+      d - (cut * Test_access.per_pattern_ix e.e_table ~row ~src ~snk)
+
+(* Log a commit as its module's next session chunk; whether the
+   module's test is now complete (always on a plain run). *)
+let chunk_committed e module_id entry =
+  match e.e_chunks with
+  | None -> true
+  | Some chunks ->
+      let c = Hashtbl.find chunks module_id in
+      c.k_done <- (entry, List.hd c.k_left) :: c.k_done;
+      c.k_left <- List.tl c.k_left;
+      c.k_ready <- entry.Schedule.finish;
+      c.k_left = []
+
 (* The probe reads the cell's scalars and its two legs' channel arrays:
    the path is free iff both legs are, so the union is built only when
    the pair commits.  Power is read only under a limit, so an
@@ -391,7 +426,7 @@ let gates_open e ~now ~row ~src ~snk =
 let try_commit e ~now module_id row i j =
   let t = e.e_table in
   let src = e.e_tix.(i) and snk = e.e_tix.(j) in
-  let finish = now + Test_access.duration_ix t ~row ~src ~snk in
+  let finish = now + duration e module_id ~row ~src ~snk in
   if
     (Hashtbl.length e.e_gates = 0 || gates_open e ~now ~row ~src ~snk)
     && Reservation.is_free e.e_calendar
@@ -443,13 +478,14 @@ let try_commit e ~now module_id row i j =
             ("power", Trace.Float power);
           ];
     (* A freshly tested reusable processor joins the pool when its
-       test completes. *)
+       test (its last session chunk) completes. *)
+    let tested = chunk_committed e module_id entry in
     (match System.processor_of_module e.e_system module_id with
-    | Some _ -> (
+    | Some _ when tested -> (
         match Hashtbl.find_opt e.e_proc_slot module_id with
         | Some k -> set_avail e k finish
         | None -> (* beyond the reuse horizon: tested but not reused *) ())
-    | None -> ());
+    | Some _ | None -> ());
     true
   end
   else false
@@ -606,7 +642,7 @@ type cand = { d_i : int; d_j : int; d_ready : int; d_dur : int }
    precisely a faster external pair that was busy at commit time, so
    the decision log must record what the policy refused to look at.
    Only built at the [Decisions] trace level. *)
-let all_candidates e ~row =
+let all_candidates e module_id ~row =
   let acc = ref [] in
   for i = e.e_n - 1 downto 0 do
     if e.e_avail.(i) <> not_pooled then
@@ -622,8 +658,7 @@ let all_candidates e ~row =
               d_j = j;
               d_ready = max e.e_avail.(i) e.e_avail.(j);
               d_dur =
-                Test_access.duration_ix e.e_table ~row ~src:e.e_tix.(i)
-                  ~snk:e.e_tix.(j);
+                duration e module_id ~row ~src:e.e_tix.(i) ~snk:e.e_tix.(j);
             }
             :: !acc
       done
@@ -664,7 +699,9 @@ let emit_decision e ~now module_id ~policy cands ~winner:(wi, wj) =
 let attempt e ~slots ~k ~now module_id =
   let row = Test_access.module_row e.e_table module_id in
   (* The decision log needs the pre-commit availability picture. *)
-  let shadow = if Trace.decisions () then Some (all_candidates e ~row) else None in
+  let shadow =
+    if Trace.decisions () then Some (all_candidates e module_id ~row) else None
+  in
   let committed =
     match e.e_config.policy with
     | Greedy -> select e ~now module_id row (fill_candidates e ~row slots k)
@@ -720,6 +757,16 @@ let event_loop e pending0 =
       committed
     end
   in
+  (* A module stays pending until its last session chunk commits, and
+     no chunk is tried before the previous one's finish: the release
+     time of the previous chunk's slots, already in the heap. *)
+  let tested ~now id =
+    match e.e_chunks with
+    | None -> start ~now id
+    | Some chunks ->
+        let c = Hashtbl.find chunks id in
+        c.k_ready <= now && start ~now id && c.k_left = []
+  in
   let pending = ref pending0 in
   let guard = ref 0 in
   while !pending <> [] do
@@ -728,7 +775,7 @@ let event_loop e pending0 =
       raise (Unschedulable "scheduler did not converge");
     if !stale then refresh ();
     if !idle_pair then
-      pending := List.filter (fun id -> not (start ~now:e.e_now id)) !pending
+      pending := List.filter (fun id -> not (tested ~now:e.e_now id)) !pending
     else e.e_skipped <- e.e_skipped + List.length !pending;
     if !pending <> [] then begin
       (* Advance to the next endpoint-release event: pop until a pair
@@ -774,7 +821,8 @@ let finish_trace e =
     t_monitor = e.e_monitor;
   }
 
-let run_traced ?workspace ?access system config =
+(* One engine run from scratch, under the [scheduler.run] span. *)
+let run_engine ?workspace ?access ?chunks system config =
   let go () =
     let table = resolve_table ?access ~application:config.application system in
     let wanted = wanted_modules system config in
@@ -791,12 +839,13 @@ let run_traced ?workspace ?access system config =
           order
     in
     let e =
-      make_engine ?workspace ~table system config (Array.of_list initial_order)
+      make_engine ?workspace ?chunks ~table system config
+        (Array.of_list initial_order)
     in
     event_loop e initial_order;
     e
   in
-  if not (Trace.enabled ()) then finish_trace (go ())
+  if not (Trace.enabled ()) then go ()
   else begin
     Trace.begin_span "scheduler.run"
       ~attrs:
@@ -806,23 +855,47 @@ let run_traced ?workspace ?access system config =
         ];
     match go () with
     | e ->
-        let tr = finish_trace e in
+        let makespan =
+          List.fold_left (fun m c -> max m c.Schedule.finish) 0 e.e_committed
+        in
         Trace.end_span "scheduler.run"
           ~attrs:
             [
-              ("makespan", Trace.Int tr.t_schedule.Schedule.makespan);
-              ("commits", Trace.Int (Array.length tr.t_commits));
+              ("makespan", Trace.Int makespan);
+              ("commits", Trace.Int (List.length e.e_commits));
               ("attempts", Trace.Int e.e_attempts);
               ("skipped", Trace.Int e.e_skipped);
               ("pairs_scanned", Trace.Int e.e_scanned);
             ];
-        tr
+        e
     | exception exn ->
         Trace.end_span "scheduler.run" ~attrs:[ ("raised", Trace.Bool true) ];
         raise exn
   end
 
+let run_traced ?workspace ?access system config =
+  finish_trace (run_engine ?workspace ?access system config)
+
 let run ?access system config = (run_traced ?access system config).t_schedule
+
+let run_sessions ?access system ~application ~power_limit ~reuse ~max_sessions =
+  if max_sessions < 1 then
+    invalid_arg "Scheduler.run_sessions: max_sessions must be >= 1";
+  let chunks = Hashtbl.create 64 in
+  List.iter
+    (fun id ->
+      let m = Nocplan_itc02.Soc.find system.System.soc id in
+      let patterns = m.Nocplan_itc02.Module_def.patterns in
+      (* Near-equal chunks of at least one pattern each. *)
+      let n = min max_sessions patterns in
+      let size i = (patterns / n) + if i < patterns mod n then 1 else 0 in
+      Hashtbl.replace chunks id
+        { k_patterns = patterns; k_left = List.init n size; k_ready = 0;
+          k_done = [] })
+    (System.module_ids system);
+  let config = config ~application ~power_limit ~reuse () in
+  ignore (run_engine ?access ~chunks system config);
+  Hashtbl.fold (fun _ c acc -> List.rev_append c.k_done acc) chunks []
 
 (* ------------------------------------------------------------------ *)
 (* Prefix resume                                                      *)

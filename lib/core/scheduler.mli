@@ -80,6 +80,26 @@ val run : ?access:Test_access.table -> System.t -> config -> Schedule.t
     @raise Invalid_argument if [reuse] is out of range, or if [access]
     was built for a different system or application. *)
 
+val run_sessions :
+  ?access:Test_access.table ->
+  System.t ->
+  application:Nocplan_proc.Processor.application ->
+  power_limit:float option ->
+  reuse:int ->
+  max_sessions:int ->
+  (Schedule.entry * int) list
+(** A {!Greedy} {!run} in {!Priority} order over preemptive session
+    chunks: each module's pattern set is split into at most
+    [max_sessions] near-equal chunks, run in order on any pairs.  A
+    chunk waits for the previous one to finish, and a processor joins
+    the pool only when its last chunk does.  A chunk of [p] of the
+    module's [P] patterns lasts the cell's duration less [P - p]
+    patterns ({!Test_access.per_pattern_ix}), with the cell's power and
+    links.  Returns every chunk with its pattern count, in no
+    particular order; emits the [scheduler.run] span.
+    @raise Unschedulable when the instance is infeasible.
+    @raise Invalid_argument if [max_sessions < 1], or as {!run}. *)
+
 type trace
 (** A completed evaluation together with its commit log: the evaluated
     order, every committed test in chronological order (tagged with

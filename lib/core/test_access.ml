@@ -794,6 +794,7 @@ let cell t ~row ~src ~snk = (row * t.width * t.width) + (src * t.width) + snk
 let feasible_ix t ~row ~src ~snk = t.feasible_bits.(cell t ~row ~src ~snk)
 let duration_ix t ~row ~src ~snk = t.durations.(cell t ~row ~src ~snk)
 let power_ix t ~row ~src ~snk = Float.Array.get t.powers (cell t ~row ~src ~snk)
+let per_pattern_ix t ~row ~src ~snk = t.per_patterns.(cell t ~row ~src ~snk)
 
 (* A row's leg at an endpoint; a leg with no path stands in as the
    empty one. *)

@@ -30,9 +30,9 @@ val cost :
   source:Resource.endpoint ->
   sink:Resource.endpoint ->
   cost
-(** [patterns] overrides the module's pattern count — used by the
-    preemptive scheduler to price a partial test session (the path
-    fill, setup and drain are paid per session).
+(** [patterns] overrides the module's pattern count: the price of a
+    partial test session (the path fill, setup and drain are paid per
+    session), which the validator checks preemptive sessions against.
     @raise Invalid_argument if the pair is not {!Resource.valid_pair},
     the module id is unknown, [patterns < 1], or an endpoint refers to
     a non-processor module. *)
@@ -278,6 +278,10 @@ val duration_ix : table -> row:int -> src:int -> snk:int -> int
 val power_ix : table -> row:int -> src:int -> snk:int -> float
 (** The cell's power; meaningful only where {!duration_ix} is
     nonnegative. *)
+
+val per_pattern_ix : table -> row:int -> src:int -> snk:int -> int
+(** The cell's cycles per pattern: a session of [p] of the module's [P]
+    patterns lasts [duration_ix - (P - p) * per_pattern_ix]. *)
 
 val cost_ix : table -> row:int -> src:int -> snk:int -> cost
 (** The cell as a {!cost} record, built on demand: its scalars and the

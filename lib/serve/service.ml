@@ -415,7 +415,7 @@ let execute t (p : Protocol.planning) ~check =
                     None )
             | Protocol.Preempt max_sessions ->
                 let plan =
-                  Core.Preemptive.schedule system
+                  Core.Preemptive.schedule ~access system
                     (Core.Preemptive.config ~application ~power_limit
                        ~max_sessions ~reuse ())
                 in

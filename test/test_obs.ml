@@ -429,6 +429,56 @@ let test_inline_ops_feed_latency () =
   | Some (Json.Obj _) -> ()
   | _ -> Alcotest.fail "latency lost after a planning request")
 
+(* A preempt solves on the engine over the request's cached access
+   table: one [scheduler.run] span inside [serve.solve], and no table
+   build once the table cache holds the system. *)
+let test_serve_preempt_traced () =
+  let service = Serve.Service.create ~workers:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
+  let preempt id =
+    let r =
+      response
+        (Printf.sprintf
+           {|{"id": %d, "op": "preempt", "system": "d695_leon", "reuse": 3, "max_sessions": 2}|}
+           id)
+        service
+    in
+    Alcotest.(check (option bool)) "preempt ok" (Some true)
+      (match Json.member "ok" r with Some (Json.Bool b) -> Some b | _ -> None)
+  in
+  preempt 1;
+  let c = Trace.collector ~capacity:100_000 () in
+  with_installed c (fun () -> preempt 2);
+  let events = Trace.events c in
+  let named name phase =
+    List.filter
+      (fun (e : Trace.event) -> e.name = name && e.phase = phase)
+      events
+  in
+  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped c);
+  Alcotest.(check int) "one scheduler.run span" 1
+    (List.length (named "scheduler.run" Trace.Begin));
+  Alcotest.(check int) "no access.table span on a cache hit" 0
+    (List.length (named "access.table" Trace.Begin));
+  match
+    ( named "serve.solve" Trace.Begin,
+      named "scheduler.run" Trace.Begin,
+      named "scheduler.run" Trace.End,
+      named "serve.solve" Trace.End )
+  with
+  | [ sb ], [ rb ], [ re ], [ se ] ->
+      Alcotest.(check bool) "scheduler.run inside serve.solve" true
+        (sb.Trace.seq < rb.Trace.seq && re.Trace.seq < se.Trace.seq);
+      Alcotest.(check string) "begin attrs"
+        "B scheduler.run policy=\"greedy\" reuse=3"
+        (Fmt.str "%a" Trace.pp_event rb);
+      List.iter
+        (fun attr ->
+          Alcotest.(check bool) (attr ^ " attr") true
+            (Trace.attr_int re attr <> None))
+        [ "makespan"; "commits"; "attempts"; "skipped"; "pairs_scanned" ]
+  | _ -> Alcotest.fail "expected one serve.solve and one scheduler.run span"
+
 (* --- explain -------------------------------------------------------- *)
 
 let test_explain_small_system () =
@@ -549,6 +599,8 @@ let suite =
       test_serve_prometheus_monotonic;
     Alcotest.test_case "inline ops feed the latency reservoir" `Quick
       test_inline_ops_feed_latency;
+    Alcotest.test_case "serve preempt traces one engine run" `Quick
+      test_serve_preempt_traced;
     Alcotest.test_case "explain on a small system" `Quick
       test_explain_small_system;
     Alcotest.test_case "explain finds the p22810 greedy anomaly" `Slow

@@ -188,6 +188,19 @@ let test_power_limited_plan () =
   in
   assert_valid ~power_limit ~reuse:1 sys plan
 
+let test_unschedulable_raises_engine_error () =
+  (* A limit below every test's power: the engine makes no progress. *)
+  let sys = small_system () in
+  match
+    Preemptive.schedule sys
+      (Preemptive.config ~power_limit:(Some 0.001) ~max_sessions:2 ~reuse:1 ())
+  with
+  | _ -> Alcotest.fail "expected Unschedulable"
+  | exception Scheduler.Unschedulable msg ->
+      Alcotest.(check bool) ("engine message: " ^ msg) true
+        (String.starts_with ~prefix:"no progress at t=0 with 4 cores pending"
+           msg)
+
 let prop_plans_always_valid =
   qcheck ~count:25 "preemptive plans validate on random systems"
     QCheck2.Gen.(pair system_gen (int_range 1 4))
@@ -229,6 +242,8 @@ let suite =
     Alcotest.test_case "validator: overlaps" `Quick
       test_validator_catches_overlap;
     Alcotest.test_case "power-limited plan" `Quick test_power_limited_plan;
+    Alcotest.test_case "unschedulable raises the engine error" `Quick
+      test_unschedulable_raises_engine_error;
     prop_plans_always_valid;
     prop_session_overhead_bounded;
   ]

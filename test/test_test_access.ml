@@ -276,6 +276,59 @@ let prop_fault_free_detour_table_is_xy =
             xy routed)
         applications)
 
+(* --- chunk prices --------------------------------------------------- *)
+
+(* The soundness of pricing preemptive session chunks from the table:
+   for every feasible cell and a random pattern count [p] in [[1, P]],
+   [duration_ix - (P - p) * per_pattern_ix] is the duration of
+   [Test_access.cost ~patterns:p], and that cost's power and links are
+   the full-pattern cell's. *)
+let chunk_prices_match sys ~rng =
+  List.iter
+    (fun application ->
+      let t = Test_access.table ~application sys in
+      List.iter
+        (fun ((module_id, source, sink), full, _, feasible) ->
+          match full with
+          | Some (full : Test_access.cost) when feasible ->
+              let row = Test_access.module_row t module_id in
+              let src = Test_access.endpoint_id t source
+              and snk = Test_access.endpoint_id t sink in
+              let patterns =
+                (Nocplan_itc02.Soc.find sys.System.soc module_id)
+                  .Nocplan_itc02.Module_def.patterns
+              in
+              let p = 1 + Random.State.int rng patterns in
+              let chunk =
+                Test_access.cost ~patterns:p sys ~application ~module_id ~source
+                  ~sink
+              in
+              let label what =
+                Fmt.str "module %d %a -> %a, %d of %d patterns: %s" module_id
+                  Resource.pp source Resource.pp sink p patterns what
+              in
+              Alcotest.(check int) (label "duration")
+                chunk.Test_access.duration
+                (Test_access.duration_ix t ~row ~src ~snk
+                - ((patterns - p) * Test_access.per_pattern_ix t ~row ~src ~snk));
+              Alcotest.(check bool) (label "power") true
+                (Int64.equal
+                   (Int64.bits_of_float chunk.Test_access.power)
+                   (Int64.bits_of_float full.Test_access.power));
+              Alcotest.(check bool) (label "links") true
+                (List.equal Link.equal chunk.Test_access.links
+                   full.Test_access.links)
+          | Some _ | None -> ())
+        (cells sys t))
+    applications
+
+let test_chunk_price_identity () =
+  let rng = Random.State.make [| 30 |] in
+  List.iter (fun (_, sys) -> chunk_prices_match sys ~rng) (Core.Experiments.all ());
+  List.iter
+    (fun item -> chunk_prices_match item.Nocplan_corpus.Corpus.system ~rng)
+    (Nocplan_corpus.Corpus.generate ~seed:7L ~count:25)
+
 (* --- allocation budget --------------------------------------------- *)
 
 let test_table_allocation_budget () =
@@ -452,6 +505,7 @@ let suite =
     Alcotest.test_case "sweep ignores mismatched table" `Quick
       test_sweep_ignores_mismatched_table;
     prop_cost_well_formed;
+    Alcotest.test_case "chunk price identity" `Quick test_chunk_price_identity;
     Alcotest.test_case "table allocation budget" `Quick
       test_table_allocation_budget;
     Alcotest.test_case "table live words per cell" `Slow

@@ -55,7 +55,8 @@ val schedule : ?access:Test_access.table -> System.t -> config -> plan
     available when chunk [k] completes; each chunk picks the first
     available feasible pair, exactly like the non-preemptive greedy
     engine.  [access] is shared as in {!Scheduler.run}.
-    @raise Scheduler.Unschedulable when no progress is possible. *)
+    @raise Scheduler.Unschedulable when no progress is possible.
+    @raise Invalid_argument as {!Scheduler.run_sessions}. *)
 
 val validate :
   System.t ->

@@ -312,8 +312,17 @@ let test_order_search_matches_brute_force () =
   in
   Alcotest.(check int) "optimal over orders"
     brute r.Exhaustive.schedule.Schedule.makespan;
-  Alcotest.(check bool) "pruning happened or space was tiny" true
-    (r.Exhaustive.pruned >= 0)
+  (* Pinned on a space too large to enumerate: the shared-prefix bound
+     over the retained traces must keep cutting subtrees. *)
+  let d695 =
+    Exhaustive.order_search ~max_evals:1000 ~reuse:2
+      (Core.Experiments.d695_leon ())
+  in
+  Alcotest.(check int) "d695_leon reuse 2 makespan" 405256
+    d695.Exhaustive.schedule.Schedule.makespan;
+  Alcotest.(check int) "d695_leon reuse 2 pruned subtrees" 75
+    d695.Exhaustive.pruned;
+  Alcotest.(check bool) "pruning happened" true (d695.Exhaustive.pruned > 0)
 
 let test_order_search_never_worse_than_greedy () =
   let sys = Core.Experiments.d695_leon () in

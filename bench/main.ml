@@ -7,7 +7,9 @@
       reduction percentages, and the ablations A1-A19.  The series are
       printed so the output can be diffed against EXPERIMENTS.md.
 
-   2. Emit a machine-readable artefact, BENCH_nocplan.json by default:
+   2. Emit a machine-readable artefact, _build/BENCH_nocplan.json by
+      default (the committed baseline BENCH_nocplan.json is rewritten
+      only by an explicit [--json BENCH_nocplan.json]):
       per-experiment wall time, the Figure-1 sweep timing against the
       recorded seed baseline, every Figure-1 makespan series and the
       service, fault, access-table and corpus sections; with
@@ -1560,7 +1562,7 @@ let run_gate ~baseline_path ~figure1_seconds ~repeat ~shared ~tables ~corpus
 
 let () =
   let smoke = ref false in
-  let json_path = ref "BENCH_nocplan.json" in
+  let json_path = ref "_build/BENCH_nocplan.json" in
   let gate_path = ref None in
   Arg.parse
     [
@@ -1571,7 +1573,8 @@ let () =
       ( "--json",
         Arg.Set_string json_path,
         "PATH write the machine-readable results there (default \
-         BENCH_nocplan.json)" );
+         _build/BENCH_nocplan.json; the committed baseline is rewritten \
+         only by an explicit --json BENCH_nocplan.json)" );
       ( "--gate",
         Arg.String (fun p -> gate_path := Some p),
         "PATH fail (exit 1) if a gated timing regresses >25% and >50 ms \

@@ -507,8 +507,9 @@ let optimal_cmd =
   in
   let orders_arg =
     Arg.(value & flag & info [ "orders" ]
-           ~doc:"Search the order space (the space annealing samples) with \
-                 prefix-resumed evaluations instead of the schedule space.")
+           ~doc:"Search the order space (the space annealing samples) \
+                 instead of the schedule space: one engine run per order, \
+                 subtrees pruned by shared-prefix lower bounds.")
   in
   let term =
     Term.(const run $ instance power_arg $ max_nodes_arg $ orders_arg)

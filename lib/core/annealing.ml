@@ -119,8 +119,8 @@ let placement_move ch =
    [ratio = 0] this is, move for move, the historical sequential
    annealer: same generator consumption (the ratio gate draws nothing
    when the ratio is zero), same Metropolis rule, same cooling — only
-   the evaluation goes through the prefix cache, which is
-   result-identical to a from-scratch run. *)
+   the evaluation goes through the evaluation cache, whose exact hits
+   return the very trace a fresh run would rebuild. *)
 let run_segment ~cooling ch iterations =
   Trace.span "anneal.segment"
     ~attrs:
@@ -175,8 +175,7 @@ let schedule ?(policy = Scheduler.Greedy)
   if placement_moves < 0.0 || placement_moves > 1.0 then
     invalid_arg "Annealing.schedule: placement_moves must be within [0, 1]";
   (* One access table for all engine evaluations across every chain:
-     the cost model does not depend on the test order being searched,
-     and the table is immutable, so the Domain fan-out can share it. *)
+     the cost model does not depend on the test order being searched. *)
   let access =
     match access with
     | Some tbl when Test_access.table_for tbl ~system ~application -> tbl
@@ -232,8 +231,8 @@ let schedule ?(policy = Scheduler.Greedy)
   in
   (* Cross-request cache sharing: a caller-owned cache for the same
      system and configuration is adopted as chain 0's evaluation cache,
-     so this search resumes the prefix traces earlier searches left
-     behind (and leaves its own for the next one).  Like [access] and
+     so this search hits the traces earlier searches left behind (and
+     leaves its own for the next one).  Like [access] and
      [warm_start], a mismatched cache is ignored.  Results are
      unaffected either way: every evaluation through the cache is
      byte-identical to a from-scratch run. *)
@@ -287,25 +286,15 @@ let schedule ?(policy = Scheduler.Greedy)
   @@ fun () ->
   if chains = 1 then run_segment ~cooling (List.hd all_chains) iterations
   else begin
-    (* Chains are batched round-robin over at most the recommended
-       domain count; the outcome depends only on the chain states at
-       the exchange barriers, never on how they were batched, so the
-       result is identical on any machine. *)
-    let workers = Domains.clamp chains in
+    (* Chains run round-robin in the calling domain: each runs its
+       segment in turn, and they meet at the exchange barrier.  A chain
+       reads no other chain's state inside a segment, so the outcome
+       is a function of the chain states at the barriers alone. *)
     let remaining = ref iterations in
     while !remaining > 0 do
       let span = min exchange_period !remaining in
       remaining := !remaining - span;
-      if workers = 1 then
-        List.iter (fun ch -> run_segment ~cooling ch span) all_chains
-      else
-        List.init workers (fun d ->
-            let slice =
-              List.filteri (fun c _ -> c mod workers = d) all_chains
-            in
-            Domain.spawn (fun () ->
-                List.iter (fun ch -> run_segment ~cooling ch span) slice))
-        |> List.iter Domain.join;
+      List.iter (fun ch -> run_segment ~cooling ch span) all_chains;
       (* Best-exchange: every chain strictly worse than the global
          best restarts its walk there (keeping its own temperature —
          the tempering part). *)

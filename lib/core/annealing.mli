@@ -7,9 +7,10 @@
     positions, each candidate order is evaluated by running the
     (deterministic) engine, and worse moves are accepted with the usual
     Metropolis probability under a geometric cooling schedule.
-    Candidate evaluation goes through {!Eval_cache}: a swap at position
-    [p] re-schedules only the suffix from the divergence event, and a
-    revert is a cache hit instead of a re-run.
+    Candidate evaluation goes through {!Eval_cache}: a new order is one
+    full engine run through the chain's workspace, and an order already
+    evaluated (a rejected move's revert, an order another search left
+    in a shared cache) is a cache hit instead of a re-run.
 
     With [placement_moves > 0] the walk becomes {e joint}: each
     iteration is, with that probability, a {b placement swap} — the
@@ -27,16 +28,15 @@
 
     With [chains > 1] the search becomes parallel tempering: K
     independent chains, deterministically seeded from the base seed
-    and started on a ×2-per-chain temperature ladder, run on OCaml
-    domains and exchange their best (order, placement) pair every
-    [exchange_period] iterations (a chain strictly worse than the
+    and started on a ×2-per-chain temperature ladder, run round-robin
+    in the calling domain and exchange their best (order, placement)
+    pair every [exchange_period] iterations (a chain strictly worse than the
     global best restarts its walk there — adopting order, system and
     table — keeping its own temperature).  Chain 0 of a multi-chain
     run anneals the order only, so the coldest rung reproduces the
     order-only trajectory exactly and the joint result is never worse
     than order-only annealing under the same seed.  The outcome is a
-    function of the parameters only — never of the machine's domain
-    count.
+    function of the parameters only.
 
     Sits between the O(ms) greedy heuristic and the exponential
     {!Exhaustive} search: a few hundred engine evaluations buy most of
@@ -51,7 +51,7 @@ type result = {
   best_trace : Scheduler.trace;
       (** the winning evaluation itself — hand it back as [warm_start]
           to a later search of the same system and configuration to
-          resume from this result *)
+          start from this result *)
   initial_makespan : int;
       (** the makespan the walk started from: the heuristic-order
           (greedy) makespan, or the [warm_start] trace's *)
@@ -101,11 +101,11 @@ val schedule :
     module tiles instead of two order positions; with [chains > 1],
     chain 0 keeps annealing the order only (see above).
 
-    [warm_start] resumes from an earlier search: a [best_trace]
+    [warm_start] continues an earlier search: a [best_trace]
     produced for the {e same} system (physically) and configuration is
     adopted as the shared initial evaluation — every chain starts at
-    the warmed order, its evaluation cache pre-seeded with the trace's
-    prefixes, and the initial engine run is skipped — so the result is
+    the warmed order, its evaluation cache seeded with the trace, and
+    the initial engine run is skipped — so the result is
     never worse than the warm trace's makespan.  A trace for another
     system or configuration is silently ignored (like a mismatched
     [access]); [warm_started] in the result says which happened.
@@ -115,9 +115,9 @@ val schedule :
 
     [eval_cache] lends a caller-owned {!Eval_cache} (for the same
     physical system and configuration modulo order) to chain 0 for
-    the duration of the search: its retained prefix traces serve this
-    search's evaluations, and the traces this search produces are left
-    in it for the next caller.  The search result is unaffected —
+    the duration of the search: its retained traces answer this
+    search's repeated orders, and the traces this search produces are
+    left in it for the next caller.  The search result is unaffected —
     cached evaluation is byte-identical to from-scratch evaluation —
     except in speed.  A mismatched cache is silently ignored.  The
     caller must not touch the cache until [schedule] returns, and

@@ -2,10 +2,11 @@
     parallel drivers.
 
     OCaml 5 domains are heavyweight (one systhread + minor heap each),
-    so every parallel driver in the tree — {!Planner.reuse_sweep}, the
-    {!Annealing} tempering chains, the serve worker pool, the corpus
-    sweep runner — clamps its requested parallelism the same way
-    instead of each inventing its own. *)
+    so the parallel drivers — the corpus sweep runner and the bench's
+    fan-outs — clamp their requested parallelism the same way instead
+    of each inventing its own.  The solvers themselves run in the
+    calling domain: parallelism lives one layer up, in the serve
+    worker pool and the corpus runner. *)
 
 val clamp : int -> int
 (** [clamp requested] is [requested] bounded to

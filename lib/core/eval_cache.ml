@@ -21,7 +21,6 @@ type t = {
   mutable best : Scheduler.trace option;  (* lowest makespan offered *)
   mutable evaluations : int;
   mutable full_runs : int;
-  mutable resumed : int;
   mutable exact_hits : int;
 }
 
@@ -43,7 +42,6 @@ let create ?(capacity = 4) ?access system cfg =
     best = None;
     evaluations = 0;
     full_runs = 0;
-    resumed = 0;
     exact_hits = 0;
   }
 
@@ -59,7 +57,7 @@ let stats t =
   {
     evaluations = t.evaluations;
     full_runs = t.full_runs;
-    resumed = t.resumed;
+    resumed = 0;
     exact_hits = t.exact_hits;
   }
 
@@ -92,7 +90,7 @@ let rebase t trace =
   if system == t.system && access == t.access then remember t trace
   else begin
     (* The key changed: every retained trace belongs to the old
-       placement and must not be resumed under the new one. *)
+       placement and must not answer for the new one. *)
     t.system <- system;
     t.access <- access;
     t.traces <- [ trace ];
@@ -109,38 +107,19 @@ let offer t trace =
 
 let evaluate t order =
   t.evaluations <- t.evaluations + 1;
-  (* Rank entries by how many commits [resume] would replay verbatim,
-     not by shared-prefix length: a trace with a shorter prefix but a
-     narrower changed window can be far cheaper to resume from.  Ties
-     keep the most recently used entry. *)
-  let best =
-    List.fold_left
-      (fun acc tr ->
-        let g = Scheduler.resume_gain tr order in
-        match acc with
-        | Some (_, best_g) when best_g >= g -> acc
-        | _ -> Some (tr, g))
-      None t.traces
-  in
+  let n = Array.length order in
   let module Trace = Nocplan_obs.Trace in
-  match best with
-  | Some (tr, g) when g = max_int ->
+  match
+    List.find_opt
+      (fun tr ->
+        Scheduler.trace_length tr = n && Scheduler.trace_lcp tr order = n)
+      t.traces
+  with
+  | Some tr ->
       t.exact_hits <- t.exact_hits + 1;
       if Trace.enabled () then Trace.instant "eval.hit";
       remember t tr;
       tr
-  | Some (tr, g) ->
-      t.resumed <- t.resumed + 1;
-      if Trace.enabled () then
-        Trace.instant "eval.resume"
-          ~attrs:
-            [
-              ("gain", Trace.Int g);
-              ("modules", Trace.Int (Array.length order));
-            ];
-      let tr' = Scheduler.resume ~workspace:t.workspace tr order in
-      remember t tr';
-      tr'
   | None ->
       t.full_runs <- t.full_runs + 1;
       if Trace.enabled () then Trace.instant "eval.full";
@@ -154,7 +133,7 @@ let evaluate t order =
 let schedule t order = Scheduler.trace_schedule (evaluate t order)
 
 (* Traces of another key are skipped: a cache rebased by a placement
-   move shares nothing resumable with [into]. *)
+   move shares no evaluation with [into]. *)
 let merge ~into t =
   if into != t then begin
     (* Oldest first, so [into]'s recency order ends with [t]'s most

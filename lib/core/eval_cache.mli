@@ -1,15 +1,15 @@
-(** Prefix-keyed evaluation cache over {!Scheduler} traces.
+(** Exact-hit evaluation memo over {!Scheduler} traces.
 
     The search drivers ({!Annealing}, the order-space branch-and-bound
-    in {!Exhaustive}) evaluate many orders that agree on long
-    prefixes: a swap move changes nothing before its first swapped
-    position, permutations are enumerated in lexicographic order, and
-    a rejected move's revert is the previous order verbatim.  The
-    cache keeps the most recent traces for one (system, configuration)
-    key; each evaluation finds the cached trace with the longest
-    common order prefix and {!Scheduler.resume}s it, which is
-    byte-identical to a from-scratch run at a fraction of the work.
-    An identical order is a pure lookup.
+    in {!Exhaustive}) evaluate many orders against one (system,
+    configuration) key, and often the same order twice: a rejected
+    move's revert is the previous order verbatim, and a repeated
+    request meets the orders an earlier one evaluated.  The cache
+    keeps the most recent traces for its key.  An order identical to
+    a retained trace's is a pure lookup; any other order is one full
+    {!Scheduler.run_traced} through the cache's {!Scheduler.workspace},
+    so every evaluation is a from-scratch run or the very trace one
+    produced.
 
     The cache also keeps the best (lowest-makespan) trace {!offer}ed
     for its key, apart from the recency-bounded traces: a search
@@ -32,8 +32,7 @@ val create :
 
 val evaluate : t -> int array -> Scheduler.trace
 (** Evaluate one order (not mutated; traces copy it).  Exact hits
-    return the cached trace; otherwise the best-prefix trace is
-    resumed, or a full run performed on an empty cache.
+    return the cached trace; any other order is a full engine run.
 
     @raise Scheduler.Unschedulable as {!Scheduler.run} (nothing is
     cached for the failed order).
@@ -90,8 +89,11 @@ val matches : t -> system:System.t -> Scheduler.config -> bool
 
 type snapshot = {
   evaluations : int;  (** {!evaluate} calls *)
-  full_runs : int;  (** evaluated from scratch (cold cache) *)
-  resumed : int;  (** evaluated by prefix resume *)
+  full_runs : int;  (** evaluated by a full engine run *)
+  resumed : int;
+      (** always 0: evaluations are exact hits or full runs.  Kept
+          because the serve-mix benchmark's [eval_cache.resumed_ratio]
+          still reads it. *)
   exact_hits : int;  (** returned a cached trace unchanged *)
 }
 

@@ -14,12 +14,12 @@ type order_result = {
 
 (* Depth-first over permutations of the module order, in lexicographic
    order relative to the priority heuristic, so consecutive leaves
-   share long prefixes and every evaluation is a cheap
-   {!Scheduler.resume} through the shared {!Eval_cache}.  Subtrees are
-   cut with {!Scheduler.prefix_bound}: the commits a cached trace
-   logged before its first commit at a changed position are shared by
-   every order in the subtree, so their largest finish lower-bounds
-   all of its makespans. *)
+   share long prefixes; every leaf is one full engine run through the
+   shared {!Eval_cache}.  Subtrees are cut with
+   {!Scheduler.prefix_bound}: the commits a cached trace logged before
+   its first commit at a changed position are shared by every order in
+   the subtree, so their largest finish lower-bounds all of its
+   makespans. *)
 let order_search ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
     ?(power_limit = None) ?(max_evals = 20_000) ~reuse system =
   if max_evals < 1 then

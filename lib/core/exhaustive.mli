@@ -41,7 +41,7 @@ type order_result = {
   exact : bool;
       (** [true] when every permutation was evaluated or provably
           pruned within the evaluation budget *)
-  evaluations : int;  (** engine evaluations performed (most resumed) *)
+  evaluations : int;  (** leaves evaluated (full engine runs) *)
   pruned : int;  (** subtrees cut by the shared-prefix lower bound *)
 }
 
@@ -57,9 +57,11 @@ val order_search :
     module visiting order minimizing the engine's makespan under the
     given policy — the certified optimum of the space {!Annealing}
     samples.  Permutations are enumerated in lexicographic order from
-    the priority heuristic, evaluated through a shared {!Eval_cache}
-    (consecutive leaves resume from long common prefixes), and pruned
-    with {!Scheduler.prefix_bound}.  [max_evals] (default [20_000])
+    the priority heuristic, each evaluated by one full engine run
+    through a shared {!Eval_cache}, and pruned with
+    {!Scheduler.prefix_bound} over the cache's retained traces
+    (consecutive leaves share long prefixes, so a retained trace bounds
+    the subtree the next leaves sit in).  [max_evals] (default [20_000])
     bounds the engine evaluations; when exceeded the best incumbent is
     returned with [exact = false].  The first leaf is the priority
     order itself, so the result is never worse than {!Scheduler.run}.

@@ -38,9 +38,7 @@ let schedule ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
   snd (run_point system ~policy ~application ~power_limit ~reuse)
 
 let reuse_sweep ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
-    ?power_limit_pct ?max_reuse ?(domains = 1) ?access system =
-  if domains < 1 then invalid_arg "Planner.reuse_sweep: domains must be >= 1";
-  let domains = Domains.clamp domains in
+    ?power_limit_pct ?max_reuse ?access system =
   let max_reuse =
     match max_reuse with
     | Some n -> n
@@ -48,10 +46,9 @@ let reuse_sweep ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
   in
   let power_limit = absolute_limit system power_limit_pct in
   (* One access table serves every point of the sweep: the cost model
-     is reuse- and power-invariant.  The table is immutable, so the
-     Domain fan-out below can share it.  A caller running several
-     sweeps over the same system can pass its own table to share it
-     across them too. *)
+     is reuse- and power-invariant.  A caller running several sweeps
+     over the same system can pass its own table to share it across
+     them too. *)
   let access =
     match access with
     | Some tbl when Test_access.table_for tbl ~system ~application -> tbl
@@ -81,14 +78,9 @@ let reuse_sweep ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
           Trace.String system.System.soc.Nocplan_itc02.Soc.name );
         ("policy", Trace.String (Fmt.str "%a" Scheduler.pp_policy policy));
         ("points", Trace.Int (max_reuse + 1));
-        ("domains", Trace.Int domains);
       ]
   @@ fun () ->
-  (* The points are independent: {!Domains.map} fans them out
-     round-robin over the worker domains and reassembles in order. *)
-  let points =
-    Domains.map ~domains evaluate (List.init (max_reuse + 1) Fun.id)
-  in
+  let points = List.init (max_reuse + 1) evaluate in
   {
     system_name = system.System.soc.Nocplan_itc02.Soc.name;
     policy;

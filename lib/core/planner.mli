@@ -35,7 +35,6 @@ val reuse_sweep :
   ?application:Nocplan_proc.Processor.application ->
   ?power_limit_pct:float ->
   ?max_reuse:int ->
-  ?domains:int ->
   ?access:Test_access.table ->
   System.t ->
   sweep
@@ -45,16 +44,6 @@ val reuse_sweep :
     convention; omitted means unconstrained.  Every schedule is
     re-checked by the validator and the result recorded in
     [validated].
-
-    [domains] > 1 evaluates the sweep points in parallel on that many
-    OCaml domains (the points are independent; the result is identical
-    to the sequential sweep).  Worth it only for expensive sweeps on a
-    multicore host — domain spawn overhead dominates sub-second
-    sweeps.  Counts above [Domain.recommended_domain_count ()] are
-    clamped to it: extra domains cannot run in parallel anyway and
-    only add spawn and contention overhead, and the sweep result does
-    not depend on the count.  @raise Invalid_argument if
-    [domains < 1].
 
     [access] shares a precomputed {!Test_access.table} across several
     sweeps of the same system (e.g. an unconstrained and a

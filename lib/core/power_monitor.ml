@@ -45,13 +45,6 @@ let add t ~start ~finish ~power =
     invalid_arg "Power_monitor.add: limit exceeded (check fits first)";
   if start < finish then t.entries <- { start; finish; power } :: t.entries
 
-(* Entries are consed in application order, so filtering preserves the
-   exact list (and therefore float-summation order) a re-application of
-   the kept entries would build — the scheduler's resume depends on
-   that for byte-identical power decisions. *)
-let copy_truncated t ~before =
-  { limit = t.limit; entries = List.filter (fun e -> e.start < before) t.entries }
-
 let peak t =
   let starts = List.map (fun e -> e.start) t.entries in
   List.fold_left (fun acc s -> Float.max acc (power_at t s)) 0.0 starts

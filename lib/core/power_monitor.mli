@@ -20,13 +20,6 @@ val add : t -> start:int -> finish:int -> power:float -> unit
 (** Record a test.  @raise Invalid_argument if the window is malformed
     or [fits] is violated (callers must check first). *)
 
-val copy_truncated : t -> before:int -> t
-(** A new monitor holding exactly the recorded tests that start before
-    [before], sharing no mutable state with [t].  The kept entries
-    appear in their original application order, so later [fits] checks
-    sum the same floats in the same order as a monitor built by
-    re-adding them — the scheduler's prefix resume depends on that. *)
-
 val peak : t -> float
 (** Highest instantaneous power recorded so far (0 when empty). *)
 

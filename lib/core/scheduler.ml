@@ -47,28 +47,17 @@ let not_pooled = -1
 (* ------------------------------------------------------------------ *)
 (* Commit traces                                                      *)
 
-(* One committed test, with enough context to replay it without a
-   candidate search or an [is_free] revalidation: the slot indices it
-   occupied, the position of its module in the evaluated order, and
-   the channel ids it booked (built at commit, never mutated). *)
-type commit = {
-  c_entry : Schedule.entry;
-  c_src : int;
-  c_snk : int;
-  c_pos : int;
-  c_channels : int array;
-}
-
 type trace = {
   t_system : System.t;
   t_access : Test_access.table;
   t_config : config;  (* with [order = None]; the order lives in [t_order] *)
   t_order : int array;
-  t_commits : commit array;  (* chronological: starts are nondecreasing *)
+  (* The commit log, chronological (starts are nondecreasing): each
+     committed test's finish and its module's position in [t_order] —
+     all [prefix_bound] reads. *)
+  t_finish : int array;
+  t_pos : int array;
   t_schedule : Schedule.t;
-  (* Final power ledger, kept so [resume] can restore any commit-prefix
-     snapshot by truncation (never mutated once the trace is built). *)
-  t_monitor : Power_monitor.t;
 }
 
 let trace_schedule t = t.t_schedule
@@ -87,49 +76,19 @@ let trace_lcp t order =
   while !i < n && t.t_order.(!i) = order.(!i) do incr i done;
   !i
 
-(* Last position at which [order] still differs from the traced order;
-   -1 when they agree everywhere (callers only use it when they
-   don't). *)
-let trace_last_diff t order =
-  let i = ref (min (Array.length t.t_order) (Array.length order) - 1) in
-  while !i >= 0 && t.t_order.(!i) = order.(!i) do decr i done;
-  !i
-
-(* Index of the first traced commit whose order position falls in the
-   changed window [[p, hi]] — the earliest point at which a run of the
-   new order can diverge from the traced one (see the exactness note
-   above [resume]).  -1 if no commit does (only possible when the
-   window is empty). *)
-let divergence_stop t ~p ~hi =
-  let stop = ref (-1) in
-  (try
-     Array.iteri
-       (fun k c ->
-         if c.c_pos >= p && c.c_pos <= hi then begin
-           stop := k;
-           raise Exit
-         end)
-       t.t_commits
-   with Exit -> ());
-  !stop
-
 (* Largest finish over the commits shared by every order agreeing with
    the traced one on its first [prefix_len] positions.  Commits logged
    before the first commit of a module at position >= [prefix_len]
-   replay identically in all such runs (attempts proceed in order
+   happen identically in all such runs (attempts proceed in order
    position, and failed attempts are side-effect-free), so their
    maximal finish lower-bounds every makespan in the subtree — the
    pruning rule of the order-space branch-and-bound. *)
 let prefix_bound t ~prefix_len =
-  let bound = ref t.t_config.start_time in
-  (try
-     Array.iter
-       (fun c ->
-         if c.c_pos >= prefix_len then raise Exit;
-         if c.c_entry.Schedule.finish > !bound then
-           bound := c.c_entry.Schedule.finish)
-       t.t_commits
-   with Exit -> ());
+  let bound = ref t.t_config.start_time and k = ref 0 in
+  while !k < Array.length t.t_pos && t.t_pos.(!k) < prefix_len do
+    bound := max !bound t.t_finish.(!k);
+    incr k
+  done;
   !bound
 
 (* ------------------------------------------------------------------ *)
@@ -157,9 +116,7 @@ type chunk = {
   mutable k_done : (Schedule.entry * int) list;  (* with pattern counts *)
 }
 
-(* The full mutable state of one evaluation, snapshotted implicitly by
-   the commit log: every field below is a pure function of the commit
-   prefix applied so far, which is what makes [resume] possible. *)
+(* The full mutable state of one evaluation. *)
 type engine = {
   e_system : System.t;
   e_table : Test_access.table;
@@ -184,8 +141,7 @@ type engine = {
   e_walks : Pair_walk.t option array;  (* per table row, built on first use *)
   e_chunks : (int, chunk) Hashtbl.t option;  (* by module; [None]: plain run *)
   mutable e_now : int;
-  mutable e_committed : Schedule.entry list;
-  mutable e_commits : commit list;  (* reversed chronological log *)
+  mutable e_committed : Schedule.entry list;  (* reversed chronological *)
   (* Work counters, reported on the [scheduler.run] span: attempts
      made, attempts skipped because no idle pair existed, and slot
      pairs visited by the attempts made. *)
@@ -359,7 +315,6 @@ let make_engine ?workspace ?chunks ~table system config order =
       e_monitor = Power_monitor.create ~limit:config.power_limit;
       e_now = config.start_time;
       e_committed = [];
-      e_commits = [];
       e_gates = gates;
       e_cands = arena.a_cands;
       e_walks = arena.a_walks;
@@ -458,10 +413,6 @@ let try_commit e ~now module_id row i j =
       }
     in
     e.e_committed <- entry :: e.e_committed;
-    e.e_commits <-
-      { c_entry = entry; c_src = i; c_snk = j;
-        c_pos = Hashtbl.find e.e_pos module_id; c_channels = channels }
-      :: e.e_commits;
     Log.debug (fun m ->
         m "t=%d: start module %d on %a -> %a (finish %d, power %.1f)" now
           module_id Resource.pp e.e_endpoints.(i) Resource.pp e.e_endpoints.(j)
@@ -618,12 +569,12 @@ let walk e ~now module_id row =
         e.e_walks.(row) <- Some w;
         w
   in
-  let before = e.e_commits in
+  let before = e.e_committed in
   e.e_scanned <-
     e.e_scanned
     + Pair_walk.walk w ~now ~avail:e.e_avail (fun i j ->
           try_commit e ~now module_id row i j);
-  e.e_commits != before
+  e.e_committed != before
 
 (* ------------------------------------------------------------------ *)
 (* Decision log                                                       *)
@@ -665,7 +616,9 @@ let all_candidates e module_id ~row =
   done;
   !acc
 
-let emit_decision e ~now module_id ~policy cands ~winner:(wi, wj) =
+(* [winner] is the committed entry: its endpoints are the slot array's
+   own values, so physical equality names the chosen slots. *)
+let emit_decision e ~now module_id ~policy cands ~(winner : Schedule.entry) =
   Trace.instant "scheduler.decision"
     ~attrs:
       [
@@ -689,7 +642,10 @@ let emit_decision e ~now module_id ~policy cands ~winner:(wi, wj) =
             ("duration", Trace.Int c.d_dur);
             ("est_finish", Trace.Int (max now c.d_ready + c.d_dur));
             ("eligible", Trace.Bool (c.d_ready <= now));
-            ("chosen", Trace.Bool (c.d_i = wi && c.d_j = wj));
+            ( "chosen",
+              Trace.Bool
+                (e.e_endpoints.(c.d_i) == winner.Schedule.source
+                && e.e_endpoints.(c.d_j) == winner.Schedule.sink) );
           ])
     cands
 
@@ -707,11 +663,11 @@ let attempt e ~slots ~k ~now module_id =
     | Greedy -> select e ~now module_id row (fill_candidates e ~row slots k)
     | Lookahead -> walk e ~now module_id row
   in
-  (match (shadow, e.e_commits) with
-  | Some all, c :: _ when committed ->
+  (match (shadow, e.e_committed) with
+  | Some all, winner :: _ when committed ->
       emit_decision e ~now module_id
         ~policy:(Fmt.str "%a" pp_policy e.e_config.policy)
-        all ~winner:(c.c_src, c.c_snk)
+        all ~winner
   | _ -> ());
   committed
 
@@ -811,14 +767,21 @@ let event_loop e pending0 =
   done
 
 let finish_trace e =
+  let n = List.length e.e_committed in
+  let finish = Array.make n 0 and pos = Array.make n 0 in
+  List.iteri
+    (fun k c ->
+      finish.(n - 1 - k) <- c.Schedule.finish;
+      pos.(n - 1 - k) <- Hashtbl.find e.e_pos c.Schedule.module_id)
+    e.e_committed;
   {
     t_system = e.e_system;
     t_access = e.e_table;
     t_config = e.e_config;
     t_order = e.e_order;
-    t_commits = Array.of_list (List.rev e.e_commits);
+    t_finish = finish;
+    t_pos = pos;
     t_schedule = Schedule.of_entries e.e_committed;
-    t_monitor = e.e_monitor;
   }
 
 (* One engine run from scratch, under the [scheduler.run] span. *)
@@ -862,7 +825,7 @@ let run_engine ?workspace ?access ?chunks system config =
           ~attrs:
             [
               ("makespan", Trace.Int makespan);
-              ("commits", Trace.Int (List.length e.e_commits));
+              ("commits", Trace.Int (List.length e.e_committed));
               ("attempts", Trace.Int e.e_attempts);
               ("skipped", Trace.Int e.e_skipped);
               ("pairs_scanned", Trace.Int e.e_scanned);
@@ -876,7 +839,8 @@ let run_engine ?workspace ?access ?chunks system config =
 let run_traced ?workspace ?access system config =
   finish_trace (run_engine ?workspace ?access system config)
 
-let run ?access system config = (run_traced ?access system config).t_schedule
+let run ?access system config =
+  Schedule.of_entries (run_engine ?access system config).e_committed
 
 let run_sessions ?access system ~application ~power_limit ~reuse ~max_sessions =
   if max_sessions < 1 then
@@ -896,137 +860,3 @@ let run_sessions ?access system ~application ~power_limit ~reuse ~max_sessions =
   let config = config ~application ~power_limit ~reuse () in
   ignore (run_engine ?access ~chunks system config);
   Hashtbl.fold (fun _ c acc -> List.rev_append c.k_done acc) chunks []
-
-(* ------------------------------------------------------------------ *)
-(* Prefix resume                                                      *)
-
-(* Re-apply a traced commit's effects.  The calendar booking goes
-   through the unchecked [Reservation.restore] (the trace proves the
-   window free), and the power ledger is not touched here: [resume]
-   restores it wholesale with [Power_monitor.copy_truncated], because
-   the kept entries are exactly those of the replayed commits (commits
-   apply in nondecreasing start order, and the cut is at a start
-   time).  Direct array writes instead of [set_avail]: the release
-   heap is rebuilt in one pass after the replay. *)
-let replay_commit e c =
-  let entry = c.c_entry in
-  Reservation.restore e.e_calendar ~owner:entry.Schedule.module_id
-    c.c_channels ~start:entry.Schedule.start ~finish:entry.Schedule.finish;
-  e.e_avail.(c.c_src) <- entry.Schedule.finish;
-  e.e_avail.(c.c_snk) <- entry.Schedule.finish;
-  (match System.processor_of_module e.e_system entry.Schedule.module_id with
-  | Some _ -> (
-      match Hashtbl.find_opt e.e_proc_slot entry.Schedule.module_id with
-      | Some k -> e.e_avail.(k) <- entry.Schedule.finish
-      | None -> ())
-  | None -> ());
-  e.e_committed <- entry :: e.e_committed;
-  e.e_commits <-
-    { c with c_pos = Hashtbl.find e.e_pos entry.Schedule.module_id }
-    :: e.e_commits
-
-(* Why this is exact (and not just approximate): let [[p, hi]] be the
-   smallest position window containing every position where the new
-   order differs from the traced one.  Outside the window the two
-   orders place the same module at the same position, so any two
-   modules not both inside the window keep their relative order.
-   Within every event, modules are attempted in order position and a
-   failed attempt leaves no state behind, so the two runs evolve
-   commit for commit identically as long as every committing module
-   sits outside the window: such a commit is seen (or not seen) by any
-   later attempt identically in both runs, because position
-   comparisons against a position < p or > hi do not depend on how the
-   window itself is arranged.  The first place the runs can diverge is
-   therefore the event at which the first module at a position inside
-   [[p, hi]] commits.  Replaying the commits that start strictly
-   before that event, restoring the calendar and power ledger by
-   truncation, jumping to the divergence event and re-entering the
-   normal loop reproduces the from-scratch run byte for byte — the
-   "incremental evaluation" property test pins this across systems,
-   policies and power limits. *)
-
-let resume ?workspace trace order =
-  let order = Array.copy order in
-  check_permutation
-    ~wanted:(Array.to_list trace.t_order)
-    (Array.to_list order);
-  let p = trace_lcp trace order in
-  if p = Array.length order then trace
-  else begin
-    let go () =
-      (* First traced commit of a module inside the changed window; one
-         exists because every position commits exactly once. *)
-      let hi = trace_last_diff trace order in
-      let s = divergence_stop trace ~p ~hi in
-      assert (s >= 0);
-      let t_star = trace.t_commits.(s).c_entry.Schedule.start in
-      let e0 =
-        make_engine ?workspace ~table:trace.t_access trace.t_system
-          trace.t_config order
-      in
-      (* Restore the shared-prefix power ledger by truncating the
-         trace's final one: the entries starting before [t_star] are
-         exactly those of the commits replayed below (which rebuild the
-         calendar side themselves through [Reservation.restore]). *)
-      let mon = Power_monitor.copy_truncated trace.t_monitor ~before:t_star in
-      let e = { e0 with e_monitor = mon } in
-      let committed = Hashtbl.create (max 1 s) in
-      let k = ref 0 in
-      while !k < s && trace.t_commits.(!k).c_entry.Schedule.start < t_star do
-        let c = trace.t_commits.(!k) in
-        replay_commit e c;
-        Hashtbl.replace committed c.c_entry.Schedule.module_id ();
-        incr k
-      done;
-      if Trace.enabled () then
-        Trace.instant "scheduler.replay"
-          ~attrs:
-            [ ("commits", Trace.Int !k); ("divergence_t", Trace.Int t_star) ];
-      e.e_now <- t_star;
-      for i = 0 to e.e_n - 1 do
-        if e.e_avail.(i) > t_star then
-          Min_heap.push e.e_releases ~key:e.e_avail.(i) ~value:i
-      done;
-      let pending =
-        List.filter
-          (fun id -> not (Hashtbl.mem committed id))
-          (Array.to_list order)
-      in
-      event_loop e pending;
-      finish_trace e
-    in
-    if not (Trace.enabled ()) then go ()
-    else begin
-      Trace.begin_span "scheduler.resume"
-        ~attrs:[ ("modules", Trace.Int (Array.length order)) ];
-      match go () with
-      | tr ->
-          Trace.end_span "scheduler.resume"
-            ~attrs:
-              [ ("makespan", Trace.Int tr.t_schedule.Schedule.makespan) ];
-          tr
-      | exception exn ->
-          Trace.end_span "scheduler.resume"
-            ~attrs:[ ("raised", Trace.Bool true) ];
-          raise exn
-    end
-  end
-
-let resume_gain trace order =
-  let p = trace_lcp trace order in
-  if p = Array.length order && p = Array.length trace.t_order then max_int
-  else begin
-    let hi = trace_last_diff trace order in
-    let s = divergence_stop trace ~p ~hi in
-    if s < 0 then 0
-    else begin
-      let t_star = trace.t_commits.(s).c_entry.Schedule.start in
-      let g = ref 0 in
-      while
-        !g < s && trace.t_commits.(!g).c_entry.Schedule.start < t_star
-      do
-        incr g
-      done;
-      !g
-    end
-  end

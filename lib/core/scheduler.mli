@@ -102,20 +102,20 @@ val run_sessions :
 
 type trace
 (** A completed evaluation together with its commit log: the evaluated
-    order, every committed test in chronological order (tagged with
-    the slot pair it occupied and its module's order position), and
-    the resulting schedule.  Traces are immutable and safe to share
-    across domains; they are what makes evaluations resumable. *)
+    order, the resulting schedule and, for every committed test in
+    chronological order, its finish and its module's order position —
+    what {!prefix_bound} reads.  Traces are immutable and safe to share
+    across domains. *)
 
 type workspace
 (** A reusable evaluation arena: the order-independent engine state
     (endpoint resolution, availability array, release heap,
     reservation calendar, lookahead pair orders) of the last evaluation
-    it served, reset in
-    place instead of rebuilt when the next evaluation targets the same
-    system, access table and configuration.  Search drivers evaluate
-    thousands of orders against one configuration, where the per-run
-    setup allocation otherwise dominates short incremental runs.
+    it served, reset in place instead of rebuilt when the next
+    evaluation targets the same system, access table and
+    configuration.  Search drivers evaluate thousands of orders
+    against one configuration, where the per-run setup allocation
+    otherwise dominates short runs.
 
     A workspace serves one evaluation at a time — keep one per search
     chain and never share it across domains. *)
@@ -127,33 +127,11 @@ val workspace : unit -> workspace
 val run_traced :
   ?workspace:workspace -> ?access:Test_access.table -> System.t -> config ->
   trace
-(** Like {!run}, but keep the commit log so later evaluations of
-    orders sharing a prefix can {!resume} instead of re-running.
-    Raises as {!run}. *)
-
-val resume : ?workspace:workspace -> trace -> int array -> trace
-(** [resume trace order] evaluates [order] by replaying the traced
-    commits that precede the divergence event — the start time of the
-    first traced commit at an order position inside the smallest
-    window [[p, hi]] containing every position where [order] differs —
-    and re-entering the normal event loop there.  The result is
-    byte-identical to running [order] from scratch under the trace's
-    configuration (attempts proceed in order position within an event
-    and failed attempts are side-effect-free, so the replayed history
-    is shared by both runs; commits outside the window are seen
-    identically by every later attempt).  Returns [trace] itself when
-    [order] equals the traced order.
-
-    @raise Unschedulable as {!run}.
-    @raise Invalid_argument if [order] is not a permutation of the
-    traced module set. *)
-
-val resume_gain : trace -> int array -> int
-(** Number of traced commits {!resume} would replay verbatim for
-    [order] ([max_int] when [order] equals the traced order, so exact
-    hits always win).  {!Eval_cache} ranks its entries with this to
-    resume from the cheapest trace, not merely the longest shared
-    prefix. *)
+(** Like {!run}, but keep the evaluated order, configuration and
+    commit log with the schedule: search drivers cache traces by order
+    ({!Eval_cache}) and prune with {!prefix_bound}.  [workspace] reuses
+    the engine state of the previous run it served.  Raises as
+    {!run}. *)
 
 val trace_schedule : trace -> Schedule.t
 val trace_order : trace -> int array
@@ -182,7 +160,7 @@ val prefix_bound : trace -> prefix_len:int -> int
 (** A lower bound on the makespan of {e every} order agreeing with the
     traced one on its first [prefix_len] positions: the largest finish
     among traced commits logged before the first commit at a position
-    >= [prefix_len] (those commits replay identically in all such
+    >= [prefix_len] (those commits happen identically in all such
     runs).  Nondecreasing in [prefix_len]; at [prefix_len = 0] it
     degenerates to the configured start time. *)
 

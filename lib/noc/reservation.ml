@@ -163,16 +163,6 @@ let reserve t ~owner channels ~start ~finish =
       (fun c -> cal_insert (writable_cal t c) ~owner ~start ~finish)
       channels
 
-(* Re-booking a window already proven free (a traced commit being
-   replayed) skips the [is_free] revalidation of [reserve]: the
-   scheduler's prefix resume re-applies hundreds of bookings per
-   search step, and each is non-overlapping by construction. *)
-let restore t ~owner channels ~start ~finish =
-  if start < finish then
-    Array.iter
-      (fun c -> cal_insert (writable_cal t c) ~owner ~start ~finish)
-      channels
-
 let next_free_time t channels ~from ~duration =
   if duration <= 0 then from
   else begin

@@ -48,13 +48,6 @@ val reserve : t -> owner:int -> int array -> start:int -> finish:int -> unit
     channel id is negative, or if the window is not free (callers must
     check first — booking a conflicting window is a scheduler bug). *)
 
-val restore : t -> owner:int -> int array -> start:int -> finish:int -> unit
-(** [reserve] minus the [is_free] revalidation, for re-applying a
-    booking already known to be conflict-free — the scheduler's prefix
-    resume replays traced commits with it.  Booking a window that is
-    {e not} free corrupts the calendar's sorted invariant silently, so
-    only traced history may go through here. *)
-
 val next_free_time : t -> int array -> from:int -> duration:int -> int
 (** Earliest [t >= from] such that [[t, t + duration)] is free on all
     channels.  With a finite number of bookings this always exists. *)

@@ -145,7 +145,7 @@ let prometheus_text t =
         ~name:"nocplan_warm_misses_total"
         [ Prom.sample (float_of_int s.Stats.warm_misses) ];
       Prom.metric
-        ~help:"Solves that resumed a resident evaluation cache."
+        ~help:"Solves that reused a resident evaluation cache."
         Prom.Counter ~name:"nocplan_shared_cache_hits_total"
         [ Prom.sample (float_of_int s.Stats.shared_cache_hits) ];
       Prom.metric ~help:"Solves that started a fresh evaluation cache."
@@ -181,7 +181,7 @@ let prometheus_text t =
    to the entry afterwards — also on Unschedulable/Expired, which leave
    the cache valid.  Search-shape parameters (iterations, seed, chains)
    are not part of the configuration: any search of the same instance
-   can resume from any other's work. *)
+   can reuse any other's work. *)
 let with_eval_cache t entry config f =
   let cache, hit = Table_cache.checkout t.cache entry config in
   if hit && Trace.enabled () then Trace.instant "cache.shared_hit";
@@ -629,8 +629,8 @@ let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8) () =
     | None -> max 1 (recommended - 1)
     | Some w ->
         if w < 1 then invalid_arg "Service.create: workers must be >= 1";
-        (* Same rationale as Planner's domain clamp: oversubscribing
-           domains only adds contention. *)
+        (* Same rationale as [Domains.clamp]: oversubscribing domains
+           only adds contention. *)
         max 1 (min w recommended)
   in
   let t =

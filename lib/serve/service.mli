@@ -28,15 +28,15 @@
     {!Table_cache} entry, next to the access table it evaluates
     against.  A solve checks the configuration's cache out (exclusive
     ownership for its duration), so plan/validate repeats become exact
-    trace hits that skip the engine run, and annealing chains from
-    different requests resume each other's prefix traces.
+    trace hits that skip the engine run, and an anneal hits the orders
+    earlier searches of the configuration already evaluated.
     Byte-identity of cached evaluation makes this invisible in the
     responses.
 
     {b Warm starts.}  Each completed anneal offers its best trace to
     the configuration's evaluation cache, which keeps the
     lowest-makespan one ({!Nocplan_core.Eval_cache.best}); the next
-    anneal of the same configuration resumes from it instead of the
+    anneal of the same configuration starts from it instead of the
     cold heuristic order, and can only improve on it.  The response
     says which with its [warm_start] field, and [warm_hits] counts only
     searches that adopted a trace.  The trace lives and dies with its

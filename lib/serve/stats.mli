@@ -81,7 +81,7 @@ type snapshot = {
   warm_hits : int;  (** anneal searches that adopted a warm trace *)
   warm_misses : int;  (** anneal searches that looked and started cold *)
   shared_cache_hits : int;
-      (** solves that resumed a resident shared evaluation cache *)
+      (** solves that checked out a resident shared evaluation cache *)
   shared_cache_misses : int;  (** solves that built a fresh one *)
   queue_depth : int;
   queue_capacity : int;

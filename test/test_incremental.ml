@@ -1,7 +1,7 @@
-(* Incremental evaluation: prefix-resumed scheduling must be
-   byte-identical to from-scratch runs, the evaluation cache must be
-   invisible to results, and multi-chain annealing with [chains = 1]
-   must reproduce the historical sequential annealer exactly. *)
+(* Incremental evaluation: the evaluation cache and the workspace must
+   be invisible to results, the order-space search must stay exact,
+   and multi-chain annealing with [chains = 1] must reproduce the
+   historical sequential annealer exactly. *)
 
 open Util
 module Core = Nocplan_core
@@ -21,103 +21,6 @@ let paper_systems () =
     ("p22810_leon", Core.Experiments.p22810_leon ());
     ("p93791_leon", Core.Experiments.p93791_leon ());
   ]
-
-let shuffle rng a =
-  for i = Array.length a - 1 downto 1 do
-    let j = Rng.int rng ~bound:(i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-(* The acceptance property: for random orders and random swap points,
-   [Scheduler.resume] of the swapped order equals a from-scratch run,
-   byte for byte, across the paper systems, both policies, and a
-   binding power limit. *)
-let test_resume_equals_scratch () =
-  let rng = Rng.create 0xA51CEL in
-  List.iter
-    (fun (name, sys) ->
-      let reuse = List.length sys.Core.System.processors in
-      let limited = Some (Core.System.power_limit_of_pct sys ~pct:25.0) in
-      List.iter
-        (fun (policy, power_limit) ->
-          let config =
-            Scheduler.config ~policy ~power_limit ~reuse ()
-          in
-          let order =
-            Array.of_list (Core.Priority.order sys ~reuse)
-          in
-          let n = Array.length order in
-          for trial = 1 to 4 do
-            shuffle rng order;
-            let trace =
-              Scheduler.run_traced sys
-                { config with Scheduler.order = Some (Array.to_list order) }
-            in
-            let swapped = Array.copy order in
-            let i = Rng.int rng ~bound:n and j = Rng.int rng ~bound:n in
-            let tmp = swapped.(i) in
-            swapped.(i) <- swapped.(j);
-            swapped.(j) <- tmp;
-            let resumed = Scheduler.resume trace swapped in
-            let scratch =
-              Scheduler.run_traced sys
-                { config with Scheduler.order = Some (Array.to_list swapped) }
-            in
-            Alcotest.(check string)
-              (Fmt.str "%s %a trial %d byte-identical" name
-                 Scheduler.pp_policy policy trial)
-              (render (Scheduler.trace_schedule scratch))
-              (render (Scheduler.trace_schedule resumed))
-          done)
-        [
-          (Scheduler.Greedy, None);
-          (Scheduler.Greedy, limited);
-          (Scheduler.Lookahead, None);
-        ])
-    (paper_systems ())
-
-(* Resume composes: a chain of swaps, each resumed from the previous
-   trace, still matches scratch evaluation of the final order. *)
-let test_resume_chains_compose () =
-  let rng = Rng.create 0xC0FFEEL in
-  let sys = Core.Experiments.d695_leon () in
-  let reuse = List.length sys.Core.System.processors in
-  let config = Scheduler.config ~reuse () in
-  let order = Array.of_list (Core.Priority.order sys ~reuse) in
-  let n = Array.length order in
-  let trace =
-    ref
-      (Scheduler.run_traced sys
-         { config with Scheduler.order = Some (Array.to_list order) })
-  in
-  for _ = 1 to 12 do
-    let i = Rng.int rng ~bound:n and j = Rng.int rng ~bound:n in
-    let tmp = order.(i) in
-    order.(i) <- order.(j);
-    order.(j) <- tmp;
-    trace := Scheduler.resume !trace order
-  done;
-  let scratch =
-    Scheduler.run_traced sys
-      { config with Scheduler.order = Some (Array.to_list order) }
-  in
-  Alcotest.(check string) "chained resumes match scratch"
-    (render (Scheduler.trace_schedule scratch))
-    (render (Scheduler.trace_schedule !trace))
-
-let test_resume_validates_order () =
-  let sys = small_system () in
-  let trace = Scheduler.run_traced sys (Scheduler.config ~reuse:1 ()) in
-  let order = Scheduler.trace_order trace in
-  if Array.length order >= 1 then begin
-    let bogus = Array.copy order in
-    bogus.(0) <- 99_999;
-    match Scheduler.resume trace bogus with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "non-permutation accepted"
-  end
 
 let test_prefix_bound_sound_and_monotone () =
   let sys = Core.Experiments.p22810_leon () in
@@ -152,12 +55,22 @@ let test_eval_cache_counters () =
     Scheduler.run sys
       (Scheduler.config ~order:(Array.to_list swapped) ~reuse ())
   in
-  Alcotest.(check string) "resumed equals scratch" (render scratch) (render c);
+  Alcotest.(check string) "cached run equals scratch" (render scratch)
+    (render c);
   let s = Eval_cache.stats cache in
   Alcotest.(check int) "evaluations" 3 s.Eval_cache.evaluations;
-  Alcotest.(check int) "full runs" 1 s.Eval_cache.full_runs;
+  Alcotest.(check int) "full runs" 2 s.Eval_cache.full_runs;
   Alcotest.(check int) "exact hits" 1 s.Eval_cache.exact_hits;
-  Alcotest.(check int) "resumed" 1 s.Eval_cache.resumed
+  Alcotest.(check int) "resumed" 0 s.Eval_cache.resumed;
+  (* A non-permutation is refused on the full-run path, caching
+     nothing. *)
+  let bogus = Array.copy order in
+  bogus.(0) <- 99_999;
+  (match Eval_cache.evaluate cache bogus with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "non-permutation accepted");
+  Alcotest.(check int) "nothing cached for it" 2
+    (List.length (Eval_cache.traces cache))
 
 (* The pinned sequential goldens: captured from the pre-incremental
    annealer (commit ad7ec0f) on the three paper systems.  [chains = 1]
@@ -243,10 +156,10 @@ let test_chain_parameter_validation () =
   expect_invalid (fun () ->
       Annealing.schedule ~exchange_period:0 ~reuse:1 sys)
 
-(* The evaluation arena must be invisible to results: full runs and
-   resumes through one shared workspace — including a policy switch
-   that forces the arena to rebuild mid-life — match workspace-free
-   evaluation byte for byte. *)
+(* The evaluation arena must be invisible to results: runs of the
+   priority order and of swapped orders through one shared workspace —
+   including a policy switch that forces the arena to rebuild
+   mid-life — match workspace-free evaluation byte for byte. *)
 let test_workspace_invisible () =
   let sys = Core.Experiments.p22810_leon () in
   let reuse = List.length sys.Core.System.processors in
@@ -267,14 +180,13 @@ let test_workspace_invisible () =
       let tmp = swapped.(i) in
       swapped.(i) <- swapped.(j);
       swapped.(j) <- tmp;
-      let resumed = Scheduler.resume ~workspace:ws trace swapped in
-      let scratch =
-        Scheduler.run sys
-          (Scheduler.config ~policy ~order:(Array.to_list swapped) ~reuse ())
+      let config =
+        Scheduler.config ~policy ~order:(Array.to_list swapped) ~reuse ()
       in
-      Alcotest.(check string) "workspace resume equals scratch"
-        (render scratch)
-        (render (Scheduler.trace_schedule resumed))
+      let through = Scheduler.run_traced ~workspace:ws sys config in
+      Alcotest.(check string) "workspace swap run equals scratch"
+        (render (Scheduler.run sys config))
+        (render (Scheduler.trace_schedule through))
     done
   in
   check Scheduler.Greedy;
@@ -333,12 +245,6 @@ let test_order_search_never_worse_than_greedy () =
 
 let suite =
   [
-    Alcotest.test_case "resume equals scratch (systems x policies x power)"
-      `Slow test_resume_equals_scratch;
-    Alcotest.test_case "chained resumes compose" `Quick
-      test_resume_chains_compose;
-    Alcotest.test_case "resume validates the order" `Quick
-      test_resume_validates_order;
     Alcotest.test_case "prefix bound sound and monotone" `Quick
       test_prefix_bound_sound_and_monotone;
     Alcotest.test_case "eval cache counters and equivalence" `Quick

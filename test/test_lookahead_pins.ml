@@ -1,7 +1,7 @@
 (* Lookahead schedule digests for configurations the golden rows do not
    reach: link-health gates, fault-recovery replans (which plan from a
    nonzero start time over a module subset with pretested processors)
-   and prefix resumes through one shared workspace.  Captured from the
+   and a chain of swapped orders run through one shared workspace.  Captured from the
    candidate-buffer selection (every pooled pair filled per attempt,
    visited in (estimated finish, source-major index) order); the
    duration-ordered walk that replaced it must reproduce them. *)
@@ -98,10 +98,10 @@ let test_recover () =
   Alcotest.(check string) "recovery replans digest"
     "935a007903000545dcc98178a8a31b72" (digest_lines lines)
 
-(* A chain of seeded adjacent swaps, each resumed from the previous
-   trace through one workspace, on every reuse level of p22810_leon
-   with and without the binding power limit. *)
-let test_resume () =
+(* A chain of seeded adjacent swaps, each applied to the previous
+   trace's order and run through one workspace, on every reuse level
+   of p22810_leon with and without the binding power limit. *)
+let test_swap_chain () =
   let system = Experiments.p22810_leon () in
   let access = Test_access.table system in
   let ws = Scheduler.workspace () in
@@ -123,12 +123,14 @@ let test_resume () =
           let x = order.(p) in
           order.(p) <- order.(p + 1);
           order.(p + 1) <- x;
-          trace := Scheduler.resume ~workspace:ws !trace order;
+          trace :=
+            Scheduler.run_traced ~workspace:ws ~access system
+              { config with Scheduler.order = Some (Array.to_list order) };
           lines := digest (Scheduler.trace_schedule !trace) :: !lines
         done
       done)
     [ None; Some 25.0 ];
-  Alcotest.(check string) "workspace resume digest"
+  Alcotest.(check string) "workspace swap chain digest"
     "2c0b36785846c83de9d204e503967e79"
     (digest_lines (List.rev !lines))
 
@@ -136,5 +138,6 @@ let suite =
   [
     Alcotest.test_case "gated lookahead digests" `Quick test_gated;
     Alcotest.test_case "lookahead recovery replans digest" `Quick test_recover;
-    Alcotest.test_case "lookahead workspace resume digest" `Quick test_resume;
+    Alcotest.test_case "lookahead workspace swap chain digest" `Quick
+      test_swap_chain;
   ]

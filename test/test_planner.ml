@@ -79,19 +79,6 @@ let test_lookahead_sweep_valid () =
       Alcotest.(check bool) "validated" true p.Planner.validated)
     sweep.Planner.points
 
-let test_parallel_sweep_identical () =
-  let sys = small_system () in
-  let seq = Planner.reuse_sweep sys in
-  let par = Planner.reuse_sweep ~domains:2 sys in
-  List.iter2
-    (fun (a : Planner.point) (b : Planner.point) ->
-      Alcotest.(check int) "same reuse" a.Planner.reuse b.Planner.reuse;
-      Alcotest.(check int) "same makespan" a.Planner.makespan b.Planner.makespan)
-    seq.Planner.points par.Planner.points;
-  match Planner.reuse_sweep ~domains:0 sys with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "0 domains accepted"
-
 let prop_peak_power_nonnegative =
   qcheck ~count:20 "peak power is non-negative and finite" system_gen
     (fun sys ->
@@ -112,7 +99,5 @@ let suite =
     Alcotest.test_case "schedule wrapper consistent" `Quick
       test_schedule_wrapper_consistency;
     Alcotest.test_case "lookahead sweep valid" `Quick test_lookahead_sweep_valid;
-    Alcotest.test_case "parallel sweep identical" `Quick
-      test_parallel_sweep_identical;
     prop_peak_power_nonnegative;
   ]

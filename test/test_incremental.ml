@@ -22,6 +22,136 @@ let paper_systems () =
     ("p93791_leon", Core.Experiments.p93791_leon ());
   ]
 
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Rng.int rng ~bound:(i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done
+
+let swap_random rng a =
+  let n = Array.length a in
+  let i = Rng.int rng ~bound:n and j = Rng.int rng ~bound:n in
+  let tmp = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- tmp
+
+(* The search drivers' evaluation path: for random orders and random
+   swaps, [Eval_cache.schedule] through the cache's shared workspace
+   equals a from-scratch run, byte for byte, across the paper systems,
+   both policies, and a binding power limit.  Re-evaluating an order
+   seen before must return the identical schedule. *)
+let test_eval_cache_equals_scratch () =
+  let rng = Rng.create 0xA51CEL in
+  List.iter
+    (fun (name, sys) ->
+      let reuse = List.length sys.Core.System.processors in
+      let limited = Some (Core.System.power_limit_of_pct sys ~pct:25.0) in
+      List.iter
+        (fun (policy, power_limit) ->
+          let config = Scheduler.config ~policy ~power_limit ~reuse () in
+          let cache = Eval_cache.create sys config in
+          let order = Array.of_list (Core.Priority.order sys ~reuse) in
+          for trial = 1 to 4 do
+            shuffle rng order;
+            let before = render (Eval_cache.schedule cache order) in
+            let swapped = Array.copy order in
+            swap_random rng swapped;
+            let scratch =
+              Scheduler.run sys
+                { config with Scheduler.order = Some (Array.to_list swapped) }
+            in
+            Alcotest.(check string)
+              (Fmt.str "%s %a trial %d byte-identical" name
+                 Scheduler.pp_policy policy trial)
+              (render scratch)
+              (render (Eval_cache.schedule cache swapped));
+            Alcotest.(check string)
+              (Fmt.str "%s %a trial %d revisit" name Scheduler.pp_policy
+                 policy trial)
+              before
+              (render (Eval_cache.schedule cache order))
+          done)
+        [
+          (Scheduler.Greedy, None);
+          (Scheduler.Greedy, limited);
+          (Scheduler.Lookahead, None);
+        ])
+    (paper_systems ())
+
+(* A chain of swaps through one cache, as the annealer makes them:
+   every other move is rejected and reverted, so the revert is an
+   exact hit on a retained trace.  The chain's final order still
+   matches scratch evaluation, and the counters account for every
+   evaluation. *)
+let test_eval_cache_swap_chain () =
+  let rng = Rng.create 0xC0FFEEL in
+  let sys = Core.Experiments.d695_leon () in
+  let reuse = List.length sys.Core.System.processors in
+  let config = Scheduler.config ~reuse () in
+  let cache = Eval_cache.create sys config in
+  let order = Array.of_list (Core.Priority.order sys ~reuse) in
+  ignore (Eval_cache.evaluate cache order);
+  for step = 1 to 12 do
+    let previous = Array.copy order in
+    swap_random rng order;
+    ignore (Eval_cache.evaluate cache order);
+    if step mod 2 = 0 then begin
+      Array.blit previous 0 order 0 (Array.length order);
+      let tr = Eval_cache.evaluate cache order in
+      Alcotest.(check (array int)) "revert returns the previous order's trace"
+        previous (Scheduler.trace_order tr)
+    end
+  done;
+  let scratch =
+    Scheduler.run sys
+      { config with Scheduler.order = Some (Array.to_list order) }
+  in
+  Alcotest.(check string) "chain end matches scratch" (render scratch)
+    (render (Eval_cache.schedule cache order));
+  let s = Eval_cache.stats cache in
+  Alcotest.(check int) "evaluations" (1 + 12 + 6 + 1) s.Eval_cache.evaluations;
+  Alcotest.(check int) "every evaluation is a hit or a full run"
+    s.Eval_cache.evaluations
+    (s.Eval_cache.exact_hits + s.Eval_cache.full_runs);
+  (* The six reverts and the final lookup are hits by construction;
+     this seed's swaps revisit one retained order besides. *)
+  Alcotest.(check int) "exact hits (pinned)" 8 s.Eval_cache.exact_hits
+
+(* A workspace run refuses any order that is not a permutation of the
+   scheduled modules — an unknown id, a duplicate, a missing module —
+   and the refused runs leave the workspace fit for the next one. *)
+let test_workspace_run_validates_order () =
+  let sys = small_system () in
+  let config = Scheduler.config ~reuse:1 () in
+  let ws = Scheduler.workspace () in
+  let trace = Scheduler.run_traced ~workspace:ws sys config in
+  let order = Array.to_list (Scheduler.trace_order trace) in
+  let refuse label bad =
+    match
+      Scheduler.run_traced ~workspace:ws sys
+        { config with Scheduler.order = Some bad }
+    with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" label
+  in
+  (match order with
+  | first :: rest ->
+      refuse "unknown id" (99_999 :: rest);
+      refuse "duplicate" (first :: first :: rest);
+      refuse "missing module" rest
+  | [] -> Alcotest.fail "empty priority order");
+  let after =
+    Scheduler.run_traced ~workspace:ws sys
+      { config with Scheduler.order = Some (List.rev order) }
+  in
+  Alcotest.(check string) "workspace still equals a plain run"
+    (render
+       (Scheduler.run sys
+          { config with Scheduler.order = Some (List.rev order) }))
+    (render (Scheduler.trace_schedule after))
+
 let test_prefix_bound_sound_and_monotone () =
   let sys = Core.Experiments.p22810_leon () in
   let reuse = List.length sys.Core.System.processors in
@@ -245,6 +375,12 @@ let test_order_search_never_worse_than_greedy () =
 
 let suite =
   [
+    Alcotest.test_case "eval cache equals scratch (systems x policies x power)"
+      `Slow test_eval_cache_equals_scratch;
+    Alcotest.test_case "eval cache swap chain with reverts" `Quick
+      test_eval_cache_swap_chain;
+    Alcotest.test_case "workspace run validates the order" `Quick
+      test_workspace_run_validates_order;
     Alcotest.test_case "prefix bound sound and monotone" `Quick
       test_prefix_bound_sound_and_monotone;
     Alcotest.test_case "eval cache counters and equivalence" `Quick

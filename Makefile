@@ -85,12 +85,15 @@ serve-smoke: build
 	  echo "serve-smoke: python3 not installed, skipping"; \
 	fi
 
-# Seeded fault-injection smoke on d695: the gate exits non-zero if any
-# replanned schedule violates the independent fault invariants or the
-# availability curve is not monotone in the fault rate.
+# Seeded fault-injection smoke on the three Leon systems (4x4, 5x6 and
+# 5x5 meshes): the gate exits non-zero if any replanned schedule
+# violates the independent fault invariants or the availability curve
+# is not monotone in the fault rate.
 fault-smoke: build
-	dune exec bin/nocplan.exe -- faults d695_leon \
-	  --rates 0,0.05,0.1,0.2 --seed 7 --gate
+	for s in d695_leon p22810_leon p93791_leon; do \
+	  dune exec bin/nocplan.exe -- faults $$s \
+	    --rates 0,0.05,0.1,0.2 --seed 7 --gate || exit 1; \
+	done
 
 # dvsim-style testplan/registry cross-check: unknown suite references
 # and unreferenced suites both fail the build.

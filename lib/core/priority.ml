@@ -5,18 +5,21 @@ module Module_def = Nocplan_itc02.Module_def
 let resource_tiles system ~reuse =
   List.map (Resource.coord system) (Resource.all_endpoints system ~reuse)
 
-let distance_to_nearest_resource system ~reuse id =
+let nearest system tiles id =
   let tile = System.coord_of_module system id in
-  let tiles = resource_tiles system ~reuse in
   let topology = system.System.topology in
   List.fold_left
     (fun acc c -> min acc (Nocplan_noc.Topology.distance topology tile c))
     max_int tiles
 
+let distance_to_nearest_resource system ~reuse id =
+  nearest system (resource_tiles system ~reuse) id
+
 let order system ~reuse =
+  let tiles = resource_tiles system ~reuse in
   let key id =
     let m = Soc.find system.System.soc id in
-    ( distance_to_nearest_resource system ~reuse id,
+    ( nearest system tiles id,
       -Module_def.test_bits m,
       id )
   in

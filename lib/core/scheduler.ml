@@ -676,11 +676,12 @@ let event_loop e pending0 =
      current time, both of which change only on a commit or an event
      advance — so it is computed once per quiescent stretch and shared
      by every pending module's attempt, instead of rescanning all slots
-     (most attempts fail) per attempt.  Without an idle source-capable
-     and an idle sink-capable slot no attempt can commit under either
-     policy, so none is made.  Skipping them is exact: a failed attempt
-     has no side effects, and the set is re-derived after every
-     commit. *)
+     (most attempts fail) per attempt.  Without two idle slots, one
+     source-capable and one sink-capable, no attempt can commit under
+     either policy, so none is made: a pair needs two distinct slots
+     (a lone idle processor can both source and sink, but not test
+     through itself).  Skipping them is exact: a failed attempt has no
+     side effects, and the set is re-derived after every commit. *)
   let slots = Array.make (max 1 e.e_n) 0 in
   let k = ref 0 in
   let idle_pair = ref false in
@@ -697,7 +698,7 @@ let event_loop e pending0 =
         if Resource.can_sink e.e_endpoints.(i) then snk := true
       end
     done;
-    idle_pair := !src && !snk;
+    idle_pair := !k >= 2 && !src && !snk;
     stale := false
   in
   let start ~now id =

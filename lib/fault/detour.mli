@@ -8,14 +8,25 @@
     fault — the routing tables a NoC with per-router fault registers
     would hold.
 
-    Tables are safe to share across domains.  Construction only
-    records the fault set.  The first route to a destination whose XY
-    path is broken runs one backward BFS from it over the healthy
-    directed channel graph (O(channels)) and caches the distances for
-    every later route to that destination; a destination only reached
-    over healthy XY paths never pays one.  A cache slot goes from empty
-    to a fully built array in one atomic write, so two domains racing
-    on it can only compute the same array twice.  Routes do not depend
+    Everything runs over router indices.  Per topology, the directed
+    channel graph is built once and kept for the last few topologies:
+    each router's neighbour indices in {!Nocplan_noc.Topology.neighbors}
+    order (the order that breaks path ties) and each channel's reverse.
+    Per fault set, {!table} marks dead routers, dead inject and eject
+    ports and dead directed channels (a dead router's included) in
+    byte arrays, in O(routers + faults).  A {!route} then reads only
+    ints and bytes: the XY check walks the XY path's channels, and the
+    first route to a destination whose XY path is broken runs one
+    backward BFS from it over the live channels (O(channels)), whose
+    distances serve every later route to that destination; a
+    destination only reached over healthy XY paths never pays one.
+    Only the returned path is allocated, plus a distance array and a
+    queue per BFS.
+
+    Tables are safe to share across domains.  A distance slot goes from
+    empty to a fully built array in one atomic write, so two domains
+    racing on it can only compute the same array twice; the topology
+    cache is an immutable list behind one atomic.  Routes do not depend
     on which destinations were cached before. *)
 
 type fault_set = private {
@@ -52,7 +63,8 @@ type t
 (** A routing table for one (topology, fault set). *)
 
 val table : Nocplan_noc.Topology.t -> fault_set -> t
-(** Build the table (no BFS yet, see above).  Emits a ["fault.detour"]
+(** Build the table: O(routers + faults), no BFS yet (see above).
+    Faults outside the topology are ignored.  Emits a ["fault.detour"]
     trace span.  The empty
     fault set yields a table whose {!route} is extensionally equal to
     {!Nocplan_noc.Xy_routing.route} — and in fact {!route} returns the
@@ -90,7 +102,3 @@ val route_fn :
 
 val router_ok : t -> Nocplan_noc.Coord.t -> bool
 (** The router at this coordinate is not in the fault set. *)
-
-val channel_ok : t -> Nocplan_noc.Coord.t -> Nocplan_noc.Coord.t -> bool
-(** The directed channel [a -> b] and both its end routers are
-    healthy. *)

@@ -26,31 +26,50 @@ let side_loads ~bins ~scan_chains ~cells =
   lpt_loads ~bins (scan_chains @ units)
 
 (* The longest chain of {!side_loads}, from the scan partition's loads
-   sorted ascending, without placing the unit cells one at a time.
-   Placing each unit on a shortest bin fills the bins like water: the
-   final level is the least [h] with [sum_i max 0 (h - load_i) >= cells],
-   and no bin already above it receives a cell.  The level over the [k]
+   sorted ascending, without placing the unit cells one at a time.  The
+   partition is [zeros] empty bins below the loads in [sorted].  Placing
+   each unit on a shortest bin fills the bins like water: the final
+   level is the least [h] with [sum_i max 0 (h - load_i) >= cells], and
+   no bin already above it receives a cell.  The level over the [k]
    lowest bins is [ceil ((cells + sum of those k) / k)]; it is final as
-   soon as it does not rise above the next bin. *)
-let side_length sorted ~cells =
-  let bins = Array.length sorted in
+   soon as it does not rise above the next bin.  Below [k = zeros] that
+   only happens for [cells = 0], where [k = zeros] gives the same
+   level 0, so the search starts there. *)
+let side_length ~zeros sorted ~cells =
+  let bins = zeros + Array.length sorted in
+  let load i = if i < zeros then 0 else sorted.(i - zeros) in
   let rec level k sum =
-    let sum = sum + sorted.(k - 1) in
+    let sum = sum + load (k - 1) in
     let h = (cells + sum + k - 1) / k in
-    if k = bins || h <= sorted.(k) then h else level (k + 1) sum
+    if k = bins || h <= load k then h else level (k + 1) sum
   in
-  max sorted.(bins - 1) (level 1 0)
+  max (load (bins - 1)) (level (max 1 zeros) 0)
+
+let of_partition ~width ~zeros sorted (m : Module_def.t) =
+  (* Both sides share the scan partition. *)
+  {
+    width;
+    scan_in_max = side_length ~zeros sorted ~cells:(m.inputs + m.bidirs);
+    scan_out_max = side_length ~zeros sorted ~cells:(m.outputs + m.bidirs);
+  }
 
 let design ~width (m : Module_def.t) =
   if width < 1 then invalid_arg "Wrapper.design: width must be >= 1";
-  (* Both sides share the scan partition. *)
-  let sorted = lpt_loads ~bins:width m.scan_chains in
-  Array.sort Int.compare sorted;
-  {
-    width;
-    scan_in_max = side_length sorted ~cells:(m.inputs + m.bidirs);
-    scan_out_max = side_length sorted ~cells:(m.outputs + m.bidirs);
-  }
+  let n = List.length m.scan_chains in
+  if n <= width then begin
+    (* LPT puts each chain, longest first, on an empty bin: the first
+       shortest bin is empty while fewer than [width] chains are
+       placed.  The sorted loads are [width - n] zeros, then the chains
+       ascending. *)
+    let chains = Array.of_list m.scan_chains in
+    Array.sort Int.compare chains;
+    of_partition ~width ~zeros:(width - n) chains m
+  end
+  else begin
+    let sorted = lpt_loads ~bins:width m.scan_chains in
+    Array.sort Int.compare sorted;
+    of_partition ~width ~zeros:0 sorted m
+  end
 
 type layout = { in_lengths : int list; out_lengths : int list }
 

@@ -26,7 +26,15 @@ type t = private {
 
 val design : width:int -> Module_def.t -> t
 (** [design ~width m] partitions [m]'s scan chains and terminals into
-    at most [width] wrapper chains.
+    at most [width] wrapper chains: the maxima of {!layout}, computed
+    without placing cells one by one.
+
+    With no more scan chains than [width], LPT puts every chain on a
+    wrapper chain of its own, so the sorted loads are [width - chains]
+    zeros followed by the chains in ascending order: one sort of the
+    chains, no bin scan.  Only with more chains than [width] does LPT
+    run, one bin scan per chain.  Either way the functional cells go on
+    by water level over the sorted loads, in closed form per side.
 
     @raise Invalid_argument if [width < 1]. *)
 
@@ -39,7 +47,8 @@ type layout = {
 
 val layout : width:int -> Module_def.t -> layout
 (** The concrete partition behind {!design}: the per-chain cell counts
-    whose maxima are [scan_in_max]/[scan_out_max].  Used by the
+    whose maxima are [scan_in_max]/[scan_out_max], placed cell by cell
+    with LPT (the reference {!design} is tested against).  Used by the
     bit-level wrapper simulator.
     @raise Invalid_argument if [width < 1]. *)
 

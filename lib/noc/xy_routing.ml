@@ -1,5 +1,3 @@
-(* One step along an axis towards [target], taking the shorter way
-   around on a torus (ties towards increasing coordinate). *)
 let step ~kind ~size v target =
   match (kind : Topology.kind) with
   | Topology.Mesh -> if v < target then v + 1 else v - 1

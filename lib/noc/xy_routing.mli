@@ -11,6 +11,12 @@ val route : Topology.t -> src:Coord.t -> dst:Coord.t -> Coord.t list
     [route t ~src ~dst:src] is [[src]].
     @raise Invalid_argument if an endpoint is out of bounds. *)
 
+val step : kind:Topology.kind -> size:int -> int -> int -> int
+(** [step ~kind ~size v target] is the next coordinate after [v] on an
+    axis of [size] routers when moving towards [target <> v]: one step
+    closer, the shorter way around on a torus (ties towards increasing
+    coordinate).  {!route} takes these steps, X first. *)
+
 val hops : Topology.t -> src:Coord.t -> dst:Coord.t -> int
 (** Number of inter-router channels on the route, i.e.
     {!Topology.distance}. *)

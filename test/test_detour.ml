@@ -98,6 +98,148 @@ let prop_routes_well_formed =
             coords)
         coords)
 
+(* The list-based router the index-based one replaced, kept as the
+   oracle: the fault set as a router set and a link set, a backward BFS
+   over [Topology.neighbors] lists, and the XY path's links checked one
+   by one. *)
+module Reference = struct
+  module Coord_set = Set.Make (Coord)
+
+  type t = {
+    topology : Topology.t;
+    routers : Coord_set.t;
+    links : Link.Set.t;
+    dist : (int, int array) Hashtbl.t;
+  }
+
+  let make topology (fs : Detour.fault_set) =
+    {
+      topology;
+      routers = Coord_set.of_list fs.Detour.routers;
+      links = Link.Set.of_list fs.Detour.links;
+      dist = Hashtbl.create 16;
+    }
+
+  let router_ok t c = not (Coord_set.mem c t.routers)
+
+  let channel_ok t a b =
+    router_ok t a && router_ok t b
+    && not (Link.Set.mem (Link.channel a b) t.links)
+
+  let bfs t d =
+    let topology = t.topology in
+    let dd = Array.make (Topology.router_count topology) max_int in
+    let dc = Topology.of_index topology d in
+    if router_ok t dc then begin
+      dd.(d) <- 0;
+      let q = Queue.create () in
+      Queue.push dc q;
+      while not (Queue.is_empty q) do
+        let v = Queue.pop q in
+        let dv = dd.(Topology.index topology v) in
+        List.iter
+          (fun u ->
+            let ui = Topology.index topology u in
+            if dd.(ui) = max_int && channel_ok t u v then begin
+              dd.(ui) <- dv + 1;
+              Queue.push u q
+            end)
+          (Topology.neighbors topology v)
+      done
+    end;
+    dd
+
+  let distances t d =
+    match Hashtbl.find_opt t.dist d with
+    | Some dd -> dd
+    | None ->
+        let dd = bfs t d in
+        Hashtbl.add t.dist d dd;
+        dd
+
+  let xy_healthy t ~src ~dst =
+    List.for_all
+      (fun l ->
+        (not (Link.Set.mem l t.links))
+        && List.for_all (router_ok t) (Link.routers l))
+      (Xy.links t.topology ~src ~dst)
+
+  let route t ~src ~dst =
+    let index = Topology.index t.topology in
+    if
+      (not (router_ok t src))
+      || (not (router_ok t dst))
+      || Link.Set.mem (Link.Inject src) t.links
+      || Link.Set.mem (Link.Eject dst) t.links
+    then None
+    else if xy_healthy t ~src ~dst then Some (Xy.route t.topology ~src ~dst)
+    else begin
+      let dd = distances t (index dst) in
+      if dd.(index src) = max_int then None
+      else begin
+        let rec go c acc =
+          if Coord.equal c dst then List.rev (c :: acc)
+          else
+            let dc = dd.(index c) in
+            let next =
+              List.find
+                (fun v -> channel_ok t c v && dd.(index v) = dc - 1)
+                (Topology.neighbors t.topology c)
+            in
+            go next (c :: acc)
+        in
+        Some (go src [])
+      end
+    end
+end
+
+(* Meshes and tori from 1x1 to 8x8 with every kind of fault: dead
+   routers, dead directed channels, dead inject and eject ports. *)
+let any_faults_gen =
+  let open QCheck2.Gen in
+  let* shape = oneofl [ Topology.make; Topology.torus ] in
+  let* width = int_range 1 8 in
+  let* height = int_range 1 8 in
+  let topology = shape ~width ~height in
+  let coord = coord_in topology in
+  let channel =
+    let* a = coord in
+    match Topology.neighbors topology a with
+    | [] -> return None
+    | neighbors ->
+        let* b = oneofl neighbors in
+        return (Some (Link.channel a b))
+  in
+  let* routers = list_size (int_range 0 4) coord in
+  let* channels = list_size (int_range 0 6) channel in
+  let* injects = list_size (int_range 0 2) coord in
+  let* ejects = list_size (int_range 0 2) coord in
+  let links =
+    List.filter_map Fun.id channels
+    @ List.map (fun c -> Link.Inject c) injects
+    @ List.map (fun c -> Link.Eject c) ejects
+  in
+  return (topology, Detour.fault_set ~routers ~links ())
+
+let prop_equals_reference =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~count:300
+       ~name:"every pair routes as the list-based reference router"
+       ~print:(fun (topology, faults) ->
+         Fmt.str "%a %a" Topology.pp topology Detour.pp_fault_set faults)
+       any_faults_gen
+  @@ fun (topology, faults) ->
+      let t = Detour.table topology faults in
+      let reference = Reference.make topology faults in
+      let coords = all_coords topology in
+      List.for_all
+        (fun src ->
+          List.for_all
+            (fun dst ->
+              Detour.route t ~src ~dst = Reference.route reference ~src ~dst)
+            coords)
+        coords
+
 (* 3x3 mesh, kill the middle router of the XY path from (0,0) to
    (2,0): the route must leave the bottom row and come back. *)
 let test_detour_around_dead_router () =
@@ -184,11 +326,55 @@ let test_fault_set_normalizes () =
     (Detour.fault_count (Detour.union a b));
   Alcotest.(check bool) "no_faults is empty" true (Detour.is_empty Detour.no_faults)
 
+let test_table_allocation_budget () =
+  (* Minor words of a fresh table plus seven routes on a 4x4 mesh with
+     five faults, a deterministic count (no timing): a replan builds
+     one table per fault set, so both must stay int reads over arrays
+     precomputed per topology.  With router and link sets, neighbour
+     lists per BFS node and a link list per XY check this came to
+     11,878 words. *)
+  let topology = Topology.make ~width:4 ~height:4 in
+  let faults =
+    Detour.fault_set
+      ~routers:[ c 1 1; c 2 2 ]
+      ~links:
+        [
+          Link.channel (c 0 0) (c 1 0);
+          Link.channel (c 3 1) (c 3 2);
+          Link.Inject (c 0 3);
+        ]
+      ()
+  in
+  let pairs =
+    [
+      (c 0 0, c 3 0);
+      (c 0 0, c 3 3);
+      (c 0 1, c 3 1);
+      (c 3 0, c 0 2);
+      (c 1 0, c 1 3);
+      (c 3 3, c 0 0);
+      (c 2 0, c 2 3);
+    ]
+  in
+  let routes () =
+    let t = Detour.table topology faults in
+    List.map (fun (src, dst) -> Detour.route t ~src ~dst) pairs
+  in
+  Alcotest.(check int) "every pair routes" 7
+    (List.length (List.filter Option.is_some (routes ())));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (routes ()));
+  let words = Gc.minor_words () -. before in
+  if words > 2000. then
+    Alcotest.failf "table and routes allocated %.0f minor words, budget 2000"
+      words
+
 let suite =
   [
     prop_xy_agreement;
     prop_no_faulty_traversal;
     prop_routes_well_formed;
+    prop_equals_reference;
     Alcotest.test_case "detour around a dead router" `Quick
       test_detour_around_dead_router;
     Alcotest.test_case "healthy XY path verbatim" `Quick
@@ -200,4 +386,6 @@ let suite =
       test_blocked_links_of_dead_router;
     Alcotest.test_case "fault-set normalization" `Quick
       test_fault_set_normalizes;
+    Alcotest.test_case "table allocation budget" `Quick
+      test_table_allocation_budget;
   ]

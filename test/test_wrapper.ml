@@ -164,6 +164,82 @@ let prop_pattern_cycles_consistent =
       let per = Wrapper.pattern_cycles w in
       total >= ((per - 1) * p) && total <= (per * p) + per)
 
+(* Plain LPT, the reference for the closed form: chains longest first,
+   then one unit cell at a time, each onto the first shortest of
+   [width] bins; the longest bin of each side. *)
+let lpt_reference ~width (m : Module_def.t) =
+  let side cells =
+    let loads = Array.make width 0 in
+    let place item =
+      let shortest = ref 0 in
+      for i = 1 to width - 1 do
+        if loads.(i) < loads.(!shortest) then shortest := i
+      done;
+      loads.(!shortest) <- loads.(!shortest) + item
+    in
+    List.iter place (List.sort (fun a b -> Int.compare b a) m.scan_chains);
+    for _ = 1 to cells do
+      place 1
+    done;
+    Array.fold_left max 0 loads
+  in
+  ( side (m.Module_def.inputs + m.Module_def.bidirs),
+    side (m.Module_def.outputs + m.Module_def.bidirs) )
+
+(* Widths 1-64 and 0 to 2 * width chains, with the branch boundary
+   (chains = width, the closed form, and width + 1, LPT) drawn often
+   and many equal short chains.  Zero-length chains cannot occur:
+   [Module_def.make] refuses them. *)
+let design_case_gen =
+  let open QCheck2.Gen in
+  let* width = int_range 1 64 in
+  let* chains =
+    frequency
+      [
+        (1, return 0);
+        (2, return width);
+        (2, return (width + 1));
+        (5, int_range 0 (2 * width));
+      ]
+  in
+  let* scan_chains =
+    list_repeat chains
+      (frequency [ (1, return 1); (1, int_range 1 8); (2, int_range 1 400) ])
+  in
+  let* inputs = int_range 0 300 in
+  let* outputs = int_range 0 300 in
+  let* bidirs = int_range 0 30 in
+  return
+    ( width,
+      Module_def.make ~bidirs ~id:1 ~name:"w" ~inputs ~outputs ~scan_chains
+        ~patterns:1 () )
+
+let prop_design_is_lpt =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~count:500 ~name:"design equals sorted LPT"
+       ~print:(fun (width, m) ->
+         Fmt.str "width %d, %a" width Module_def.pp m)
+       design_case_gen
+  @@ fun (width, m) ->
+  let w = design width m in
+  (w.Wrapper.scan_in_max, w.Wrapper.scan_out_max) = lpt_reference ~width m
+
+let test_design_allocation_budget () =
+  (* Minor words of one design at a corpus flit width, a deterministic
+     count (no timing): with no more chains than bins the sorted loads
+     are built from the chains alone.  Running LPT over 64 bins
+     allocated 353 words here. *)
+  let m =
+    Module_def.make ~id:1 ~name:"w" ~inputs:30 ~outputs:20
+      ~scan_chains:[ 40; 12; 33; 7 ] ~patterns:10 ()
+  in
+  ignore (design 64 m);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (design 64 m));
+  let words = Gc.minor_words () -. before in
+  if words > 120. then
+    Alcotest.failf "design allocated %.0f minor words, budget 120" words
+
 let suite =
   [
     Alcotest.test_case "combinational core" `Quick test_combinational_core;
@@ -177,4 +253,7 @@ let suite =
     prop_lpt_quality;
     prop_lpt_vs_bruteforce;
     prop_pattern_cycles_consistent;
+    prop_design_is_lpt;
+    Alcotest.test_case "design allocation budget" `Quick
+      test_design_allocation_budget;
   ]

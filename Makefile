@@ -100,12 +100,25 @@ fault-smoke: build
 testplan-lint: build
 	sh tools/testplan_lint.sh
 
-# Corpus smoke: a small seed-pinned synthetic corpus through the full
-# checked-in testplan on two domains; exits non-zero if any testpoint
-# reports a failed check (or the testplan itself has drifted).
+# Corpus smoke: the corpus the corpus-verify benchmark checks (seed 7,
+# items 0-99) through the full checked-in testplan, once on one domain
+# and once on two; exits non-zero if either run reports a failed check
+# (or the testplan itself has drifted) or the two per-testpoint CSVs
+# differ.
 corpus-smoke: testplan-lint
+	@one=$$(mktemp); two=$$(mktemp); status=0; \
 	dune exec bin/nocplan.exe -- verify --testplan test/testplan.json \
-	  --count 12 --jobs 2 --seed 7
+	  --seed 7 --count 100 --csv --jobs 1 > $$one || status=1; \
+	dune exec bin/nocplan.exe -- verify --testplan test/testplan.json \
+	  --seed 7 --count 100 --csv --jobs 2 > $$two || status=1; \
+	if [ $$status -ne 0 ]; then \
+	  echo "corpus-smoke: FAIL (a verify run exited non-zero)"; cat $$one $$two; \
+	elif ! diff $$one $$two; then \
+	  echo "corpus-smoke: FAIL (--jobs 1 and --jobs 2 differ)"; status=1; \
+	else \
+	  cat $$one; echo "corpus-smoke: 100 items, --jobs 1 and --jobs 2 agree"; \
+	fi; \
+	rm -f $$one $$two; exit $$status
 
 # The paper-sweep oracle: every Figure-1 reuse series (six builtin
 # systems; greedy, greedy at the binding power limit, lookahead) must

@@ -72,7 +72,7 @@ let walk t ~now ~avail offer =
       let j = p - (i * t.n) in
       let ai = avail.(i) and aj = avail.(j) in
       if ai >= 0 && aj >= 0 then begin
-        let ready = max ai aj in
+        let ready = Int.max ai aj in
         if ready > now then begin
           let key = ready + d in
           if key < !best || (key = !best && p < !best_pair) then begin

@@ -58,8 +58,8 @@ let schedule ?access system config =
 (* ------------------------------------------------------------------ *)
 (* Validation                                                         *)
 
-let validate system ~application ~power_limit ~reuse plan =
-  Schedule.validate_sessions system ~application ~power_limit ~reuse
+let validate ?access system ~application ~power_limit ~reuse plan =
+  Schedule.validate_sessions ?access system ~application ~power_limit ~reuse
     (List.map
        (fun s ->
          ( {

@@ -59,6 +59,7 @@ val schedule : ?access:Test_access.table -> System.t -> config -> plan
     @raise Invalid_argument as {!Scheduler.run_sessions}. *)
 
 val validate :
+  ?access:Test_access.table ->
   System.t ->
   application:Nocplan_proc.Processor.application ->
   power_limit:float option ->
@@ -69,6 +70,8 @@ val validate :
     pattern count: every module's sessions apply its whole pattern set
     and never overlap, a processor is ready once its last session
     ends, and each session's duration, power and links match
-    {!Test_access.cost} for its pattern count. *)
+    {!Test_access.cost} for its pattern count.  [access] prices the
+    sessions from their cells, as in {!Schedule.validate_sessions};
+    without it every session is priced directly. *)
 
 val pp_plan : plan Fmt.t

@@ -82,10 +82,11 @@ let same_link_set a b = Link.Set.equal (Link.Set.of_list a) (Link.Set.of_list b)
 let same_links a b = List.equal Link.equal a b || same_link_set a b
 
 (* The model's duration and power for one interval, and whether its
-   links are the model's path.  A session is priced directly for its
-   own pattern count; a full test through the model, where a table
-   answers from its cell's scalars and walks the entry's links against
-   the cell's two legs in place. *)
+   links are the model's path.  A table answers from its cell's
+   scalars and walks the entry's links against the cell's two legs in
+   place; a session of [p] of the module's [P] patterns lasts the
+   cell's duration less [P - p] patterns, the same price
+   {!Test_access.cost} gives for [p] patterns. *)
 let priced m e patterns =
   let direct () =
     let c =
@@ -95,23 +96,32 @@ let priced m e patterns =
     (c.Test_access.duration, c.Test_access.power,
      same_links e.links c.Test_access.links)
   in
-  match patterns with
-  | Some _ -> direct ()
-  | None ->
-      via m
-        (fun tbl ->
-          let row = Test_access.module_row tbl e.module_id
-          and src = Test_access.endpoint_id tbl e.source
-          and snk = Test_access.endpoint_id tbl e.sink in
-          let duration = Test_access.duration_ix tbl ~row ~src ~snk in
-          if duration < 0 then
-            invalid_arg "Schedule.check: invalid source/sink pair";
-          ( duration,
-            Test_access.power_ix tbl ~row ~src ~snk,
-            Test_access.links_match_ix tbl ~row ~src ~snk e.links
-            || same_link_set e.links
-                 (fst (Test_access.path_ix tbl ~row ~src ~snk)) ))
-        direct
+  via m
+    (fun tbl ->
+      let row = Test_access.module_row tbl e.module_id
+      and src = Test_access.endpoint_id tbl e.source
+      and snk = Test_access.endpoint_id tbl e.sink in
+      let duration = Test_access.duration_ix tbl ~row ~src ~snk in
+      if duration < 0 then
+        invalid_arg "Schedule.check: invalid source/sink pair";
+      let duration =
+        match patterns with
+        | None -> duration
+        | Some p ->
+            if p < 1 then invalid_arg "Schedule.check: patterns must be >= 1";
+            let full =
+              (Soc.find m.system.System.soc e.module_id)
+                .Nocplan_itc02.Module_def.patterns
+            in
+            duration
+            - ((full - p) * Test_access.per_pattern_ix tbl ~row ~src ~snk)
+      in
+      ( duration,
+        Test_access.power_ix tbl ~row ~src ~snk,
+        Test_access.links_match_ix tbl ~row ~src ~snk e.links
+        || same_link_set e.links
+             (fst (Test_access.path_ix tbl ~row ~src ~snk)) ))
+    direct
 
 (* Every module of the plan is tested exactly once, or — for sessions —
    by intervals whose pattern counts sum to the module's; nothing
@@ -356,9 +366,10 @@ let validate_replan ?access ?(abandoned = []) system ~application
         ~power_limit ~reuse
         (sorted (List.map (fun e -> (e, None)) replanned)))
 
-let validate_sessions system ~application ~power_limit ~reuse sessions =
+let validate_sessions ?access system ~application ~power_limit ~reuse
+    sessions =
   result
-    (check system ~application ~power_limit ~reuse
+    (check ?access system ~application ~power_limit ~reuse
        (sorted (List.map (fun (e, patterns) -> (e, Some patterns)) sessions)))
 
 let pp_entry ppf e =

@@ -125,6 +125,7 @@ val validate_replan :
     and not be abandoned ([Module_outside_plan]). *)
 
 val validate_sessions :
+  ?access:Test_access.table ->
   System.t ->
   application:Nocplan_proc.Processor.application ->
   power_limit:float option ->
@@ -135,7 +136,13 @@ val validate_sessions :
     own pattern count.  A module's sessions must apply its whole
     pattern set between them and never overlap, and a processor is
     ready once its last session ends.  A session is priced by
-    {!Test_access.cost} with its pattern count on XY routes. *)
+    {!Test_access.cost} with its pattern count on XY routes.
+
+    [?access] plays the same part as in {!validate}.  A session of [p]
+    of its module's [P] patterns is priced from its cell: the cell's
+    duration less [P - p] patterns ({!Test_access.per_pattern_ix}),
+    the cell's power and the cell's path — exactly
+    {!Test_access.cost} for [p] patterns. *)
 
 val pp_violation : violation Fmt.t
 val pp : t Fmt.t

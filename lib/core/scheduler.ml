@@ -459,7 +459,7 @@ let fill_candidates e ~row slots k =
       then begin
         b.b_src.(!m) <- i;
         b.b_snk.(!m) <- j;
-        b.b_ready.(!m) <- max avail.(i) avail.(j);
+        b.b_ready.(!m) <- Int.max avail.(i) avail.(j);
         incr m
       end
     done

@@ -400,7 +400,7 @@ let number_union t a b =
 
 (* Distinct values across two sorted int arrays: a cell's routers from
    its legs' tile ranks, its links from their keys. *)
-let distinct a b =
+let distinct (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   let i = ref 0 and j = ref 0 and n = ref 0 in
   while !i < la && !j < lb do

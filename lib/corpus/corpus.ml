@@ -20,6 +20,7 @@ type item = {
   power_pct : float option;
   power_limit : float option;
   reuse : int;
+  access : Core.Test_access.table Lazy.t;
 }
 
 (* Per-item seed: the corpus seed advanced by a golden-ratio stride, so
@@ -57,6 +58,9 @@ let progress_floor (system : Core.System.t) =
     *. float_of_int (topo.Noc.Topology.width + topo.Noc.Topology.height)
   in
   1.05 *. (max_module_power +. leg_power +. stream)
+
+let bist_table system =
+  lazy (Core.Test_access.table ~application:Proc.Processor.Bist system)
 
 let item ~seed ~index =
   if index < 0 then invalid_arg "Corpus.item: negative index";
@@ -151,11 +155,15 @@ let item ~seed ~index =
     power_pct;
     power_limit;
     reuse = leons + plasmas;
+    access = bist_table system;
   }
 
 let generate ~seed ~count =
   if count < 0 then invalid_arg "Corpus.generate: negative count";
   List.init count (fun index -> item ~seed ~index)
+
+let access item = Lazy.force item.access
+let fresh_table item = { item with access = bist_table item.system }
 
 let config item =
   Core.Scheduler.config ~power_limit:item.power_limit ~reuse:item.reuse ()

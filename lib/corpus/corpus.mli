@@ -16,7 +16,7 @@
     condition.  A suite failure over the corpus therefore always
     indicates a planner defect, never an infeasible draw. *)
 
-type item = {
+type item = private {
   index : int;  (** position in the corpus, [0 .. count-1] *)
   seed : int64;  (** the corpus seed the item was drawn under *)
   name : string;  (** ["syn<index>"], unique within a corpus *)
@@ -36,7 +36,16 @@ type item = {
       (** the absolute limit handed to the schedulers: the percentage
           applied to this system, floored for guaranteed progress *)
   reuse : int;  (** processors reusable for test (all of them) *)
+  access : Nocplan_core.Test_access.table Lazy.t;
+      (** the {!Nocplan_core.Test_access.table} of [system] for the
+          [Bist] application, built on first {!access}: drawing an
+          item, its {!digest}, its CSV row and re-drawing it never
+          build one.  Compare items by {!fingerprint}, never
+          structurally: [compare] raises on an unforced suspension
+          and would walk a whole table on a forced one. *)
 }
+(** Items are built only by {!item} and {!fresh_table}, which keep
+    [access] the table of the item's own [system]. *)
 
 val item : seed:int64 -> index:int -> item
 (** Draw the [index]-th item of the [seed] corpus.  O(1) in the corpus
@@ -46,6 +55,27 @@ val item : seed:int64 -> index:int -> item
 val generate : seed:int64 -> count:int -> item list
 (** The first [count] items, in index order.
     @raise Invalid_argument if [count < 0]. *)
+
+val access : item -> Nocplan_core.Test_access.table
+(** The item's access table, built on the first call and shared by
+    every later one: every solver suite plans on it, so checking an
+    item builds one table, not one per suite.  Validators keep their
+    table-free path.
+
+    Force it from one domain only: a lazy value forced by two domains
+    at once raises [Lazy.Undefined] in one of them.
+    {!Runner.run} and the corpus-verify benchmark check each item in
+    exactly one domain; a table already built may be read from any
+    domain.  An item keeps its table for as long as it lives (about
+    37 KB on average over seed 7 items 0-99).
+    @raise Invalid_argument as {!Nocplan_core.Test_access.table}, on
+    every call once the build has raised. *)
+
+val fresh_table : item -> item
+(** The same item with a table of its own, not yet built.  A checker
+    that must leave no table behind in its caller's item checks this
+    copy: {!Runner.run} does, so a corpus held whole through a sweep
+    holds no tables. *)
 
 val config : item -> Nocplan_core.Scheduler.config
 (** The planning configuration the property suites run under: default

@@ -49,7 +49,10 @@ val run :
     labels the report).  [jobs] defaults to 1; [clock] times the sweep
     ([Sys.time] by default — callers with unix should pass wall time).
     A suite raising is recorded as a failure of that check, not a
-    crash of the sweep.
+    crash of the sweep.  Each item is checked in one domain, on a
+    {!Corpus.fresh_table} copy whose access table every solver suite
+    shares and which is dropped after the item's checks: [items]
+    themselves are never forced.
     @raise Invalid_argument if the plan names a suite that is not
     registered (run {!Testplan.lint} first). *)
 

@@ -21,7 +21,9 @@ let truncate_list pp l =
 
 let schedule_invariants_check (item : Corpus.item) =
   let config = Corpus.config item in
-  match Core.Scheduler.run item.Corpus.system config with
+  match
+    Core.Scheduler.run ~access:(Corpus.access item) item.Corpus.system config
+  with
   | exception Core.Scheduler.Unschedulable msg ->
       Fail ("greedy found the item unschedulable: " ^ msg)
   | schedule -> (
@@ -46,18 +48,40 @@ let schedule_invariants_check (item : Corpus.item) =
 
 (* -- backend_differential ------------------------------------------- *)
 
+(* The racers plan on the item's table and race validates on it; every
+   schedule is then re-checked table-free, so a table defect cannot pass
+   itself. *)
 let backend_differential_check (item : Corpus.item) =
-  match Core.Backend.race item.Corpus.system (Corpus.config item) with
+  let system = item.Corpus.system and config = Corpus.config item in
+  match Core.Backend.race ~access:(Corpus.access item) system config with
   | exception (Core.Scheduler.Unschedulable msg | Invalid_argument msg) ->
       Fail ("no backend produced a valid schedule: " ^ msg)
   | outcome -> (
       let attempts = outcome.Core.Backend.attempts in
+      let violations (s : Core.Schedule.t) =
+        match
+          Core.Schedule.validate system
+            ~application:config.Core.Scheduler.application
+            ~power_limit:config.Core.Scheduler.power_limit
+            ~reuse:config.Core.Scheduler.reuse s
+        with
+        | Ok () -> []
+        | Error vs -> vs
+      in
       let bad =
         List.filter_map
           (fun (a : Core.Backend.attempt) ->
             match a.Core.Backend.outcome with
-            | Ok _ when not a.Core.Backend.valid -> Some a.Core.Backend.backend
-            | Ok _ | Error _ -> None)
+            | Ok _ when not a.Core.Backend.valid ->
+                Some (a.Core.Backend.backend ^ " (on the table)")
+            | Ok s -> (
+                match violations s with
+                | [] -> None
+                | vs ->
+                    Some
+                      (Fmt.str "%s (table-free: %s)" a.Core.Backend.backend
+                         (truncate_list Core.Schedule.pp_violation vs)))
+            | Error _ -> None)
           attempts
       in
       let greedy =
@@ -97,8 +121,9 @@ let fault_rates = [ 0.0; 0.1; 0.25 ]
 let fault_monotonicity_check (item : Corpus.item) =
   let seed = item.Corpus.index + 1 in
   match
-    Fault.Injector.sweep ~power_limit:item.Corpus.power_limit
-      ~reuse:item.Corpus.reuse ~seed ~rates:fault_rates item.Corpus.system
+    Fault.Injector.sweep ~access:(Corpus.access item)
+      ~power_limit:item.Corpus.power_limit ~reuse:item.Corpus.reuse ~seed
+      ~rates:fault_rates item.Corpus.system
   with
   | exception Core.Scheduler.Unschedulable msg ->
       Fail ("fault sweep unschedulable: " ^ msg)
@@ -157,7 +182,10 @@ let preemptive_validity_check (item : Corpus.item) =
     Core.Preemptive.config ~power_limit:item.Corpus.power_limit
       ~max_sessions:2 ~reuse:item.Corpus.reuse ()
   in
-  match Core.Preemptive.schedule item.Corpus.system config with
+  match
+    Core.Preemptive.schedule ~access:(Corpus.access item) item.Corpus.system
+      config
+  with
   | exception Core.Scheduler.Unschedulable msg ->
       Fail ("preemptive planning unschedulable: " ^ msg)
   | plan -> (
@@ -206,8 +234,9 @@ let all =
     {
       name = "backend_differential";
       doc =
-        "race both builtin backends: all attempts validator-clean, \
-         race never worse than greedy";
+        "race both builtin backends on the item's table: every attempt \
+         validator-clean on the table and re-checked table-free, race \
+         never worse than greedy";
       check = backend_differential_check;
     };
     {

@@ -17,15 +17,22 @@ type suite = {
 }
 
 val all : suite list
-(** The registry, in report order:
+(** The four solver suites ([schedule_invariants],
+    [backend_differential], [fault_monotonicity],
+    [preemptive_validity]) plan on the item's own table
+    ({!Corpus.access}), so an item checked against every suite builds
+    one table.  The suites' own validation is table-free.
+
+    The registry, in report order:
 
     - ["schedule_invariants"] — greedy plans the item and the result
       passes both the production validator and the naive independent
       {!Invariants} re-check;
     - ["backend_differential"] — every builtin backend is raced
-      ({!Nocplan_core.Backend.race}): every schedule produced passes
-      the independent validator and the race winner is never worse
-      than greedy;
+      ({!Nocplan_core.Backend.race}) on the item's table: every
+      schedule produced passes the race's validation on that table
+      and is re-checked by {!Nocplan_core.Schedule.validate} without
+      one, and the race winner is never worse than greedy;
     - ["fault_monotonicity"] — seeded fault-injection sweep: the rate-0
       point is fault-free with full availability, the injected fault
       count is non-decreasing in the rate (fault sets are nested

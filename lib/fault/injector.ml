@@ -130,9 +130,22 @@ let run_from ~policy ~application ~power_limit ~reuse ~access ~baseline
     replans = List.length groups;
   }
 
-(* The fault-free schedule and the XY table it was planned on. *)
-let fault_free ~policy ~application ~power_limit ~reuse system =
-  let access = Test_access.table ~application system in
+(* The fault-free schedule and the XY table it was planned on: the
+   caller's [access], or one built here. *)
+let fault_free ?access ~policy ~application ~power_limit ~reuse system =
+  let access =
+    match access with
+    | None -> Test_access.table ~application system
+    | Some t ->
+        if
+          Test_access.table_routed t
+          || not (Test_access.table_for t ~system ~application)
+        then
+          invalid_arg
+            "Injector.sweep: access table not built on XY routes for this \
+             system and application";
+        t
+  in
   ( access,
     Scheduler.run ~access system
       (Scheduler.config ~policy ~application ~power_limit ~reuse ()) )
@@ -155,9 +168,9 @@ type point = {
 }
 
 let sweep ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
-    ?(power_limit = None) ~reuse ~seed ~rates system =
+    ?(power_limit = None) ?access ~reuse ~seed ~rates system =
   let access, baseline =
-    fault_free ~policy ~application ~power_limit ~reuse system
+    fault_free ?access ~policy ~application ~power_limit ~reuse system
   in
   let horizon = max 1 baseline.Schedule.makespan in
   List.map

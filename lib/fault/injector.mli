@@ -88,6 +88,7 @@ val sweep :
   ?policy:Nocplan_core.Scheduler.policy ->
   ?application:Nocplan_proc.Processor.application ->
   ?power_limit:float option ->
+  ?access:Nocplan_core.Test_access.table ->
   reuse:int ->
   seed:int ->
   rates:float list ->
@@ -95,6 +96,15 @@ val sweep :
   (point * run) list
 (** One campaign per rate, all drawn with [seed] over the fault-free
     makespan as horizon — the availability / makespan-degradation
-    curve. *)
+    curve.
+
+    [access] is the XY {!Nocplan_core.Test_access.table} of this system
+    and [application]: the fault-free schedule is planned on it and the
+    first replan degrades it, so the sweep builds no table of its own.
+    The points and runs are those of a sweep without it.  Without
+    [access] the sweep builds that table itself.
+    @raise Invalid_argument if [access] fails
+    {!Nocplan_core.Test_access.table_for} for this system and
+    [application], or was built with a custom route. *)
 
 val pp_point : point Fmt.t

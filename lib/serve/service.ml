@@ -422,8 +422,8 @@ let execute t (p : Protocol.planning) ~check =
                 check ();
                 let valid =
                   Result.is_ok
-                    (Core.Preemptive.validate system ~application ~power_limit
-                       ~reuse plan)
+                    (Core.Preemptive.validate ~access system ~application
+                       ~power_limit ~reuse plan)
                 in
                 Ok
                   ( Json.Obj

@@ -232,6 +232,53 @@ let test_runner_jobs_invariant () =
              contains 0)
            testplan.Corpus.Testplan.testpoints)
 
+(* --- one access table per checked item ------------------------------ *)
+
+(* Drawing, digesting, printing and re-drawing an item build no table;
+   checking it against the whole plan builds exactly one, which every
+   solver suite shares. *)
+let test_one_table_per_item () =
+  match Corpus.Testplan.load testplan_path with
+  | Error msg -> Alcotest.failf "testplan: %s" msg
+  | Ok testplan ->
+      let items = Corpus.Corpus.generate ~seed:7L ~count:3 in
+      let tables events =
+        List.length
+          (List.filter
+             (fun (ev : Nocplan_obs.Trace.event) ->
+               ev.Nocplan_obs.Trace.name = "access.table"
+               && ev.Nocplan_obs.Trace.phase = Nocplan_obs.Trace.Begin)
+             events)
+      in
+      let (), drawn =
+        Nocplan_obs.Trace.with_collector (fun () ->
+            let items = Corpus.Corpus.generate ~seed:7L ~count:3 in
+            ignore (Corpus.Corpus.digest items : string);
+            List.iter
+              (fun item -> ignore (Corpus.Corpus.csv_row item : string))
+              items;
+            match Corpus.Suites.find "generation_determinism" with
+            | None -> Alcotest.fail "generation_determinism not registered"
+            | Some suite ->
+                List.iter
+                  (fun item -> ignore (suite.Corpus.Suites.check item))
+                  items)
+      in
+      Alcotest.(check int) "no table for drawing, digest, CSV, re-draw" 0
+        (tables drawn);
+      let report, checked =
+        Nocplan_obs.Trace.with_collector (fun () ->
+            Corpus.Runner.run ~testplan items)
+      in
+      Alcotest.(check bool) "the items pass" true (Corpus.Runner.ok report);
+      Alcotest.(check int) "one table per checked item" (List.length items)
+        (tables checked);
+      Alcotest.(check bool) "the caller's items keep no table" false
+        (List.exists
+           (fun (item : Corpus.Corpus.item) ->
+             Lazy.is_val item.Corpus.Corpus.access)
+           items)
+
 let suite =
   [
     prop_item_schedules_clean;
@@ -250,4 +297,6 @@ let suite =
       test_testplan_rejects_malformed;
     Alcotest.test_case "runner is domain-count invariant" `Slow
       test_runner_jobs_invariant;
+    Alcotest.test_case "one access table per checked item" `Quick
+      test_one_table_per_item;
   ]

@@ -143,6 +143,46 @@ let test_sweep_monotone_and_deterministic () =
   Alcotest.(check bool) "sweep deterministic" true
     (List.map fst (sweep ()) = points)
 
+(* A sweep on the caller's table is the sweep that builds its own:
+   every point, and every run's baseline, steps and schedules. *)
+let test_sweep_on_a_given_table () =
+  let module Corpus = Nocplan_corpus.Corpus in
+  let check label ~power_limit ~reuse ~seed sys =
+    let sweep ?access () =
+      Injector.sweep ?access ~power_limit ~reuse ~seed
+        ~rates:[ 0.0; 0.1; 0.25 ] sys
+    in
+    let access = Core.Test_access.table sys in
+    Alcotest.(check bool) (label ^ ": same points and runs") true
+      (sweep ~access () = sweep ())
+  in
+  check "d695_leon" ~power_limit:None ~reuse:2 ~seed:7
+    (Core.Experiments.d695_leon ());
+  List.iter
+    (fun (item : Corpus.item) ->
+      check item.Corpus.name ~power_limit:item.Corpus.power_limit
+        ~reuse:item.Corpus.reuse ~seed:(item.Corpus.index + 1)
+        item.Corpus.system)
+    (Corpus.generate ~seed:7L ~count:20)
+
+let test_sweep_refuses_a_foreign_table () =
+  let sys = Core.Experiments.d695_leon () in
+  let refused label access =
+    match Injector.sweep ~access ~reuse:1 ~seed:7 ~rates:[ 0.1 ] sys with
+    | _ -> Alcotest.failf "%s: table accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  refused "another system" (Core.Test_access.table (small_system ()));
+  refused "the same system rebuilt"
+    (Core.Test_access.table (Core.Experiments.d695_leon ()));
+  refused "decompression"
+    (Core.Test_access.table ~application:Nocplan_proc.Processor.Decompression
+       sys);
+  refused "a custom route"
+    (Core.Test_access.table
+       ~route:(Detour.route_fn (Detour.table sys.System.topology Detour.no_faults))
+       sys)
+
 let test_recover_after_session_end_keeps_everything () =
   let sys = small_system () in
   let sched = Scheduler.run sys (Scheduler.config ~reuse:1 ()) in
@@ -231,6 +271,10 @@ let suite =
     prop_seeded_campaigns_validate;
     Alcotest.test_case "sweep: monotone and deterministic" `Quick
       test_sweep_monotone_and_deterministic;
+    Alcotest.test_case "sweep on a given table" `Quick
+      test_sweep_on_a_given_table;
+    Alcotest.test_case "sweep refuses a foreign table" `Quick
+      test_sweep_refuses_a_foreign_table;
     Alcotest.test_case "event after session end keeps everything" `Quick
       test_recover_after_session_end_keeps_everything;
     Alcotest.test_case "negative event time rejected" `Quick

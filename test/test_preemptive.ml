@@ -8,6 +8,7 @@ module Soc = Nocplan_itc02.Soc
 module Module_def = Nocplan_itc02.Module_def
 module Proc = Nocplan_proc
 module Corpus = Nocplan_corpus.Corpus
+module Test_access = Core.Test_access
 
 let validate ?(application = Proc.Processor.Bist) ?(power_limit = None)
     ~reuse sys plan =
@@ -201,6 +202,86 @@ let test_unschedulable_raises_engine_error () =
         (String.starts_with ~prefix:"no progress at t=0 with 4 cores pending"
            msg)
 
+(* On a table the validator prices every session from its cell; its
+   verdict is the direct one, on plans as planned and on plans with one
+   session's finish, power, links or pattern count doctored. *)
+let test_validate_on_a_table_agrees () =
+  let verdict ?access ~application ~power_limit ~reuse sys plan =
+    match
+      Preemptive.validate ?access sys ~application ~power_limit ~reuse plan
+    with
+    | Ok () -> "ok"
+    | Error vs ->
+        Fmt.str "%a" (Fmt.list ~sep:Fmt.semi Schedule.pp_violation) vs
+  in
+  let doctored (plan : Preemptive.plan) =
+    match plan.Preemptive.sessions with
+    | [] -> []
+    | s :: rest ->
+        let with_first s' = Preemptive.plan_of_sessions (s' :: rest) in
+        [
+          with_first { s with Preemptive.finish = s.Preemptive.finish + 1 };
+          with_first { s with Preemptive.power = s.Preemptive.power +. 1.0 };
+          with_first { s with Preemptive.links = [] };
+        ]
+        @
+        if s.Preemptive.patterns > 1 then
+          [
+            with_first
+              { s with Preemptive.patterns = s.Preemptive.patterns - 1 };
+          ]
+        else []
+  in
+  let check label ~application ~power_limit ~reuse ~max_sessions sys =
+    let access = Test_access.table ~application sys in
+    match
+      Preemptive.schedule ~access sys
+        (Preemptive.config ~application ~power_limit ~max_sessions ~reuse ())
+    with
+    | exception Scheduler.Unschedulable _ -> ()
+    | plan ->
+        let verdicts plan =
+          ( verdict ~application ~power_limit ~reuse sys plan,
+            verdict ~access ~application ~power_limit ~reuse sys plan )
+        in
+        let direct, tabled = verdicts plan in
+        Alcotest.(check string) (label ^ ": plan valid, direct") "ok" direct;
+        Alcotest.(check string) (label ^ ": plan valid, on the table") "ok"
+          tabled;
+        List.iteri
+          (fun i plan ->
+            let direct, tabled = verdicts plan in
+            if direct = "ok" then
+              Alcotest.failf "%s: doctored plan %d validates" label i;
+            Alcotest.(check string)
+              (Printf.sprintf "%s: doctored plan %d" label i)
+              direct tabled)
+          (doctored plan)
+  in
+  List.iter
+    (fun (name, sys) ->
+      let reuse = List.length sys.System.processors in
+      List.iter
+        (fun application ->
+          List.iter
+            (fun max_sessions ->
+              check
+                (Printf.sprintf "%s %s %d sessions" name
+                   (match application with
+                   | Proc.Processor.Bist -> "bist"
+                   | Proc.Processor.Decompression -> "decompression")
+                   max_sessions)
+                ~application ~power_limit:None ~reuse ~max_sessions sys)
+            [ 2; 3 ])
+        [ Proc.Processor.Bist; Proc.Processor.Decompression ])
+    (Core.Experiments.all ());
+  List.iter
+    (fun (item : Corpus.item) ->
+      check item.Corpus.name ~application:Proc.Processor.Bist
+        ~power_limit:item.Corpus.power_limit ~reuse:item.Corpus.reuse
+        ~max_sessions:2 item.Corpus.system)
+    (Corpus.generate ~seed:7L ~count:20)
+
 let prop_plans_always_valid =
   qcheck ~count:25 "preemptive plans validate on random systems"
     QCheck2.Gen.(pair system_gen (int_range 1 4))
@@ -242,6 +323,8 @@ let suite =
     Alcotest.test_case "validator: overlaps" `Quick
       test_validator_catches_overlap;
     Alcotest.test_case "power-limited plan" `Quick test_power_limited_plan;
+    Alcotest.test_case "validator on a table agrees with the direct one"
+      `Quick test_validate_on_a_table_agrees;
     Alcotest.test_case "unschedulable raises the engine error" `Quick
       test_unschedulable_raises_engine_error;
     prop_plans_always_valid;

@@ -278,12 +278,12 @@ let prop_fault_free_detour_table_is_xy =
 
 (* --- chunk prices --------------------------------------------------- *)
 
-(* The soundness of pricing preemptive session chunks from the table:
-   for every feasible cell and a random pattern count [p] in [[1, P]],
-   [duration_ix - (P - p) * per_pattern_ix] is the duration of
-   [Test_access.cost ~patterns:p], and that cost's power and links are
-   the full-pattern cell's. *)
-let chunk_prices_match sys ~rng =
+(* The soundness of pricing preemptive session chunks from the table,
+   as the engine and the validator do: for every feasible cell and each
+   pattern count [p] of [counts P], [duration_ix - (P - p) *
+   per_pattern_ix] is the duration of [Test_access.cost ~patterns:p],
+   and that cost's power and links are the full-pattern cell's. *)
+let chunk_prices_match sys ~counts =
   List.iter
     (fun application ->
       let t = Test_access.table ~application sys in
@@ -298,36 +298,61 @@ let chunk_prices_match sys ~rng =
                 (Nocplan_itc02.Soc.find sys.System.soc module_id)
                   .Nocplan_itc02.Module_def.patterns
               in
-              let p = 1 + Random.State.int rng patterns in
-              let chunk =
-                Test_access.cost ~patterns:p sys ~application ~module_id ~source
-                  ~sink
-              in
-              let label what =
-                Fmt.str "module %d %a -> %a, %d of %d patterns: %s" module_id
-                  Resource.pp source Resource.pp sink p patterns what
-              in
-              Alcotest.(check int) (label "duration")
-                chunk.Test_access.duration
-                (Test_access.duration_ix t ~row ~src ~snk
-                - ((patterns - p) * Test_access.per_pattern_ix t ~row ~src ~snk));
-              Alcotest.(check bool) (label "power") true
-                (Int64.equal
-                   (Int64.bits_of_float chunk.Test_access.power)
-                   (Int64.bits_of_float full.Test_access.power));
-              Alcotest.(check bool) (label "links") true
-                (List.equal Link.equal chunk.Test_access.links
-                   full.Test_access.links)
+              List.iter
+                (fun p ->
+                  let chunk =
+                    Test_access.cost ~patterns:p sys ~application ~module_id
+                      ~source ~sink
+                  in
+                  let fail what =
+                    Alcotest.failf "module %d %a -> %a, %d of %d patterns: %s"
+                      module_id Resource.pp source Resource.pp sink p patterns
+                      what
+                  in
+                  if
+                    chunk.Test_access.duration
+                    <> Test_access.duration_ix t ~row ~src ~snk
+                       - (patterns - p)
+                         * Test_access.per_pattern_ix t ~row ~src ~snk
+                  then fail "duration";
+                  if
+                    not
+                      (Int64.equal
+                         (Int64.bits_of_float chunk.Test_access.power)
+                         (Int64.bits_of_float full.Test_access.power))
+                  then fail "power";
+                  if
+                    not
+                      (List.equal Link.equal chunk.Test_access.links
+                         full.Test_access.links)
+                  then fail "links")
+                (counts patterns)
           | Some _ | None -> ())
         (cells sys t))
     applications
 
 let test_chunk_price_identity () =
   let rng = Random.State.make [| 30 |] in
-  List.iter (fun (_, sys) -> chunk_prices_match sys ~rng) (Core.Experiments.all ());
+  let counts patterns = [ 1 + Random.State.int rng patterns ] in
   List.iter
-    (fun item -> chunk_prices_match item.Nocplan_corpus.Corpus.system ~rng)
+    (fun (_, sys) -> chunk_prices_match sys ~counts)
+    (Core.Experiments.all ());
+  List.iter
+    (fun item -> chunk_prices_match item.Nocplan_corpus.Corpus.system ~counts)
     (Nocplan_corpus.Corpus.generate ~seed:7L ~count:25)
+
+(* Every pattern count, on corpus items and d695_leon: the prices
+   [Schedule.validate_sessions] reads from a table. *)
+let every_count patterns = List.init patterns (fun i -> i + 1)
+
+let prop_session_prices_corpus =
+  qcheck ~count:10 "table session prices equal cost ~patterns at every count"
+    corpus_item_gen (fun item ->
+      chunk_prices_match item.Nocplan_corpus.Corpus.system ~counts:every_count;
+      true)
+
+let test_session_prices_d695_leon () =
+  chunk_prices_match (Core.Experiments.d695_leon ()) ~counts:every_count
 
 (* --- allocation budget --------------------------------------------- *)
 
@@ -506,6 +531,9 @@ let suite =
       test_sweep_ignores_mismatched_table;
     prop_cost_well_formed;
     Alcotest.test_case "chunk price identity" `Quick test_chunk_price_identity;
+    prop_session_prices_corpus;
+    Alcotest.test_case "session prices on d695_leon" `Quick
+      test_session_prices_d695_leon;
     Alcotest.test_case "table allocation budget" `Quick
       test_table_allocation_budget;
     Alcotest.test_case "table live words per cell" `Slow

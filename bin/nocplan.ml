@@ -457,63 +457,33 @@ let replay_cmd =
 (* optimal                                                            *)
 
 let optimal_cmd =
-  let run instance max_nodes orders =
+  let run instance max_nodes =
     match instance with
     | Error msg -> parse_fail msg
     | Ok (system, reuse, power_limit) -> (
-        let greedy () =
-          Core.Scheduler.run system
-            (Core.Scheduler.config ~power_limit ~reuse ())
-        in
-        if orders then
-          match
-            Core.Exhaustive.order_search ~power_limit ~max_evals:max_nodes
-              ~reuse system
-          with
-          | exception Core.Scheduler.Unschedulable msg -> plan_fail msg
-          | r ->
-              let greedy = greedy () in
-              Fmt.pr "%a@." Core.Schedule.pp r.Core.Exhaustive.schedule;
-              Fmt.pr
-                "greedy %d, best order %d (%s; %d engine evaluations, %d \
-                 subtrees pruned)@."
-                greedy.Core.Schedule.makespan
-                r.Core.Exhaustive.schedule.Core.Schedule.makespan
-                (if r.Core.Exhaustive.exact then "optimal over orders"
-                 else "evaluation budget exhausted")
-                r.Core.Exhaustive.evaluations r.Core.Exhaustive.pruned;
-              0
-        else
-          match
-            Core.Exhaustive.schedule ~power_limit ~max_nodes ~reuse system
-          with
-          | exception Core.Scheduler.Unschedulable msg -> plan_fail msg
-          | r ->
-              let greedy = greedy () in
-              Fmt.pr "%a@." Core.Schedule.pp r.Core.Exhaustive.schedule;
-              Fmt.pr
-                "greedy %d, branch-and-bound %d (%s, %d nodes expanded)@."
-                greedy.Core.Schedule.makespan
-                r.Core.Exhaustive.schedule.Core.Schedule.makespan
-                (if r.Core.Exhaustive.exact then "optimal"
-                 else "node budget exhausted")
-                r.Core.Exhaustive.nodes;
-              0)
+        match
+          Core.Exhaustive.schedule ~power_limit ~max_nodes ~reuse system
+        with
+        | exception Core.Scheduler.Unschedulable msg -> plan_fail msg
+        | r ->
+            let greedy =
+              Core.Scheduler.run system
+                (Core.Scheduler.config ~power_limit ~reuse ())
+            in
+            Fmt.pr "%a@." Core.Schedule.pp r.Core.Exhaustive.schedule;
+            Fmt.pr "greedy %d, branch-and-bound %d (%s, %d nodes expanded)@."
+              greedy.Core.Schedule.makespan
+              r.Core.Exhaustive.schedule.Core.Schedule.makespan
+              (if r.Core.Exhaustive.exact then "optimal"
+               else "node budget exhausted")
+              r.Core.Exhaustive.nodes;
+            0)
   in
   let max_nodes_arg =
     Arg.(value & opt (int_at_least 1) 300_000 & info [ "max-nodes" ] ~docv:"N"
-           ~doc:"Branch-and-bound node budget (engine evaluations with \
-                 $(b,--orders)).")
+           ~doc:"Branch-and-bound node budget.")
   in
-  let orders_arg =
-    Arg.(value & flag & info [ "orders" ]
-           ~doc:"Search the order space (the space annealing samples) \
-                 instead of the schedule space: one engine run per order, \
-                 subtrees pruned by shared-prefix lower bounds.")
-  in
-  let term =
-    Term.(const run $ instance power_arg $ max_nodes_arg $ orders_arg)
-  in
+  let term = Term.(const run $ instance power_arg $ max_nodes_arg) in
   Cmd.v
     (cmd_info "optimal"
        ~doc:"Certified-optimal schedule for small systems (branch and bound).")

@@ -16,7 +16,6 @@ type t = {
      chain (it is not domain-safe), which is the ownership contract
      [Scheduler.workspace] asks for. *)
   workspace : Scheduler.workspace;
-  capacity : int;
   mutable traces : Scheduler.trace list;  (* most recently used first *)
   mutable best : Scheduler.trace option;  (* lowest makespan offered *)
   mutable evaluations : int;
@@ -24,8 +23,10 @@ type t = {
   mutable exact_hits : int;
 }
 
-let create ?(capacity = 4) ?access system cfg =
-  if capacity < 1 then invalid_arg "Eval_cache.create: capacity must be >= 1";
+(* Retained traces per cache, evicted least-recently-used. *)
+let capacity = 4
+
+let create ?access system cfg =
   let application = cfg.Scheduler.application in
   let access =
     match access with
@@ -37,7 +38,6 @@ let create ?(capacity = 4) ?access system cfg =
     cfg = { cfg with Scheduler.order = None };
     access;
     workspace = Scheduler.workspace ();
-    capacity;
     traces = [];
     best = None;
     evaluations = 0;
@@ -46,7 +46,6 @@ let create ?(capacity = 4) ?access system cfg =
   }
 
 let access t = t.access
-let traces t = t.traces
 let system t = t.system
 let best t = t.best
 
@@ -65,12 +64,7 @@ let stats t =
    beyond the capacity. *)
 let remember t trace =
   let rest = List.filter (fun tr -> tr != trace) t.traces in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | tr :: rest -> tr :: take (n - 1) rest
-  in
-  t.traces <- trace :: take (t.capacity - 1) rest
+  t.traces <- trace :: List.filteri (fun i _ -> i < capacity - 1) rest
 
 let seed t trace =
   if not (Scheduler.trace_matches trace ~system:t.system t.cfg) then
@@ -107,13 +101,9 @@ let offer t trace =
 
 let evaluate t order =
   t.evaluations <- t.evaluations + 1;
-  let n = Array.length order in
   let module Trace = Nocplan_obs.Trace in
   match
-    List.find_opt
-      (fun tr ->
-        Scheduler.trace_length tr = n && Scheduler.trace_lcp tr order = n)
-      t.traces
+    List.find_opt (fun tr -> Scheduler.trace_has_order tr order) t.traces
   with
   | Some tr ->
       t.exact_hits <- t.exact_hits + 1;

@@ -1,11 +1,10 @@
 (** Exact-hit evaluation memo over {!Scheduler} traces.
 
-    The search drivers ({!Annealing}, the order-space branch-and-bound
-    in {!Exhaustive}) evaluate many orders against one (system,
+    {!Annealing} evaluates many orders against one (system,
     configuration) key, and often the same order twice: a rejected
     move's revert is the previous order verbatim, and a repeated
     request meets the orders an earlier one evaluated.  The cache
-    keeps the most recent traces for its key.  An order identical to
+    keeps the four most recent traces for its key.  An order identical to
     a retained trace's is a pure lookup; any other order is one full
     {!Scheduler.run_traced} through the cache's {!Scheduler.workspace},
     so every evaluation is a from-scratch run or the very trace one
@@ -18,17 +17,12 @@
 type t
 
 val create :
-  ?capacity:int -> ?access:Test_access.table -> System.t ->
-  Scheduler.config -> t
+  ?access:Test_access.table -> System.t -> Scheduler.config -> t
 (** A cache for evaluations of one system under one configuration
     (the [order] field of the configuration is ignored — it is the
-    quantity being searched).  [capacity] (default 4) bounds the
-    retained traces, evicted least-recently-used.  [access] shares a
-    precomputed table as in {!Planner.reuse_sweep}: a table built for
-    a different system or application is ignored and a fresh one built
-    instead.
-
-    @raise Invalid_argument if [capacity < 1]. *)
+    quantity being searched).  [access] shares a precomputed table as
+    in {!Planner.reuse_sweep}: a table built for a different system or
+    application is ignored and a fresh one built instead. *)
 
 val evaluate : t -> int array -> Scheduler.trace
 (** Evaluate one order (not mutated; traces copy it).  Exact hits
@@ -59,10 +53,6 @@ val rebase : t -> Scheduler.trace -> unit
     evaluation arena re-validates itself on the next run.
     @raise Invalid_argument if the trace's configuration (ignoring
     order) differs from the cache's. *)
-
-val traces : t -> Scheduler.trace list
-(** Retained traces, most recently used first — the branch-and-bound
-    reads these to prune with {!Scheduler.prefix_bound}. *)
 
 val access : t -> Test_access.table
 (** The access table every evaluation shares. *)

@@ -2,86 +2,6 @@ module Processor = Nocplan_proc.Processor
 
 type result = { schedule : Schedule.t; exact : bool; nodes : int }
 
-type order_result = {
-  schedule : Schedule.t;
-  exact : bool;
-  evaluations : int;
-  pruned : int;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Order-space search                                                 *)
-
-(* Depth-first over permutations of the module order, in lexicographic
-   order relative to the priority heuristic, so consecutive leaves
-   share long prefixes; every leaf is one full engine run through the
-   shared {!Eval_cache}.  Subtrees are cut with
-   {!Scheduler.prefix_bound}: the commits a cached trace logged before
-   its first commit at a changed position are shared by every order in
-   the subtree, so their largest finish lower-bounds all of its
-   makespans. *)
-let order_search ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
-    ?(power_limit = None) ?(max_evals = 20_000) ~reuse system =
-  if max_evals < 1 then
-    invalid_arg "Exhaustive.order_search: max_evals must be >= 1";
-  let cfg = Scheduler.config ~policy ~application ~power_limit ~reuse () in
-  let cache = Eval_cache.create ~capacity:8 system cfg in
-  let modules = Priority.order system ~reuse in
-  let n = List.length modules in
-  let makespan tr = (Scheduler.trace_schedule tr).Schedule.makespan in
-  let best = ref None in
-  let best_makespan () =
-    match !best with None -> max_int | Some tr -> makespan tr
-  in
-  let evaluations = ref 0 in
-  let pruned = ref 0 in
-  let exact = ref true in
-  let buf = Array.make (max 1 n) 0 in
-  let rec go depth remaining =
-    if !exact then
-      match remaining with
-      | [] ->
-          if !evaluations >= max_evals then exact := false
-          else begin
-            incr evaluations;
-            match Eval_cache.evaluate cache (Array.sub buf 0 n) with
-            | exception Scheduler.Unschedulable _ -> ()
-            | tr -> if makespan tr < best_makespan () then best := Some tr
-          end
-      | _ ->
-          List.iter
-            (fun id ->
-              if !exact then begin
-                buf.(depth) <- id;
-                let incumbent = best_makespan () in
-                let prefix = Array.sub buf 0 (depth + 1) in
-                let cut =
-                  incumbent < max_int
-                  && List.exists
-                       (fun tr ->
-                         let l = Scheduler.trace_lcp tr prefix in
-                         Scheduler.prefix_bound tr ~prefix_len:l >= incumbent)
-                       (Eval_cache.traces cache)
-                in
-                if cut then incr pruned
-                else
-                  go (depth + 1)
-                    (List.filter (fun other -> other <> id) remaining)
-              end)
-            remaining
-  in
-  go 0 modules;
-  match !best with
-  | None ->
-      raise (Scheduler.Unschedulable "no order admits a complete schedule")
-  | Some tr ->
-      {
-        schedule = Scheduler.trace_schedule tr;
-        exact = !exact;
-        evaluations = !evaluations;
-        pruned = !pruned;
-      }
-
 (* Endpoint availability in a search node: [None] means not yet in the
    pool (untested processor).  [ix] is the endpoint's table index. *)
 type slot = { endpoint : Resource.endpoint; ix : int; avail : int option }

@@ -45,24 +45,18 @@ let pp_policy ppf = function
 let not_pooled = -1
 
 (* ------------------------------------------------------------------ *)
-(* Commit traces                                                      *)
+(* Traces                                                             *)
 
 type trace = {
   t_system : System.t;
   t_access : Test_access.table;
   t_config : config;  (* with [order = None]; the order lives in [t_order] *)
   t_order : int array;
-  (* The commit log, chronological (starts are nondecreasing): each
-     committed test's finish and its module's position in [t_order] —
-     all [prefix_bound] reads. *)
-  t_finish : int array;
-  t_pos : int array;
   t_schedule : Schedule.t;
 }
 
 let trace_schedule t = t.t_schedule
 let trace_order t = Array.copy t.t_order
-let trace_length t = Array.length t.t_order
 let trace_system t = t.t_system
 let trace_access t = t.t_access
 
@@ -70,26 +64,7 @@ let trace_matches t ~system cfg =
   Test_access.table_for t.t_access ~system ~application:cfg.application
   && t.t_config = { cfg with order = None }
 
-let trace_lcp t order =
-  let n = min (Array.length t.t_order) (Array.length order) in
-  let i = ref 0 in
-  while !i < n && t.t_order.(!i) = order.(!i) do incr i done;
-  !i
-
-(* Largest finish over the commits shared by every order agreeing with
-   the traced one on its first [prefix_len] positions.  Commits logged
-   before the first commit of a module at position >= [prefix_len]
-   happen identically in all such runs (attempts proceed in order
-   position, and failed attempts are side-effect-free), so their
-   maximal finish lower-bounds every makespan in the subtree — the
-   pruning rule of the order-space branch-and-bound. *)
-let prefix_bound t ~prefix_len =
-  let bound = ref t.t_config.start_time and k = ref 0 in
-  while !k < Array.length t.t_pos && t.t_pos.(!k) < prefix_len do
-    bound := max !bound t.t_finish.(!k);
-    incr k
-  done;
-  !bound
+let trace_has_order t order = t.t_order = order
 
 (* ------------------------------------------------------------------ *)
 (* Engine state                                                       *)
@@ -126,7 +101,6 @@ type engine = {
   e_n : int;
   e_tix : int array;  (* slot index -> table endpoint index *)
   e_proc_slot : (int, int) Hashtbl.t;
-  e_pos : (int, int) Hashtbl.t;  (* module id -> position in e_order *)
   e_avail : int array;
   e_releases : Min_heap.t;
   e_calendar : Reservation.t;
@@ -210,7 +184,6 @@ type arena = {
   a_proc_slot : (int, int) Hashtbl.t;
   a_avail0 : int array;  (* availability at [config.start_time] *)
   a_avail : int array;
-  a_pos : (int, int) Hashtbl.t;
   a_releases : Min_heap.t;
   a_calendar : Reservation.t;
   a_cands : cands;
@@ -262,7 +235,6 @@ let build_arena ~table system config =
     a_proc_slot = proc_slot;
     a_avail0 = avail0;
     a_avail = Array.copy avail0;
-    a_pos = Hashtbl.create 32;
     a_releases = Min_heap.create ();
     a_calendar = Reservation.create ();
     a_cands =
@@ -282,7 +254,6 @@ let make_engine ?workspace ?chunks ~table system config order =
         Array.blit a.a_avail0 0 a.a_avail 0 (Array.length a.a_avail0);
         Min_heap.clear a.a_releases;
         Reservation.clear a.a_calendar;
-        Hashtbl.reset a.a_pos;
         a
     | Some w ->
         let a = build_arena ~table system config in
@@ -290,7 +261,6 @@ let make_engine ?workspace ?chunks ~table system config order =
         a
     | None -> build_arena ~table system config
   in
-  Array.iteri (fun p id -> Hashtbl.replace arena.a_pos id p) order;
   let gates = Hashtbl.create (max 1 (List.length cfg.link_ready)) in
   List.iter
     (fun (l, t) ->
@@ -308,7 +278,6 @@ let make_engine ?workspace ?chunks ~table system config order =
       e_n = arena.a_n;
       e_tix = arena.a_tix;
       e_proc_slot = arena.a_proc_slot;
-      e_pos = arena.a_pos;
       e_avail = arena.a_avail;
       e_releases = arena.a_releases;
       e_calendar = arena.a_calendar;
@@ -767,24 +736,6 @@ let event_loop e pending0 =
     end
   done
 
-let finish_trace e =
-  let n = List.length e.e_committed in
-  let finish = Array.make n 0 and pos = Array.make n 0 in
-  List.iteri
-    (fun k c ->
-      finish.(n - 1 - k) <- c.Schedule.finish;
-      pos.(n - 1 - k) <- Hashtbl.find e.e_pos c.Schedule.module_id)
-    e.e_committed;
-  {
-    t_system = e.e_system;
-    t_access = e.e_table;
-    t_config = e.e_config;
-    t_order = e.e_order;
-    t_finish = finish;
-    t_pos = pos;
-    t_schedule = Schedule.of_entries e.e_committed;
-  }
-
 (* One engine run from scratch, under the [scheduler.run] span. *)
 let run_engine ?workspace ?access ?chunks system config =
   let go () =
@@ -838,7 +789,14 @@ let run_engine ?workspace ?access ?chunks system config =
   end
 
 let run_traced ?workspace ?access system config =
-  finish_trace (run_engine ?workspace ?access system config)
+  let e = run_engine ?workspace ?access system config in
+  {
+    t_system = e.e_system;
+    t_access = e.e_table;
+    t_config = e.e_config;
+    t_order = e.e_order;
+    t_schedule = Schedule.of_entries e.e_committed;
+  }
 
 let run ?access system config =
   Schedule.of_entries (run_engine ?access system config).e_committed

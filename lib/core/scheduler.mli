@@ -33,7 +33,8 @@ type config = {
   start_time : int;  (** schedule nothing before this instant *)
   modules : int list option;
       (** schedule only these modules (default: all of them) — used by
-          {!Replan} to re-plan the unfinished remainder of a session *)
+          {!Replan} and {!Nocplan_fault.Recover} to re-plan the
+          unfinished remainder of a session *)
   pretested : int list;
       (** processor module ids already tested before [start_time]:
           their endpoints are available immediately *)
@@ -101,11 +102,9 @@ val run_sessions :
     @raise Invalid_argument if [max_sessions < 1], or as {!run}. *)
 
 type trace
-(** A completed evaluation together with its commit log: the evaluated
-    order, the resulting schedule and, for every committed test in
-    chronological order, its finish and its module's order position —
-    what {!prefix_bound} reads.  Traces are immutable and safe to share
-    across domains. *)
+(** A completed evaluation: the system, access table and configuration
+    it ran under, the evaluated order and the resulting schedule.
+    Traces are immutable and safe to share across domains. *)
 
 type workspace
 (** A reusable evaluation arena: the order-independent engine state
@@ -127,18 +126,14 @@ val workspace : unit -> workspace
 val run_traced :
   ?workspace:workspace -> ?access:Test_access.table -> System.t -> config ->
   trace
-(** Like {!run}, but keep the evaluated order, configuration and
-    commit log with the schedule: search drivers cache traces by order
-    ({!Eval_cache}) and prune with {!prefix_bound}.  [workspace] reuses
-    the engine state of the previous run it served.  Raises as
-    {!run}. *)
+(** Like {!run}, but keep the evaluated order and configuration with
+    the schedule: search drivers cache traces by order
+    ({!Eval_cache}).  [workspace] reuses the engine state of the
+    previous run it served.  Raises as {!run}. *)
 
 val trace_schedule : trace -> Schedule.t
 val trace_order : trace -> int array
 (** A copy of the evaluated order. *)
-
-val trace_length : trace -> int
-(** Number of modules in the evaluated order. *)
 
 val trace_system : trace -> System.t
 (** The system the trace was evaluated on — after placement moves, a
@@ -147,22 +142,14 @@ val trace_system : trace -> System.t
 val trace_access : trace -> Test_access.table
 (** The access table the trace was evaluated with. *)
 
-val trace_lcp : trace -> int array -> int
-(** Length of the longest common prefix of the traced order and the
-    argument. *)
+val trace_has_order : trace -> int array -> bool
+(** Whether the traced order equals the argument — an exact hit of
+    {!Eval_cache}. *)
 
 val trace_matches : trace -> system:System.t -> config -> bool
 (** Whether the trace was produced for this system (physically) and an
     equal configuration, ignoring [order] — the cache-validity check
     of {!Eval_cache}. *)
-
-val prefix_bound : trace -> prefix_len:int -> int
-(** A lower bound on the makespan of {e every} order agreeing with the
-    traced one on its first [prefix_len] positions: the largest finish
-    among traced commits logged before the first commit at a position
-    >= [prefix_len] (those commits happen identically in all such
-    runs).  Nondecreasing in [prefix_len]; at [prefix_len = 0] it
-    degenerates to the configured start time. *)
 
 val pp_policy : policy Fmt.t
 

@@ -360,8 +360,8 @@ let execute t (p : Protocol.planning) ~check =
             | Protocol.Anneal a ->
                 let r =
                   (* Chain 0 borrows the evaluation cache for the
-                     search: prefix traces left by earlier requests on
-                     this instance serve its evaluations, and this
+                     search: an order an earlier request on this
+                     instance evaluated is an exact hit, and this
                      search's traces stay behind for the next one.
                      Results are unaffected (cached evaluation is
                      byte-identical).  The cache's best trace is the

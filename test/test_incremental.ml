@@ -1,7 +1,6 @@
 (* Incremental evaluation: the evaluation cache and the workspace must
-   be invisible to results, the order-space search must stay exact,
-   and multi-chain annealing with [chains = 1] must reproduce the
-   historical sequential annealer exactly. *)
+   be invisible to results, and multi-chain annealing with [chains = 1]
+   must reproduce the historical sequential annealer exactly. *)
 
 open Util
 module Core = Nocplan_core
@@ -10,7 +9,6 @@ module Scheduler = Core.Scheduler
 module Schedule = Core.Schedule
 module Annealing = Core.Annealing
 module Eval_cache = Core.Eval_cache
-module Exhaustive = Core.Exhaustive
 module Proc = Nocplan_proc
 
 let render sched = Fmt.str "%a" Schedule.pp sched
@@ -152,22 +150,6 @@ let test_workspace_run_validates_order () =
           { config with Scheduler.order = Some (List.rev order) }))
     (render (Scheduler.trace_schedule after))
 
-let test_prefix_bound_sound_and_monotone () =
-  let sys = Core.Experiments.p22810_leon () in
-  let reuse = List.length sys.Core.System.processors in
-  let trace = Scheduler.run_traced sys (Scheduler.config ~reuse ()) in
-  let n = Scheduler.trace_length trace in
-  let makespan = (Scheduler.trace_schedule trace).Schedule.makespan in
-  let prev = ref 0 in
-  for l = 0 to n do
-    let b = Scheduler.prefix_bound trace ~prefix_len:l in
-    Alcotest.(check bool) "nondecreasing" true (b >= !prev);
-    Alcotest.(check bool) "bounded by makespan" true (b <= makespan);
-    prev := b
-  done;
-  Alcotest.(check int) "full prefix reaches the makespan" makespan
-    (Scheduler.prefix_bound trace ~prefix_len:n)
-
 let test_eval_cache_counters () =
   let sys = Core.Experiments.d695_leon () in
   let reuse = List.length sys.Core.System.processors in
@@ -193,14 +175,130 @@ let test_eval_cache_counters () =
   Alcotest.(check int) "exact hits" 1 s.Eval_cache.exact_hits;
   Alcotest.(check int) "resumed" 0 s.Eval_cache.resumed;
   (* A non-permutation is refused on the full-run path, caching
-     nothing. *)
+     nothing: both good orders are still exact hits afterwards. *)
   let bogus = Array.copy order in
   bogus.(0) <- 99_999;
   (match Eval_cache.evaluate cache bogus with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-permutation accepted");
-  Alcotest.(check int) "nothing cached for it" 2
-    (List.length (Eval_cache.traces cache))
+  let refused = Eval_cache.stats cache in
+  ignore (Eval_cache.evaluate cache order);
+  ignore (Eval_cache.evaluate cache swapped);
+  let s = Eval_cache.stats cache in
+  Alcotest.(check int) "both good orders hit"
+    (refused.Eval_cache.exact_hits + 2)
+    s.Eval_cache.exact_hits;
+  Alcotest.(check int) "no new full run" refused.Eval_cache.full_runs
+    s.Eval_cache.full_runs
+
+(* [n] distinct orders of [sys]: the priority order with its first
+   element swapped into positions 0 .. n-1. *)
+let distinct_orders sys ~reuse n =
+  let base = Array.of_list (Core.Priority.order sys ~reuse) in
+  List.init n (fun i ->
+      let o = Array.copy base in
+      o.(0) <- base.(i);
+      o.(i) <- base.(0);
+      o)
+
+(* The cache retains exactly the four most recently used traces: after
+   five distinct orders the last four are exact hits and the first,
+   evicted, is a full run again. *)
+let test_eval_cache_keeps_four () =
+  let sys = Core.Experiments.d695_leon () in
+  let reuse = List.length sys.Core.System.processors in
+  let cache = Eval_cache.create sys (Scheduler.config ~reuse ()) in
+  let orders = distinct_orders sys ~reuse 5 in
+  List.iter (fun o -> ignore (Eval_cache.evaluate cache o)) orders;
+  let before = Eval_cache.stats cache in
+  Alcotest.(check int) "five full runs" 5 before.Eval_cache.full_runs;
+  List.iter (fun o -> ignore (Eval_cache.evaluate cache o)) (List.tl orders);
+  let hits = Eval_cache.stats cache in
+  Alcotest.(check int) "last four are exact hits"
+    (before.Eval_cache.exact_hits + 4)
+    hits.Eval_cache.exact_hits;
+  ignore (Eval_cache.evaluate cache (List.hd orders));
+  Alcotest.(check int) "the first was evicted"
+    (hits.Eval_cache.full_runs + 1)
+    (Eval_cache.stats cache).Eval_cache.full_runs
+
+(* A trace copies the order it was evaluated with: mutating the
+   caller's array afterwards changes neither the trace nor what later
+   counts as an exact hit. *)
+let test_eval_cache_copies_order () =
+  let sys = Core.Experiments.d695_leon () in
+  let reuse = List.length sys.Core.System.processors in
+  let cache = Eval_cache.create sys (Scheduler.config ~reuse ()) in
+  let order, other =
+    match distinct_orders sys ~reuse 2 with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  let kept = Array.copy order in
+  let tr = Eval_cache.evaluate cache order in
+  Array.blit other 0 order 0 (Array.length other);
+  Alcotest.(check (array int)) "trace keeps the evaluated order" kept
+    (Scheduler.trace_order tr);
+  Alcotest.(check bool) "has its own order" true
+    (Scheduler.trace_has_order tr kept);
+  Alcotest.(check bool) "not the mutated one" false
+    (Scheduler.trace_has_order tr order);
+  Alcotest.(check bool) "not a prefix of it" false
+    (Scheduler.trace_has_order tr
+       (Array.sub kept 0 (Array.length kept - 1)));
+  Alcotest.(check bool) "re-evaluating the original hits" true
+    (Eval_cache.evaluate cache kept == tr);
+  let s = Eval_cache.stats cache in
+  ignore (Eval_cache.evaluate cache order);
+  Alcotest.(check int) "the mutated order is a full run"
+    (s.Eval_cache.full_runs + 1)
+    (Eval_cache.stats cache).Eval_cache.full_runs
+
+(* Every retained trace belongs to the cache's key: [seed] refuses a
+   trace of another configuration, [merge] imports another cache's
+   traces and best as exact hits, and [rebase] onto another system
+   drops them all. *)
+let test_eval_cache_key () =
+  let sys = Core.Experiments.d695_leon () in
+  let reuse = List.length sys.Core.System.processors in
+  let cfg = Scheduler.config ~reuse () in
+  let cache = Eval_cache.create sys cfg in
+  let order, other =
+    match distinct_orders sys ~reuse 2 with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  let foreign =
+    Scheduler.run_traced sys
+      (Scheduler.config ~policy:Scheduler.Lookahead ~reuse ())
+  in
+  (match Eval_cache.seed cache foreign with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "trace of another configuration seeded");
+  let donor = Eval_cache.create ~access:(Eval_cache.access cache) sys cfg in
+  let tr = Eval_cache.evaluate donor other in
+  Eval_cache.offer donor tr;
+  Eval_cache.merge ~into:cache donor;
+  Alcotest.(check bool) "merge carries the best trace" true
+    (Option.get (Eval_cache.best cache) == tr);
+  Alcotest.(check bool) "merged trace is an exact hit" true
+    (Eval_cache.evaluate cache other == tr);
+  ignore (Eval_cache.evaluate cache order);
+  (* [order] is the priority order, so the adopted trace answers for
+     it; [other] was only ever evaluated under the old key. *)
+  let moved = Core.Experiments.d695_leon () in
+  let adopted = Scheduler.run_traced moved cfg in
+  Eval_cache.rebase cache adopted;
+  Alcotest.(check bool) "rebase moves the key" true
+    (Eval_cache.system cache == moved
+     && Option.is_none (Eval_cache.best cache));
+  Alcotest.(check bool) "adopted trace is an exact hit" true
+    (Eval_cache.evaluate cache order == adopted);
+  let s = Eval_cache.stats cache in
+  ignore (Eval_cache.evaluate cache other);
+  Alcotest.(check int) "old traces dropped"
+    (s.Eval_cache.full_runs + 1)
+    (Eval_cache.stats cache).Eval_cache.full_runs
 
 (* The pinned sequential goldens: captured from the pre-incremental
    annealer (commit ad7ec0f) on the three paper systems.  [chains = 1]
@@ -322,57 +420,6 @@ let test_workspace_invisible () =
   check Scheduler.Greedy;
   check Scheduler.Lookahead
 
-(* Order-space branch-and-bound: on a system small enough to
-   enumerate, the pruned search must find exactly the best order that
-   brute force (scratch evaluation of every permutation) finds. *)
-let test_order_search_matches_brute_force () =
-  let sys = small_system () in
-  let reuse = 1 in
-  let r = Exhaustive.order_search ~reuse sys in
-  Alcotest.(check bool) "small instance searched exactly" true
-    r.Exhaustive.exact;
-  let modules = Core.System.module_ids sys in
-  let rec permutations = function
-    | [] -> [ [] ]
-    | l ->
-        List.concat_map
-          (fun x ->
-            List.map
-              (fun p -> x :: p)
-              (permutations (List.filter (fun y -> y <> x) l)))
-          l
-  in
-  let brute =
-    List.fold_left
-      (fun acc order ->
-        match
-          Scheduler.run sys (Scheduler.config ~order ~reuse ())
-        with
-        | exception Scheduler.Unschedulable _ -> acc
-        | sched -> min acc sched.Schedule.makespan)
-      max_int (permutations modules)
-  in
-  Alcotest.(check int) "optimal over orders"
-    brute r.Exhaustive.schedule.Schedule.makespan;
-  (* Pinned on a space too large to enumerate: the shared-prefix bound
-     over the retained traces must keep cutting subtrees. *)
-  let d695 =
-    Exhaustive.order_search ~max_evals:1000 ~reuse:2
-      (Core.Experiments.d695_leon ())
-  in
-  Alcotest.(check int) "d695_leon reuse 2 makespan" 405256
-    d695.Exhaustive.schedule.Schedule.makespan;
-  Alcotest.(check int) "d695_leon reuse 2 pruned subtrees" 75
-    d695.Exhaustive.pruned;
-  Alcotest.(check bool) "pruning happened" true (d695.Exhaustive.pruned > 0)
-
-let test_order_search_never_worse_than_greedy () =
-  let sys = Core.Experiments.d695_leon () in
-  let greedy = Scheduler.run sys (Scheduler.config ~reuse:2 ()) in
-  let r = Exhaustive.order_search ~max_evals:300 ~reuse:2 sys in
-  Alcotest.(check bool) "incumbent seeded by the priority order" true
-    (r.Exhaustive.schedule.Schedule.makespan <= greedy.Schedule.makespan)
-
 let suite =
   [
     Alcotest.test_case "eval cache equals scratch (systems x policies x power)"
@@ -381,10 +428,14 @@ let suite =
       test_eval_cache_swap_chain;
     Alcotest.test_case "workspace run validates the order" `Quick
       test_workspace_run_validates_order;
-    Alcotest.test_case "prefix bound sound and monotone" `Quick
-      test_prefix_bound_sound_and_monotone;
     Alcotest.test_case "eval cache counters and equivalence" `Quick
       test_eval_cache_counters;
+    Alcotest.test_case "eval cache keeps the four most recent traces" `Quick
+      test_eval_cache_keeps_four;
+    Alcotest.test_case "eval cache copies the evaluated order" `Quick
+      test_eval_cache_copies_order;
+    Alcotest.test_case "eval cache traces belong to its key" `Quick
+      test_eval_cache_key;
     Alcotest.test_case "chains=1 reproduces sequential goldens" `Slow
       test_single_chain_reproduces_goldens;
     Alcotest.test_case "tempering deterministic and valid" `Slow
@@ -395,8 +446,4 @@ let suite =
       test_chain_parameter_validation;
     Alcotest.test_case "workspace invisible to results" `Quick
       test_workspace_invisible;
-    Alcotest.test_case "order search matches brute force" `Quick
-      test_order_search_matches_brute_force;
-    Alcotest.test_case "order search never worse than greedy" `Quick
-      test_order_search_never_worse_than_greedy;
   ]
